@@ -290,8 +290,7 @@ def _cmd_coloc(args):
                                      seed=args.seed)
         rows = []
         for frame, img in zip(frames, imgs):
-            sp = slic_superpixels(img, args.superpixels, args.compactness,
-                                  seed=args.seed)
+            sp = slic_superpixels(img, args.superpixels, args.compactness)
             seg = coloc_segment(img, sp, gmms, pairwise)
             box = largest_component_box(seg)
             if box is None:

@@ -214,8 +214,8 @@ def _merge_bounded(out, count, min_size, lower, upper):
     return inv.reshape(out.shape).astype(np.int32), len(vals)
 
 
-def slic_superpixels(img: RgbImage, target_count: int, compactness: float = 10.0,
-                     seed: int = 0) -> SuperpixelMap:
+def slic_superpixels(img: RgbImage, target_count: int,
+                     compactness: float = 10.0) -> SuperpixelMap:
     """SLIC-style clustering of a frame into roughly ``target_count``
     superpixels.
 
@@ -223,10 +223,8 @@ def slic_superpixels(img: RgbImage, target_count: int, compactness: float = 10.0
     centers, then enforces 4-connectivity by merging small fragments into
     an adjacent superpixel. The returned count lies within
     [target_count/2, 2*target_count] (capped at the pixel count). The
-    algorithm is fully deterministic; ``seed`` is accepted for interface
-    uniformity and unused.
+    algorithm is fully deterministic.
     """
-    del seed
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
     h, w = img.height, img.width
@@ -365,7 +363,7 @@ def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
                    / dist * boundary)
     else:
         weights = np.zeros(0)
-    y = _solve_binary_columns(theta0, theta1, edges, weights)
+    y = _solve_binary_columns(theta0, theta1, edges, weights, weights)
     return LabelMap(y[sp.ids].astype(np.int32))
 
 

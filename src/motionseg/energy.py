@@ -222,20 +222,19 @@ def _columns_to_labelmap(m: EnergyModel, cols: np.ndarray) -> LabelMap:
     return LabelMap(labels.reshape(m.adjacency.height, m.adjacency.width))
 
 
-def _solve_binary_columns(theta0, theta1, edges, weights) -> np.ndarray:
-    """Exact cut for a two-column energy; returns y with 1 = second column."""
-    n = len(theta0)
-    net = FlowNetwork(n)
+def _solve_binary_columns(theta0, theta1, edges, cap, rev_cap) -> np.ndarray:
+    """Exact cut for a two-column energy; returns y with 1 = second column.
+
+    Edge e = (i, j) costs ``cap[e]`` when y_i = 1 and y_j = 0, and
+    ``rev_cap[e]`` when y_i = 0 and y_j = 1 (scalars broadcast).
+    """
+    net = FlowNetwork(len(theta0))
     base = np.minimum(theta0, theta1)
-    src = theta0 - base  # paid when y_i = 0 (node on sink side)
-    snk = theta1 - base  # paid when y_i = 1 (node on source side)
-    for i in range(n):
-        if src[i] > 0.0 or snk[i] > 0.0:
-            net.add_terminal(i, src[i], snk[i])
-    for e in range(len(edges)):
-        w = weights[e]
-        if w > 0.0:
-            net.add_edge(int(edges[e, 0]), int(edges[e, 1]), w, w)
+    # source side is y = 1, so the source arc is cut (paid) when y_i = 0
+    net.add_terminals(theta0 - base, theta1 - base)
+    cap, rev_cap = np.broadcast_arrays(cap, rev_cap)
+    keep = (cap > 0.0) | (rev_cap > 0.0)
+    net.add_edges(edges[keep, 0], edges[keep, 1], cap[keep], rev_cap[keep])
     return (min_cut(net).side == SOURCE).astype(np.int64)
 
 
@@ -246,7 +245,7 @@ def minimize_binary(m: EnergyModel) -> LabelMap:
             f"binary solver needs exactly 2 allowed labels, got "
             f"{len(m.allowed_labels)}")
     y = _solve_binary_columns(m.unary[:, 0], m.unary[:, 1],
-                              m.adjacency.edges(), m.pairwise)
+                              m.adjacency.edges(), m.pairwise, m.pairwise)
     return _columns_to_labelmap(m, y)
 
 
@@ -286,20 +285,8 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
             np.add.at(theta1, e0, w_j - w_keep)
             np.add.at(theta1, e1, -w_j)
             cap = w_i + w_j - w_keep           # >= 0 for Potts
-
-            n = len(cols)
-            net = FlowNetwork(n)
-            base = np.minimum(theta0, theta1)
-            src = theta0 - base
-            snk = theta1 - base
-            for i in range(n):
-                if src[i] > 0.0 or snk[i] > 0.0:
-                    net.add_terminal(i, src[i], snk[i])
-            for e in range(len(edges)):
-                if cap[e] > 0.0:
-                    # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
-                    net.add_edge(int(e1[e]), int(e0[e]), cap[e], 0.0)
-            y = min_cut(net).side == SOURCE
+            # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
+            y = _solve_binary_columns(theta0, theta1, edges[:, ::-1], cap, 0.0)
             candidate = np.where(y, a, cols)
             cand_energy = _energy_of_columns(m, candidate)
             if cand_energy < energy:

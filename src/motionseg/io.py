@@ -17,6 +17,7 @@ for canonical files.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,18 +217,28 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        for v in value)
+
+
 def _parse_frame(obj, where) -> FrameRecord:
     _require(isinstance(obj, dict), f"{where}: frame must be an object")
     _require("image_path" in obj, f"{where}: missing image_path")
     _require("motion_mask_path" in obj, f"{where}: missing motion_mask_path")
+    for key in ("image_path", "motion_mask_path", "score_map_path",
+                "ground_truth_label_path"):
+        _require(isinstance(obj.get(key, ""), str),
+                 f"{where}: {key} must be a string")
     box = obj.get("ground_truth_box")
     if box is not None:
-        _require(isinstance(box, (list, tuple)) and len(box) == 4,
-                 f"{where}: ground_truth_box must have 4 coordinates")
+        _require(_int_list(box) and len(box) == 4,
+                 f"{where}: ground_truth_box must have 4 integer coordinates")
         box = tuple(int(v) for v in box)
     return FrameRecord(
-        image_path=str(obj["image_path"]),
-        motion_mask_path=str(obj["motion_mask_path"]),
+        image_path=obj["image_path"],
+        motion_mask_path=obj["motion_mask_path"],
         score_map_path=obj.get("score_map_path"),
         ground_truth_label_path=obj.get("ground_truth_label_path"),
         ground_truth_box=box,
@@ -264,11 +275,14 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
                 raise EmptyShot(f"{swhere}: shot has no frames")
             kept = sobj.get("kept_range")
             if kept is not None:
-                _require(len(kept) == 2 and 0 <= kept[0] < kept[1] <= len(frames),
+                _require(_int_list(kept) and len(kept) == 2
+                         and 0 <= kept[0] < kept[1] <= len(frames),
                          f"{swhere}: bad kept_range")
                 kept = (int(kept[0]), int(kept[1]))
             sampled = sobj.get("sampled_indices")
             if sampled is not None:
+                _require(_int_list(sampled),
+                         f"{swhere}: sampled_indices must be a list of ints")
                 sampled = tuple(int(i) for i in sampled)
                 _require(all(0 <= i < len(frames) for i in sampled),
                          f"{swhere}: sampled index out of range")

@@ -5,10 +5,12 @@ package. The solver is the Boykov-Kolmogorov augmenting-path algorithm:
 two search trees are grown from source and sink, reused between
 augmentations, with orphaned subtrees re-adopted instead of rebuilt.
 
-Capacities are 64-bit floats (the unaries are log-likelihoods, so no
-integer scaling is applied). Terminal capacities are folded into a single
-per-node residual before the search, which shifts the flow by a constant
-that is added back at the end.
+Networks are built from arrays: ``add_terminals`` and ``add_edges`` take
+whole capacity vectors and edge lists (``add_terminal``/``add_edge`` are
+their one-element forms). Capacities are 64-bit floats (the unaries are
+log-likelihoods, so no integer scaling is applied). Terminal capacities
+are folded into a single per-node residual before the search, which
+shifts the flow by a constant that is added back at the end.
 """
 
 from collections import deque
@@ -38,35 +40,62 @@ class FlowNetwork:
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
         self.node_count = node_count
-        self.source_cap = [0.0] * node_count
-        self.sink_cap = [0.0] * node_count
-        self.first = [-1] * node_count  # head of each node's arc list
+        self.source_cap = np.zeros(node_count)
+        self.sink_cap = np.zeros(node_count)
         self.arc_head = []
         self.arc_cap = []
-        self.arc_next = []
 
     @staticmethod
-    def _check_cap(cap):
-        cap = float(cap)
-        if not (cap >= 0.0 and np.isfinite(cap)):
-            raise ValueError(f"capacities must be finite and >= 0, got {cap}")
+    def _check_caps(cap, shape):
+        cap = np.broadcast_to(np.asarray(cap, dtype=np.float64), shape)
+        bad = ~(np.isfinite(cap) & (cap >= 0.0))
+        if bad.any():
+            raise ValueError(
+                f"capacities must be finite and >= 0, got {cap[bad][0]}")
         return cap
+
+    def add_terminals(self, source_cap, sink_cap, nodes=None) -> None:
+        """Add capacity source->i and i->sink for every node, or for each i
+        in ``nodes``; capacities accumulate over calls and repeats."""
+        idx = slice(None) if nodes is None else np.asarray(nodes, dtype=np.intp)
+        shape = self.source_cap[idx].shape
+        src, snk = (self._check_caps(c, shape) for c in (source_cap, sink_cap))
+        np.add.at(self.source_cap, idx, src)
+        np.add.at(self.sink_cap, idx, snk)
 
     def add_terminal(self, i: int, cap_source, cap_sink) -> None:
         """Add capacity source->i and i->sink (accumulates over calls)."""
-        self.source_cap[i] += self._check_cap(cap_source)
-        self.sink_cap[i] += self._check_cap(cap_sink)
+        self.add_terminals([cap_source], [cap_sink], nodes=[i])
+
+    def add_edges(self, tails, heads, cap, rev_cap) -> None:
+        """Add arc pairs tails[e]->heads[e] with ``cap[e]`` and the reverse
+        with ``rev_cap[e]``; nothing is added if any edge is invalid."""
+        ends = np.stack([tails, heads], axis=1).astype(np.int64).reshape(-1, 2)
+        loops = ends[ends[:, 0] == ends[:, 1], 0]
+        if loops.size:
+            raise ValueError(f"self-edge at node {loops[0]}")
+        if ends.size and not 0 <= ends.min() <= ends.max() < self.node_count:
+            raise IndexError(f"edge node outside [0, {self.node_count})")
+        caps = [self._check_caps(c, len(ends)) for c in (cap, rev_cap)]
+        self.arc_head += ends[:, ::-1].ravel().tolist()
+        self.arc_cap += np.stack(caps, axis=1).ravel().tolist()
 
     def add_edge(self, i: int, j: int, cap, rev_cap) -> None:
         """Add an arc pair i->j with ``cap`` and j->i with ``rev_cap``."""
-        if i == j:
-            raise ValueError(f"self-edge at node {i}")
-        for tail, h, c in ((i, j, self._check_cap(cap)),
-                           (j, i, self._check_cap(rev_cap))):
-            self.arc_head.append(h)
-            self.arc_cap.append(c)
-            self.arc_next.append(self.first[tail])
-            self.first[tail] = len(self.arc_head) - 1
+        self.add_edges([i], [j], [cap], [rev_cap])
+
+    def links(self):
+        """Each node's arc list as ``(first, arc_next)``: node i's arcs are
+        first[i], arc_next[first[i]], ... up to -1, newest first."""
+        head = np.asarray(self.arc_head, dtype=np.int64).reshape(-1, 2)
+        tail = head[:, ::-1].ravel()
+        first = np.full(self.node_count, -1)
+        np.maximum.at(first, tail, np.arange(len(tail)))
+        order = np.argsort(tail, kind="stable")
+        same = tail[order[1:]] == tail[order[:-1]]
+        arc_next = np.full(len(tail), -1)
+        arc_next[order[1:][same]] = order[:-1][same]
+        return first.tolist(), arc_next.tolist()
 
 
 @dataclass(frozen=True)
@@ -90,40 +119,27 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     if n == 0:
         return MinCutResult(0.0, np.zeros(0, dtype=np.uint8))
 
-    first = net.first
+    first, nxt = net.links()
     head = net.arc_head
-    nxt = net.arc_next
     rescap = list(net.arc_cap)
 
     # fold terminal capacities: tr > 0 means residual from source,
     # tr < 0 residual to sink; min(src, snk) flows immediately
-    tr = [0.0] * n
-    flow = 0.0
-    for i in range(n):
-        s, t = net.source_cap[i], net.sink_cap[i]
-        flow += min(s, t)
-        tr[i] = s - t
+    excess = net.source_cap - net.sink_cap
+    tr = excess.tolist()
+    flow = float(np.minimum(net.source_cap, net.sink_cap).sum())
 
-    tree = [_FREE] * n
-    parent = [_NO_PARENT] * n
-    active = deque()
-    in_active = [False] * n
+    # every node with terminal residual starts active in its own tree
+    tree = np.select([excess > 0.0, excess < 0.0], [_S, _T], _FREE).tolist()
+    parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT).tolist()
+    in_active = (excess != 0.0).tolist()
+    active = deque(np.flatnonzero(excess).tolist())
     orphans = deque()
 
     def activate(i):
         if not in_active[i]:
             in_active[i] = True
             active.append(i)
-
-    for i in range(n):
-        if tr[i] > 0.0:
-            tree[i] = _S
-            parent[i] = _TERMINAL
-            activate(i)
-        elif tr[i] < 0.0:
-            tree[i] = _T
-            parent[i] = _TERMINAL
-            activate(i)
 
     def origin_is_terminal(q):
         # walk to the root; valid parents only (orphans sever the walk)
@@ -264,12 +280,9 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             adopt()
 
     # label sides by residual reachability from the source
-    side = np.full(n, SINK, dtype=np.uint8)
-    bfs = deque()
-    for i in range(n):
-        if tr[i] > 0.0:
-            side[i] = SOURCE
-            bfs.append(i)
+    from_source = np.asarray(tr) > 0.0
+    side = np.where(from_source, SOURCE, SINK).astype(np.uint8)
+    bfs = deque(np.flatnonzero(from_source).tolist())
     while bfs:
         u = bfs.popleft()
         a = first[u]

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+import motionseg.energy
 from motionseg.core import GridAdjacency, RgbImage, ScoreMap
 from motionseg.energy import EnergyModel
+from motionseg.maxflow import SINK
 
 
 def random_image(rng, height, width):
@@ -44,3 +46,27 @@ def random_flow_network(rng, max_nodes=12, max_extra_edges=20):
             edges.append((int(i), int(j),
                           float(rng.random() * 3), float(rng.random() * 3)))
     return n, terminals, edges
+
+
+def recorded_cuts(monkeypatch):
+    """Record every (network, result) the energy module's cuts solve."""
+    cuts = []
+    solve = motionseg.energy.min_cut
+
+    def record(net):
+        res = solve(net)
+        cuts.append((net, res))
+        return res
+
+    monkeypatch.setattr(motionseg.energy, "min_cut", record)
+    return cuts
+
+
+def cut_capacity_of(net, side):
+    """Capacity of the s-t cut that ``side`` induces in a FlowNetwork."""
+    sink = np.asarray(side) == SINK
+    head = np.asarray(net.arc_head, dtype=np.int64)
+    tail = head.reshape(-1, 2)[:, ::-1].ravel()
+    crossing = np.asarray(net.arc_cap)[~sink[tail] & sink[head]].sum()
+    return float(net.source_cap[sink].sum() + net.sink_cap[~sink].sum()
+                 + crossing)

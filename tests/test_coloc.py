@@ -20,8 +20,9 @@ from motionseg.energy import (
 )
 from motionseg.errors import EmptyBackground, EmptyForeground
 from motionseg.gmm import FgBgGmm, Gmm, nll
+from motionseg.synthetic import two_object_scene
 
-from helpers import random_image
+from helpers import cut_capacity_of, random_image, recorded_cuts
 from oracles import all_labelings, potts_energies
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -240,6 +241,18 @@ def test_coloc_output_beats_constant_labelings():
     out_sp = np.array([out.labels[sp.ids == j][0] for j in range(count)])
     assert energy(out_sp) <= energy(np.zeros(count, dtype=int)) + 1e-9
     assert energy(out_sp) <= energy(np.ones(count, dtype=int)) + 1e-9
+
+
+def test_coloc_cut_certificate_on_superpixel_graph(monkeypatch):
+    scene = two_object_scene(6, height=48, width=64)
+    sp = slic_superpixels(scene.image, 120)
+    gmms = seed_gmms_from_scores([scene.image], [scene.scores], 1)
+    cuts = recorded_cuts(monkeypatch)
+    coloc_segment(scene.image, sp, gmms)
+    (net, res), = cuts
+    assert net.node_count == sp.n_superpixels and len(net.arc_head) > 0
+    assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
+                                           rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from motionseg.errors import (
     LabelNotAllowed,
     WrongLabelCount,
 )
-from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
+from motionseg.gmm import FgBgGmm, Gmm, fit_fgbg_from_motion, fit_gmm, nll
+from motionseg.synthetic import two_object_scene
 
-from helpers import random_model, random_scores
+from helpers import cut_capacity_of, random_model, random_scores, recorded_cuts
 from oracles import enumerate_minimum
 
 
@@ -354,3 +355,34 @@ def test_expansion_label_permutation_symmetry():
         assert np.array_equal(out2.labels, want)
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# cut certificates on full-size grids, far beyond brute force: the flow the
+# solver pushed equals the capacity of the cut it returns, so both are optimal
+
+def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
+    m = random_model(np.random.default_rng(71), 112, 144, (0, 1))
+    cuts = recorded_cuts(monkeypatch)
+    x = minimize_binary(m)
+    (net, res), = cuts
+    assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
+                                           rel=1e-9)
+    base = np.minimum(m.unary[:, 0], m.unary[:, 1]).sum()
+    assert total_energy(m, x) == pytest.approx(res.flow_value + base, rel=1e-9)
+
+
+def test_expansion_move_cut_certificates_on_two_object_scene(monkeypatch):
+    scene = two_object_scene(5, height=96, width=160, confidence=0.45,
+                             noise=0.15)
+    gmms = fit_fgbg_from_motion([(scene.image, scene.mask)], 0, n_components=1)
+    params = PairwiseParams()
+    band = boundary_band_from_mask(scene.mask, params.boundary_band)
+    m = build_energy(scene.image, gmms, scene.scores, (0, 1, 2), 1.0, params,
+                     band)
+    cuts = recorded_cuts(monkeypatch)
+    minimize_expansion(m, sweeps=1)
+    assert len(cuts) == 3  # one move per label
+    for net, res in cuts:
+        assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
+                                               rel=1e-9)

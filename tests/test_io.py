@@ -265,6 +265,23 @@ def test_manifest_schema_errors():
     del doc["videos"][0]["shots"][0]["frames"][0]["image_path"]
     with pytest.raises(SchemaError):
         parse_manifest(doc)
+    bad_shots = [{"kept_range": "ab"}, {"kept_range": [0.0, 2.0]},
+                 {"kept_range": [True, 2]}, {"sampled_indices": [None]},
+                 {"sampled_indices": "ab"}, {"sampled_indices": [1.5]}]
+    bad_frames = [{"image_path": 5}, {"motion_mask_path": None},
+                  {"score_map_path": ["a"]}, {"ground_truth_label_path": 7},
+                  {"ground_truth_box": [1, 2, 3, "x"]},
+                  {"ground_truth_box": [1, 2, 3, 4.5]}]
+    for shot_fields in bad_shots:
+        doc = _minimal_doc()
+        doc["videos"][0]["shots"][0].update(shot_fields)
+        with pytest.raises(SchemaError):
+            parse_manifest(doc)
+    for frame_fields in bad_frames:
+        doc = _minimal_doc()
+        doc["videos"][0]["shots"][0]["frames"][1].update(frame_fields)
+        with pytest.raises(SchemaError):
+            parse_manifest(doc)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -73,6 +73,64 @@ def test_rejects_bad_capacities():
         net.add_edge(0, 1, float("inf"), 0.0)
     with pytest.raises(ValueError):
         net.add_edge(0, 0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        net.add_terminals([1.0, 2.0], [0.0, float("nan")])
+    with pytest.raises(ValueError):
+        net.add_terminals([-1.0], [0.0], nodes=[1])
+    with pytest.raises(ValueError):
+        net.add_edges([0, 1], [1, 0], [1.0, float("inf")], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        net.add_edges([0, 1], [1, 0], [1.0, 1.0], [-0.5, 0.0])
+    with pytest.raises(ValueError):
+        net.add_edges([0, 1], [1, 1], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(IndexError):
+        net.add_edges([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0])
+    # a rejected bulk call adds nothing, not even its valid entries
+    assert net.arc_head == [] and net.arc_cap == []
+    assert not net.source_cap.any() and not net.sink_cap.any()
+
+
+def _prepend_lists(net):
+    """Per-node arc lists as built by prepending each arc in index order."""
+    first = [-1] * net.node_count
+    arc_next = []
+    for a in range(len(net.arc_head)):
+        tail = net.arc_head[a ^ 1]
+        arc_next.append(first[tail])
+        first[tail] = a
+    return first, arc_next
+
+
+def test_bulk_build_matches_per_edge_layout():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        n, terminals, edges = random_flow_network(rng)
+        single = _build(n, terminals, edges)
+        bulk = FlowNetwork(n)
+        bulk.add_terminals(*np.array(terminals).T)
+        split = int(rng.integers(0, len(edges) + 1))
+        for part in (edges[:split], edges[split:]):  # two calls, one may be empty
+            cols = np.array(part, dtype=np.float64).reshape(-1, 4)
+            bulk.add_edges(cols[:, 0].astype(int), cols[:, 1].astype(int),
+                           cols[:, 2], cols[:, 3])
+        assert bulk.source_cap.tolist() == single.source_cap.tolist()
+        assert bulk.sink_cap.tolist() == single.sink_cap.tolist()
+        assert bulk.arc_head == single.arc_head
+        assert bulk.arc_cap == single.arc_cap
+        assert bulk.links() == single.links() == _prepend_lists(single)
+        a, b = min_cut(bulk), min_cut(single)
+        assert a.flow_value == b.flow_value
+        assert np.array_equal(a.side, b.side)
+
+
+def test_bulk_terminals_accumulate_over_repeated_nodes():
+    bulk = FlowNetwork(3)
+    bulk.add_terminals([1.0, 0.5, 2.0], [0.0, 4.0, 0.25], nodes=[2, 0, 2])
+    single = FlowNetwork(3)
+    for i, src, snk in ((2, 1.0, 0.0), (0, 0.5, 4.0), (2, 2.0, 0.25)):
+        single.add_terminal(i, src, snk)
+    assert bulk.source_cap.tolist() == single.source_cap.tolist() == [0.5, 0, 3]
+    assert bulk.sink_cap.tolist() == single.sink_cap.tolist() == [4, 0, 0.25]
 
 
 def test_matches_brute_force_on_random_graphs():
