@@ -131,28 +131,18 @@ def _seed_centers(img, rows, cols):
 
 def _flood_label(ids):
     """Relabel 4-connected equal-value components in raster discovery
-    order; returns (label map, component count)."""
+    order; returns (label map, component count).
+
+    Pixels sit at the even cells of a (2h-1)x(2w-1) grid, joined by the
+    cell between two 4-neighbors when their ids agree. A component's first
+    cell in raster order is a pixel, so labels follow pixel discovery."""
     h, w = ids.shape
-    out = np.full((h, w), -1, dtype=np.int32)
-    next_label = 0
-    for sy in range(h):
-        for sx in range(w):
-            if out[sy, sx] >= 0:
-                continue
-            old = ids[sy, sx]
-            stack = [(sy, sx)]
-            out[sy, sx] = next_label
-            head = 0
-            while head < len(stack):
-                y, x = stack[head]
-                head += 1
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if (0 <= ny < h and 0 <= nx < w and out[ny, nx] == -1
-                            and ids[ny, nx] == old):
-                        out[ny, nx] = next_label
-                        stack.append((ny, nx))
-            next_label += 1
-    return out, next_label
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = ids[:, 1:] == ids[:, :-1]
+    grid[1::2, ::2] = ids[1:, :] == ids[:-1, :]
+    lab, count = ndimage.label(grid, structure=FOUR_CONNECTED)
+    return (lab[::2, ::2] - 1).astype(np.int32), count
 
 
 def _split_largest(out, count):
@@ -188,30 +178,47 @@ def _merge_bounded(out, count, min_size, lower, upper):
 
     Components below ``min_size`` are merged while more than ``lower``
     remain; any component may be merged while more than ``upper`` remain,
-    so the final count lands inside [lower, upper]."""
-    sizes = np.bincount(out.ravel(), minlength=count).astype(np.int64)
-    alive = sizes > 0
-    while int(alive.sum()) > 1:
-        live = np.nonzero(alive)[0]
-        smallest = int(live[np.argmin(sizes[live])])
-        if len(live) > upper:
-            victim = smallest
-        elif len(live) > lower and sizes[smallest] < min_size:
-            victim = smallest
-        else:
+    so the final count lands inside [lower, upper]. The component
+    adjacency is built once from neighboring pixel pairs."""
+    sizes = np.bincount(out.ravel(), minlength=count).astype(np.float64)
+    sizes[sizes == 0] = np.inf  # dead components: argmin passes them over
+    a = np.concatenate([out[:, :-1].ravel(), out[:-1].ravel()])
+    b = np.concatenate([out[:, 1:].ravel(), out[1:].ravel()])
+    adj = [set() for _ in range(count)]
+    for i, j in set(zip(a[a != b].tolist(), b[a != b].tolist())):
+        adj[i].add(j)
+        adj[j].add(i)
+    owner = np.arange(count)
+    live = int(np.isfinite(sizes).sum())
+    while live > 1:
+        victim = int(np.argmin(sizes))
+        if live <= upper and (live <= lower or sizes[victim] >= min_size):
             break
-        member = out == victim
-        ring = ndimage.binary_dilation(member, structure=FOUR_CONNECTED)
-        neighbors = np.unique(out[ring & ~member])
-        if len(neighbors) == 0:
+        if not adj[victim]:
             break
+        neighbors = np.array(sorted(adj[victim]))
         target = int(neighbors[np.argmax(sizes[neighbors])])
-        out[member] = target
+        for n in adj[victim]:
+            adj[n].discard(victim)
+            if n != target:
+                adj[n].add(target)
+                adj[target].add(n)
+        owner[owner == victim] = target
         sizes[target] += sizes[victim]
-        sizes[victim] = 0
-        alive[victim] = False
-    vals, inv = np.unique(out, return_inverse=True)
+        sizes[victim] = np.inf
+        live -= 1
+    vals, inv = np.unique(owner[out], return_inverse=True)
     return inv.reshape(out.shape).astype(np.int32), len(vals)
+
+
+def _cluster_means(ids, count, px, pos_y, pos_x):
+    """Pixel count, mean (row, col) and mean color of each label."""
+    flat = ids.ravel()
+    counts = np.bincount(flat, minlength=count)
+    sums = np.stack([np.bincount(flat, weights=v.ravel(), minlength=count)
+                     for v in (pos_y, pos_x, *np.moveaxis(px, 2, 0))], axis=1)
+    means = sums / np.maximum(counts, 1)[:, None]
+    return counts, means[:, :2], means[:, 2:]
 
 
 def slic_superpixels(img: RgbImage, target_count: int,
@@ -269,11 +276,9 @@ def slic_superpixels(img: RgbImage, target_count: int,
                  * ((oy[:, None] - c_pos[None, :, 0]) ** 2
                     + (ox[:, None] - c_pos[None, :, 1]) ** 2) / step ** 2)
             ids[oy, ox] = np.argmin(d, axis=1)
-        for j in range(k):
-            member = ids == j
-            if member.any():
-                c_pos[j] = (pos_y[member].mean(), pos_x[member].mean())
-                c_col[j] = px[member].mean(axis=0)
+        size, pos, col = _cluster_means(ids, k, px, pos_y, pos_x)
+        c_pos[size > 0] = pos[size > 0]
+        c_col[size > 0] = col[size > 0]
 
     lower = max(1, (target + 1) // 2)
     upper = 2 * target
@@ -286,15 +291,8 @@ def slic_superpixels(img: RgbImage, target_count: int,
     final, count = _merge_bounded(final, count, max(1, n // (2 * k)),
                                   lower, upper)
 
-    flat = final.ravel()
-    counts = np.bincount(flat, minlength=count)
-    mean_colors = np.stack(
-        [np.bincount(flat, weights=px[..., c].ravel(), minlength=count)
-         for c in range(3)], axis=1) / counts[:, None]
-    centroids = np.stack(
-        [np.bincount(flat, weights=pos_y.ravel(), minlength=count),
-         np.bincount(flat, weights=pos_x.ravel(), minlength=count)],
-        axis=1) / counts[:, None]
+    counts, centroids, mean_colors = _cluster_means(final, count, px,
+                                                    pos_y, pos_x)
     return SuperpixelMap(final, mean_colors, centroids, counts)
 
 

@@ -223,6 +223,10 @@ def _int_list(value) -> bool:
         for v in value)
 
 
+def _str_list(value) -> bool:
+    return all(isinstance(v, str) for v in value)
+
+
 def _parse_frame(obj, where) -> FrameRecord:
     _require(isinstance(obj, dict), f"{where}: frame must be an object")
     _require("image_path" in obj, f"{where}: missing image_path")
@@ -257,8 +261,11 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
         where = f"videos[{vi}]"
         _require(isinstance(vobj, dict), f"{where}: must be an object")
         _require("video_id" in vobj, f"{where}: missing video_id")
+        _require(isinstance(vobj["video_id"], str),
+                 f"{where}: video_id must be a string")
         labels = vobj.get("weak_labels")
-        _require(isinstance(labels, list), f"{where}: weak_labels must be a list")
+        _require(isinstance(labels, list) and _str_list(labels),
+                 f"{where}: weak_labels must be a list of strings")
         if not labels:
             raise UnknownLabel(f"{where}: weak_labels must be nonempty")
         if BACKGROUND in labels:
@@ -269,6 +276,8 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
             swhere = f"{where}.shots[{si}]"
             _require(isinstance(sobj, dict), f"{swhere}: must be an object")
             _require("shot_id" in sobj, f"{swhere}: missing shot_id")
+            _require(isinstance(sobj["shot_id"], str),
+                     f"{swhere}: shot_id must be a string")
             frames = sobj.get("frames")
             _require(isinstance(frames, list), f"{swhere}: frames must be a list")
             if not frames:
@@ -287,7 +296,7 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
                 _require(all(0 <= i < len(frames) for i in sampled),
                          f"{swhere}: sampled index out of range")
             shots.append(ShotRecord(
-                shot_id=str(sobj["shot_id"]),
+                shot_id=sobj["shot_id"],
                 frames=tuple(_parse_frame(f, f"{swhere}.frames[{fi}]")
                              for fi, f in enumerate(frames)),
                 kept_range=kept,
@@ -295,8 +304,8 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
             ))
         weak.extend(labels)
         videos.append(VideoRecord(
-            video_id=str(vobj["video_id"]),
-            weak_labels=tuple(str(x) for x in labels),
+            video_id=vobj["video_id"],
+            weak_labels=tuple(labels),
             shots=tuple(shots),
         ))
 
@@ -304,8 +313,9 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
     if categories is None:
         categories = sorted(set(weak))
     else:
-        _require(isinstance(categories, list) and categories,
-                 "categories must be a nonempty list")
+        _require(isinstance(categories, list) and categories
+                 and _str_list(categories),
+                 "categories must be a nonempty list of strings")
         unknown = set(weak) - set(categories)
         if unknown:
             raise UnknownLabel(f"weak labels not in categories: {sorted(unknown)}")

@@ -6,6 +6,7 @@ public data types, so agreement is meaningful evidence.
 """
 
 import numpy as np
+from scipy import ndimage
 from scipy.special import logsumexp
 
 
@@ -162,3 +163,78 @@ def label_iou(predicted, truth, label):
     t = truth == label
     union = np.logical_or(p, t).sum()
     return float(np.logical_and(p, t).sum() / union) if union else float("nan")
+
+
+def flood_label(ids):
+    """4-connected equal-value components by breadth-first search, labelled
+    in raster order of discovery; returns (label map, component count)."""
+    h, w = ids.shape
+    out = np.full((h, w), -1, dtype=np.int32)
+    next_label = 0
+    for sy in range(h):
+        for sx in range(w):
+            if out[sy, sx] >= 0:
+                continue
+            old = ids[sy, sx]
+            stack = [(sy, sx)]
+            out[sy, sx] = next_label
+            head = 0
+            while head < len(stack):
+                y, x = stack[head]
+                head += 1
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if (0 <= ny < h and 0 <= nx < w and out[ny, nx] == -1
+                            and ids[ny, nx] == old):
+                        out[ny, nx] = next_label
+                        stack.append((ny, nx))
+            next_label += 1
+    return out, next_label
+
+
+def merge_bounded(out, count, min_size, lower, upper):
+    """Merge components into their largest neighbor, smallest first, finding
+    each victim's neighbors with a full-frame 4-connected dilation.
+
+    Below ``min_size`` merges while more than ``lower`` remain, any merges
+    while more than ``upper`` remain; ties go to the lowest id. Returns the
+    compacted (label map, count)."""
+    out = out.copy()
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    sizes = np.bincount(out.ravel(), minlength=count).astype(np.int64)
+    alive = sizes > 0
+    while int(alive.sum()) > 1:
+        live = np.nonzero(alive)[0]
+        smallest = int(live[np.argmin(sizes[live])])
+        if len(live) > upper:
+            victim = smallest
+        elif len(live) > lower and sizes[smallest] < min_size:
+            victim = smallest
+        else:
+            break
+        member = out == victim
+        ring = ndimage.binary_dilation(member, structure=four)
+        neighbors = np.unique(out[ring & ~member])
+        if len(neighbors) == 0:
+            break
+        target = int(neighbors[np.argmax(sizes[neighbors])])
+        out[member] = target
+        sizes[target] += sizes[victim]
+        sizes[victim] = 0
+        alive[victim] = False
+    vals, inv = np.unique(out, return_inverse=True)
+    return inv.reshape(out.shape).astype(np.int32), len(vals)
+
+
+def cluster_means(ids, count, pixels):
+    """Per-label pixel count, mean (row, col) and mean color, one boolean
+    mask per label; labels without pixels get zero means."""
+    pos_y, pos_x = np.mgrid[:ids.shape[0], :ids.shape[1]]
+    counts = np.zeros(count, dtype=np.int64)
+    pos, col = np.zeros((count, 2)), np.zeros((count, 3))
+    for j in range(count):
+        member = ids == j
+        counts[j] = member.sum()
+        if counts[j]:
+            pos[j] = (pos_y[member].mean(), pos_x[member].mean())
+            col[j] = pixels[member].mean(axis=0)
+    return counts, pos, col

@@ -104,6 +104,21 @@ def test_malformed_kept_range_is_one_line_json(tmp_path, capsys):
     assert json.loads(err_lines[0])["error"] == "SchemaError"
 
 
+def test_mixed_type_weak_labels_are_one_line_json(tmp_path, capsys):
+    frame = {"image_path": "f.ppm", "motion_mask_path": "f.pgm"}
+    doc = {"videos": [
+        {"video_id": v, "weak_labels": labels,
+         "shots": [{"shot_id": "s", "frames": [frame]}]}
+        for v, labels in (("a", ["cat"]), ("b", [3]))]}
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["sample", "--manifest", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "SchemaError"
+
+
 def test_prune_run_json_contract(ws):
     doc = json.loads((ws.prune_out / "run.json").read_text())
     assert doc["tool"] == "motionseg"

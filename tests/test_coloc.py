@@ -1,10 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from motionseg.coloc import (
     BoundingBox,
     SuperpixelMap,
+    _cluster_means,
+    _flood_label,
+    _merge_bounded,
+    _split_largest,
     coloc_segment,
     largest_component_box,
     seed_gmms_from_scores,
@@ -20,10 +28,12 @@ from motionseg.energy import (
 )
 from motionseg.errors import EmptyBackground, EmptyForeground
 from motionseg.gmm import FgBgGmm, Gmm, nll
-from motionseg.synthetic import two_object_scene
+from motionseg.io import read_image, read_manifest
+from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import cut_capacity_of, random_image, recorded_cuts
-from oracles import all_labelings, potts_energies
+from oracles import (all_labelings, cluster_means, flood_label, merge_bounded,
+                     potts_energies)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -103,6 +113,113 @@ def test_slic_is_deterministic():
     a = slic_superpixels(img, 8)
     b = slic_superpixels(img, 8)
     assert np.array_equal(a.ids, b.ids)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_slic_bytes_are_pinned(tmp_path):
+    manifest = read_manifest(write_blob_dataset(
+        tmp_path, seed=100100, videos_per_category=1, height=112, width=144))
+    frame = manifest.videos[0].shots[0].frames[0]
+    cases = [
+        (read_image(manifest.resolve(frame.image_path)), 250,
+         "7c9f88b172648c4ac9578f957b8493087996a8be1d632e1b69a4a0131f7817d0",
+         "e44898eccf71327ac4fdb78ad14ff1b5127a567b361d93d1a5ab448fa401478b",
+         "b33160378dd108039a74275c8379e740847b7fe307e7f4faad1cbc575f80cb1a"),
+        (two_object_scene(0, height=96, width=160).image, 120,
+         "e1af036b366aa7236774bac35d8c983dc1af910f2e97eae44394ca37b77591ea",
+         "594ce5e165d8ac7576ac65e9a709ffe53e87313ff970a2306b376b427ef7b5e9",
+         "9ae153ac967ea7127cc99ca3f6cde710cc0247adab31c48fec0841e7c8059ce0"),
+        # some centers end an iteration with no pixels and must stay put
+        (random_image(np.random.default_rng(60), 8, 9), 12,
+         "5b92004921614a1de23b5d4086db6fcf023a09e079f757d60aab93eabd159848",
+         "5ac2256bc7e7dda3bf2cb92a9c663048124f8cfde912a4e3055d341005269735",
+         "e865ae9ee28291b0fe0669295bad4a140c19ad097580f4feb1b8e256dd1f141a"),
+    ]
+    for img, target, ids, mean_colors, centroids in cases:
+        sp = slic_superpixels(img, target)
+        assert _sha256(sp.ids) == ids
+        assert _sha256(sp.mean_colors) == mean_colors
+        assert _sha256(sp.centroids) == centroids
+
+
+@st.composite
+def _id_maps(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, values - 1),
+                          min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=np.int32).reshape(h, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_id_maps())
+def test_flood_label_matches_bfs_oracle(ids):
+    got, count = _flood_label(ids)
+    want, want_count = flood_label(ids)
+    assert count == want_count
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_id_maps(), st.data())
+def test_merge_bounded_matches_dilation_oracle(ids, data):
+    comp, count = flood_label(ids)
+    # upper below the count makes the upper rule merge; min_size up to the
+    # pixel count lets the min_size rule merge between upper and lower
+    upper = data.draw(st.integers(1, max(1, count - 1)))
+    lower = data.draw(st.integers(1, upper))
+    min_size = data.draw(st.integers(1, ids.size))
+    want, want_count = merge_bounded(comp, count, min_size, lower, upper)
+    got, got_count = _merge_bounded(comp.copy(), count, min_size, lower, upper)
+    assert got_count == want_count
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if count > upper:
+        event("upper rule merged")
+    if want_count < merge_bounded(comp, count, 1, lower, upper)[1]:
+        event("min_size rule merged")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_id_maps(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_cluster_means_match_per_label_masks(ids, extra, seed):
+    # ``extra`` labels beyond the map's values have no pixels
+    count = int(ids.max()) + 1 + extra
+    px = np.random.default_rng(seed).random(ids.shape + (3,))
+    pos_y, pos_x = np.mgrid[:ids.shape[0], :ids.shape[1]]
+    counts, pos, col = _cluster_means(ids, count, px, pos_y, pos_x)
+    want_counts, want_pos, want_col = cluster_means(ids, count, px)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(pos, want_pos) and np.array_equal(col, want_col)
+
+
+def _assert_split(before):
+    count = int(before.max()) + 1
+    out, grown = _split_largest(before.copy(), count)
+    assert grown > count
+    assert out.shape == before.shape
+    sizes = np.bincount(out.ravel(), minlength=grown)
+    assert sizes.sum() == before.size and (sizes > 0).all()
+    for j in range(grown):
+        _, pieces = ndimage.label(out == j, structure=FOUR)
+        assert pieces == 1
+
+
+def test_split_largest_of_single_component():
+    _assert_split(np.zeros((5, 6), dtype=np.int32))
+
+
+def test_split_largest_of_u_shaped_component():
+    # label 0 is a U around label 1; the growth starts at the U's top-left
+    # pixel, so the new label is cut from the left arm and the bottom
+    u = np.array([[0, 1, 1, 1, 0],
+                  [0, 1, 1, 1, 0],
+                  [0, 1, 1, 1, 0],
+                  [0, 0, 0, 0, 0],
+                  [2, 2, 2, 2, 2]], dtype=np.int32)
+    _assert_split(u)
 
 
 # ---------------------------------------------------------------------------

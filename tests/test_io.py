@@ -282,6 +282,30 @@ def test_manifest_schema_errors():
         doc["videos"][0]["shots"][0]["frames"][1].update(frame_fields)
         with pytest.raises(SchemaError):
             parse_manifest(doc)
+    bad_videos = [{"video_id": {"x": 1}}, {"video_id": 3},
+                  {"weak_labels": [3]}, {"weak_labels": ["car", None]}]
+    for video_fields in bad_videos:
+        doc = _minimal_doc()
+        doc["videos"][0].update(video_fields)
+        with pytest.raises(SchemaError):
+            parse_manifest(doc)
+    for shot_id in (["y"], 0, None):
+        doc = _minimal_doc()
+        doc["videos"][0]["shots"][0]["shot_id"] = shot_id
+        with pytest.raises(SchemaError):
+            parse_manifest(doc)
+    for categories in (["car", 3], [["car"]]):
+        doc = _minimal_doc()
+        doc["categories"] = categories
+        with pytest.raises(SchemaError):
+            parse_manifest(doc)
+    # weak labels of mixed types across videos used to reach sorted(set())
+    doc = _minimal_doc()
+    doc["videos"].append(dict(doc["videos"][0], video_id="v1",
+                              weak_labels=[3]))
+    doc["videos"][0]["weak_labels"] = ["cat"]
+    with pytest.raises(SchemaError):
+        parse_manifest(doc)
 
 
 def test_manifest_round_trip(tmp_path):
