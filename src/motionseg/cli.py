@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,14 +80,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _shots(manifest):
-    return [(v, s) for v in manifest.videos for s in v.shots]
-
-
-def _weak_indices(manifest, video):
-    return tuple(manifest.label_set.index(n) for n in video.weak_labels)
-
-
 def _pairwise_params(args) -> PairwiseParams:
     return PairwiseParams(smoothness=args.smoothness,
                           contrast_scale=args.contrast_scale,
@@ -151,13 +142,6 @@ def _rebase_manifest(manifest, out: Path):
     return replace(manifest, videos=tuple(videos), base_dir=out)
 
 
-def _map_jobs(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -168,11 +152,11 @@ def _cmd_prune(args):
                          min_foreground=args.min_foreground,
                          max_foreground=args.max_foreground,
                          min_run=args.min_run)
-    before = len(_shots(manifest))
+    before = len(manifest.shots())
     pruned = prune_manifest(manifest, params)
     out = _write_run(args)
     write_manifest(_rebase_manifest(pruned, out), out / "manifest.json")
-    _emit({"shots_in": before, "shots_kept": len(_shots(pruned))})
+    _emit({"shots_in": before, "shots_kept": len(pruned.shots())})
 
 
 def _cmd_sample(args):
@@ -181,7 +165,7 @@ def _cmd_sample(args):
     sampled = sample_manifest(manifest, params)
     out = _write_run(args)
     write_manifest(_rebase_manifest(sampled, out), out / "manifest.json")
-    _emit({"shots": len(_shots(sampled)), "samples_per_shot": args.samples})
+    _emit({"shots": len(sampled.shots()), "samples_per_shot": args.samples})
 
 
 def _infer_like(args, solver):
@@ -189,18 +173,16 @@ def _infer_like(args, solver):
     model = load_model(args.model) if args.model else None
     out = _write_run(args)
     num_labels = len(manifest.label_set)
-
-    def run_shot(item):
-        video, shot = item
+    shots = manifest.shots()
+    done = 0
+    for video, shot in shots:
         frames = shot_frames(shot)
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
         labels = solver(manifest, video, frames, masks, model, num_labels)
         for frame, lab in zip(frames, labels):
             write_labels(lab, _label_out_path(out, frame.image_path))
-        return len(frames)
-
-    done = _map_jobs(run_shot, _shots(manifest), args.jobs)
-    _emit({"shots": len(done), "frames": int(sum(done))})
+        done += len(frames)
+    _emit({"shots": len(shots), "frames": done})
 
 
 def _cmd_infer(args):
@@ -212,14 +194,14 @@ def _cmd_infer(args):
                                 (m.height, m.width))
                   for f, m in zip(frames, masks)]
         return infer_labels(list(zip(imgs, masks, scores)),
-                            _weak_indices(manifest, video), params)
+                            manifest.weak_indices(video), params)
 
     _infer_like(args, solver)
 
 
 def _cmd_hard_assign(args):
     def solver(manifest, video, frames, masks, model, num_labels):
-        return hard_assign(masks, _weak_indices(manifest, video))
+        return hard_assign(masks, manifest.weak_indices(video))
 
     _infer_like(args, solver)
 
@@ -248,7 +230,7 @@ def _cmd_select_finetune(args):
         raise SchemaError("give exactly one of --model or --labels")
     model = load_model(args.model) if args.model else None
     overlaps = {}
-    for video, shot in _shots(manifest):
+    for video, shot in manifest.shots():
         frames = shot_frames(shot)
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
         if model is not None:
@@ -276,10 +258,9 @@ def _cmd_coloc(args):
     out = _write_run(args)
     num_labels = len(manifest.label_set)
     pairwise = _pairwise_params(args)
-
-    def run_shot(item):
-        video, shot = item
-        category = _weak_indices(manifest, video)[0]
+    rows = []
+    for video, shot in manifest.shots():
+        category = manifest.weak_indices(video)[0]
         frames = shot_frames(shot)
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
         scores = [_frame_scores(manifest, f, model, num_labels,
@@ -288,7 +269,6 @@ def _cmd_coloc(args):
         gmms = seed_gmms_from_scores(imgs, scores, category,
                                      n_components=args.components,
                                      seed=args.seed)
-        rows = []
         for frame, img in zip(frames, imgs):
             sp = slic_superpixels(img, args.superpixels, args.compactness)
             seg = coloc_segment(img, sp, gmms, pairwise)
@@ -298,20 +278,15 @@ def _cmd_coloc(args):
             else:
                 rows.append((frame.image_path, box.x_min, box.y_min,
                              box.x_max, box.y_max))
-        return rows
-
-    all_rows = _map_jobs(run_shot, _shots(manifest), args.jobs)
     with open(out / "boxes.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame_path", "x_min", "y_min", "x_max", "y_max"])
-        for rows in all_rows:
-            writer.writerows(rows)
-    _emit({"frames": int(sum(len(r) for r in all_rows)),
-           "boxes": str(out / "boxes.csv")})
+        writer.writerows(rows)
+    _emit({"frames": len(rows), "boxes": str(out / "boxes.csv")})
 
 
 def _frames_for_eval(manifest, sampled_only):
-    for video, shot in _shots(manifest):
+    for video, shot in manifest.shots():
         frames = shot_frames(shot) if sampled_only else shot.frames
         for frame in frames:
             yield video, frame
@@ -464,13 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inference(p)
     p.add_argument("--model", type=Path, default=None,
                    help="toy model checkpoint supplying scores")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("hard-assign", help="copy motion masks into labels")
     _add_common(p)
     p.add_argument("--model", type=Path, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_hard_assign)
 
     p = sub.add_parser("train-toy", help="run the alternating training loop")
@@ -503,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--superpixels", type=int, default=1000)
     p.add_argument("--compactness", type=float, default=10.0)
     p.add_argument("--components", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_coloc)
 
     p = sub.add_parser("eval-iou", help="mean IoU against ground truth labels")

@@ -124,6 +124,8 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
         raise ValueError("colors and weights disagree in length")
     if np.any(weights <= 0):
         raise ValueError("sample weights must be positive")
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
     if n < n_components:
         raise TooFewSamples(f"{n} samples for {n_components} components")
 
@@ -233,16 +235,26 @@ def motion_color_samples(frames, target_index):
             np.concatenate(bg_colors), np.concatenate(bg_w))
 
 
+def fit_fgbg(fg_colors, fg_weights, bg_colors, bg_weights,
+             n_components=DEFAULT_COMPONENTS, seed=0) -> FgBgGmm:
+    """Foreground/background GMMs, each with the same component count:
+    ``n_components`` capped at the smaller side's sample count, so tiny
+    frames remain fittable. ``None`` weights are all ones."""
+    k = min(n_components, len(fg_colors), len(bg_colors))
+    return FgBgGmm(foreground=fit_gmm(fg_colors, fg_weights, k, seed),
+                   background=fit_gmm(bg_colors, bg_weights, k, seed))
+
+
 def fit_fgbg_from_motion(frames, target_index, n_components=DEFAULT_COMPONENTS,
                          seed=0) -> FgBgGmm:
     """Fit foreground/background GMMs for one frame of a batch.
 
     ``frames`` is a list of (RgbImage, MotionMask) pairs. Colors from frame
     t' enter with weight 1/(1+|t-t'|) relative to the target frame, so the
-    target frame dominates but the whole batch stabilizes the fit.
+    target frame dominates but the whole batch stabilizes the fit. The
+    component count is capped as in :func:`fit_fgbg`: a side with fewer
+    samples than ``n_components`` gets fewer components instead of raising
+    ``TooFewSamples``.
     """
-    fg_c, fg_w, bg_c, bg_w = motion_color_samples(frames, target_index)
-    return FgBgGmm(
-        foreground=fit_gmm(fg_c, fg_w, n_components, seed),
-        background=fit_gmm(bg_c, bg_w, n_components, seed),
-    )
+    return fit_fgbg(*motion_color_samples(frames, target_index),
+                    n_components, seed)

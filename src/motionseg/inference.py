@@ -20,12 +20,8 @@ from .energy import (
     minimize_expansion,
 )
 from .errors import MultiLabelVideo
-from .gmm import (
-    DEFAULT_COMPONENTS,
-    FgBgGmm,
-    fit_gmm,
-    motion_color_samples,
-)
+from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, motion_color_samples
+from .gmm import fit_gmm  # noqa: F401 -- perfbench's tracer test reads it
 
 # Weight at which the original motion-derived samples are retained when the
 # GMMs are refit from a labeling; keeps the appearance models anchored to
@@ -70,11 +66,8 @@ def _refit_from_labeling(img, labeling, motion, n_components, seed) -> FgBgGmm:
     bg_colors = np.concatenate([flat[~fg], bg_c])
     bg_weights = np.concatenate([np.ones(int((~fg).sum())),
                                  RETAINED_MOTION_WEIGHT * bg_w])
-    k = min(n_components, len(fg_colors), len(bg_colors))
-    return FgBgGmm(
-        foreground=fit_gmm(fg_colors, fg_weights, k, seed),
-        background=fit_gmm(bg_colors, bg_weights, k, seed),
-    )
+    return fit_fgbg(fg_colors, fg_weights, bg_colors, bg_weights,
+                    n_components, seed)
 
 
 def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
@@ -106,11 +99,7 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
     results = []
     for t, (img, mask, scores) in enumerate(batch):
         motion = motion_color_samples(frames, t)
-        k = min(params.gmm_components, len(motion[0]), len(motion[2]))
-        gmms = FgBgGmm(
-            foreground=fit_gmm(motion[0], motion[1], k, params.seed),
-            background=fit_gmm(motion[2], motion[3], k, params.seed),
-        )
+        gmms = fit_fgbg(*motion, params.gmm_components, params.seed)
         band = boundary_band_from_mask(mask, params.pairwise.boundary_band)
 
         labeling = None

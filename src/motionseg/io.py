@@ -211,6 +211,14 @@ class DatasetManifest:
         """Resolve a manifest-relative path against the manifest directory."""
         return self.base_dir / rel
 
+    def shots(self) -> list:
+        """Every (video, shot) pair, in manifest order."""
+        return [(v, s) for v in self.videos for s in v.shots]
+
+    def weak_indices(self, video) -> tuple:
+        """The label indices of a video's weak labels."""
+        return tuple(self.label_set.index(n) for n in video.weak_labels)
+
 
 def _require(cond, msg):
     if not cond:

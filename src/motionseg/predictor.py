@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelSet, RgbImage, ScoreMap, argmax_labels
+from .core import RgbImage, ScoreMap, argmax_labels
 from .errors import (
     BadDimensions,
     BadMagic,
@@ -193,13 +193,9 @@ def _label_counts(manifest: DatasetManifest) -> dict:
     counts = {l: 0 for l in manifest.label_set.object_labels}
     for v in manifest.videos:
         used = sum(len(shot_frames(s)) for s in v.shots)
-        for name in v.weak_labels:
-            counts[manifest.label_set.index(name)] += used
+        for l in manifest.weak_indices(v):
+            counts[l] += used
     return counts
-
-
-def _weak_indices(label_set: LabelSet, video) -> tuple:
-    return tuple(label_set.index(name) for name in video.weak_labels)
 
 
 def train_loop(manifest: DatasetManifest, params: InferenceParams,
@@ -225,7 +221,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
         raise BadDimensions(
             f"model has {model.num_labels} classes, manifest "
             f"{len(manifest.label_set)}")
-    shots = [(v, s) for v in manifest.videos for s in v.shots]
+    shots = manifest.shots()
     if not shots:
         return model
     counts = _label_counts(manifest)
@@ -250,7 +246,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
                 imgs, masks = cache[id(shot)]
                 scores = [predict(model, img) for img in imgs]
                 labels = infer_labels(list(zip(imgs, masks, scores)),
-                                      _weak_indices(manifest.label_set, video),
+                                      manifest.weak_indices(video),
                                       infer_params)
                 model = sgd_step(model, list(zip(imgs, labels)), cw, cfg, lr)
 

@@ -322,21 +322,37 @@ def test_train_toy_cli(ws, tmp_path, capsys):
 
 
 def test_identical_args_give_identical_bytes(ws, tmp_path):
-    out = tmp_path / "rerun"
-    args = ["infer", *ws.infer_args, "--out", str(out)]
-    assert main(args) == 0
-    first = _snapshot(out)
-    assert main(args) == 0
-    assert _snapshot(out) == first
+    # the three subcommands that walk shots and write per-shot outputs
+    runs = {
+        "infer": ["infer", *ws.infer_args],
+        "hard-assign": ["hard-assign", "--manifest", str(ws.sampled_manifest)],
+        "coloc": ["coloc", "--manifest", str(ws.sampled_manifest),
+                  "--superpixels", "60", "--components", "2"],
+    }
+    # the fixture wrote the same label maps under another --out
+    built = {"infer": ws.infer_out, "hard-assign": ws.hard_out}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main([*args, "--out", str(out)]) == 0
+        first = _snapshot(out)
+        assert main([*args, "--out", str(out)]) == 0
+        assert _snapshot(out) == first, name
+        if name in built:
+            maps = {k: v for k, v in first.items() if k.endswith(".pgm")}
+            assert maps and maps == {
+                k: v for k, v in _snapshot(built[name]).items()
+                if k.endswith(".pgm")}, name
+    assert (tmp_path / "coloc" / "boxes.csv").is_file()
 
 
-def test_jobs_flag_does_not_change_outputs(ws, tmp_path):
-    out = tmp_path / "par"
-    assert main(["infer", *ws.infer_args, "--out", str(out),
-                 "--jobs", "2"]) == 0
-    for p in sorted(out.rglob("*.pgm")):
-        rel = p.relative_to(out)
-        assert p.read_bytes() == (ws.infer_out / rel).read_bytes()
+def test_zero_components_is_one_line_json(ws, tmp_path, capsys):
+    rc = main(["infer", "--manifest", str(ws.sampled_manifest),
+               "--components", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {
+        "error": "ValueError", "message": "n_components must be >= 1"}
 
 
 def test_module_entrypoint():

@@ -7,6 +7,7 @@ from motionseg.gmm import (
     VARIANCE_FLOOR,
     FgBgGmm,
     Gmm,
+    fit_fgbg,
     fit_fgbg_from_motion,
     fit_gmm,
     frame_distance_weight,
@@ -50,6 +51,12 @@ def test_two_blobs_recover_their_centroids():
 def test_too_few_samples():
     with pytest.raises(TooFewSamples):
         fit_gmm(np.zeros((3, 3)), n_components=5)
+
+
+def test_component_count_must_be_positive():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="n_components must be >= 1"):
+            fit_gmm(np.zeros((3, 3)), n_components=k)
 
 
 def test_nll_analytic_single_gaussian():
@@ -181,3 +188,22 @@ def test_fit_fgbg_from_motion_single_frame_reduces_to_fit_gmm():
     assert np.allclose(nll(pair.foreground, probe), nll(direct_fg, probe))
     assert np.allclose(nll(pair.background, probe), nll(direct_bg, probe))
     assert isinstance(pair, FgBgGmm)
+
+
+def test_fit_fgbg_caps_components_at_the_smaller_side():
+    rng = np.random.default_rng(5)
+    fg, bg = rng.random((2, 3)), rng.random((40, 3))
+    pair = fit_fgbg(fg, None, bg, np.full(40, 0.5), n_components=5, seed=1)
+    assert pair.foreground.n_components == pair.background.n_components == 2
+    direct = fit_gmm(bg, np.full(40, 0.5), n_components=2, seed=1)
+    assert np.array_equal(pair.background.means, direct.means)
+    assert np.array_equal(pair.foreground.means,
+                          fit_gmm(fg, n_components=2, seed=1).means)
+
+
+def test_fit_fgbg_from_motion_caps_components():
+    colors = np.random.default_rng(12).random((3, 4, 3))
+    mask = np.zeros((3, 4), dtype=np.uint8)
+    mask[1, 1:3] = 1
+    pair = fit_fgbg_from_motion([_frame(colors, mask)], 0, n_components=5)
+    assert pair.foreground.n_components == pair.background.n_components == 2

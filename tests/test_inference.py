@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,26 @@ def test_multi_label_video_uses_expansion():
     assert set(np.unique(out.labels)) <= {0, 1, 2}
     for label in (1, 2):
         assert label_iou(out.labels, scene.truth.labels, label) > 0.95
+
+
+def test_infer_labels_bytes_are_pinned():
+    # sha256 of the label arrays: a change to the mixture fits, the energy
+    # or the cut that moves one pixel fails here
+    def digests(batch, weak):
+        return [hashlib.sha256(np.ascontiguousarray(out.labels).tobytes())
+                .hexdigest()
+                for out in infer_labels(batch, weak, InferenceParams())]
+
+    scenes = [corrupted_mask_scene(seed) for seed in range(3)]
+    assert digests([(s.image, s.mask, s.scores) for s in scenes], (1,)) == [
+        "8470ef53e7892127b8ec4e770d0212c467696cd2050f83ef5d6e0318a49d7a9b",
+        "4b334e937f997360401c088f57a14dc6deb5db4ee7df705d2f256d74e975b333",
+        "5ca94fe45dacef33cdf4a857ce77eb26975201c7f1c39c3ac45b1150c42fe5a2",
+    ]
+    scene = two_object_scene(0, height=96, width=160)
+    assert digests([(scene.image, scene.mask, scene.scores)], (1, 2)) == [
+        "a4ab614e844bade89662320424756c5a7048522be00f51b7df5dbf574f7f2acd",
+    ]
 
 
 def test_batch_frames_share_a_mixture_fit():
