@@ -2,10 +2,11 @@
 
 Every subcommand reads a dataset manifest, writes its outputs under
 ``--out``, and drops a ``run.json`` echoing the fully resolved
-configuration (tool version, subcommand, every flag including the seed).
-Outputs are deterministic: two runs with identical run.json files are
-byte-identical. Errors exit nonzero with a one-line JSON object on
-stderr.
+configuration (tool version, subcommand, every flag). Only ``infer``,
+``train-toy`` and ``coloc`` draw random numbers, so only they take
+``--seed``. Outputs are deterministic: two runs with identical run.json
+files are byte-identical. Errors exit nonzero with a one-line JSON
+object on stderr.
 """
 
 import argparse
@@ -13,24 +14,27 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .coloc import (
+    DEFAULT_COMPACTNESS,
     BoundingBox,
     coloc_segment,
     largest_component_box,
     seed_gmms_from_scores,
     slic_superpixels,
 )
-from .core import RgbImage, ScoreMap, argmax_labels
+from .core import RgbImage, ScoreMap, argmax_labels, validate_score_map
 from .energy import PairwiseParams
 from .errors import MotionSegError, SchemaError
+from .gmm import DEFAULT_COMPONENTS
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
+    FRAME_PATH_FIELDS,
     read_image,
     read_labels,
     read_manifest,
@@ -94,27 +98,24 @@ def _inference_params(args) -> InferenceParams:
                            seed=args.seed)
 
 
-def _frame_scores(manifest, frame, model, num_labels, shape) -> ScoreMap:
+def _frame_scores(manifest, frame, model, shape) -> ScoreMap:
     """Scores for one frame: model prediction, stored map, or uniform."""
+    num_labels = len(manifest.label_set)
     if model is not None:
         return predict(model, read_image(manifest.resolve(frame.image_path)))
     if frame.score_map_path is not None:
-        return read_scores(manifest.resolve(frame.score_map_path))
+        scores = read_scores(manifest.resolve(frame.score_map_path))
+        validate_score_map(scores, num_labels)
+        return scores
     return ScoreMap(np.full(shape + (num_labels,), 1.0 / num_labels))
 
 
-def _layout_path(image_path) -> Path:
-    """Frame-relative location for per-frame artifacts under an output or
-    input directory: the frame path with any ``.``/``..`` components
-    dropped, so rebased manifests never address files outside the tree."""
+def _frame_file(root, image_path, suffix=".pgm") -> Path:
+    """A frame's file under ``root``: the frame path with ``suffix`` and
+    without ``.``/``..`` components, so rebased manifests never address
+    files outside the tree."""
     parts = [p for p in Path(image_path).parts if p not in ("..", ".", "/")]
-    return Path(*parts)
-
-
-def _label_out_path(out: Path, image_path: str) -> Path:
-    dest = out / _layout_path(image_path).with_suffix(".pgm")
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    return dest
+    return Path(root) / Path(*parts).with_suffix(suffix)
 
 
 def _rebase_manifest(manifest, out: Path):
@@ -131,11 +132,7 @@ def _rebase_manifest(manifest, out: Path):
         shots = []
         for s in v.shots:
             frames = tuple(
-                replace(f,
-                        image_path=reb(f.image_path),
-                        motion_mask_path=reb(f.motion_mask_path),
-                        score_map_path=reb(f.score_map_path),
-                        ground_truth_label_path=reb(f.ground_truth_label_path))
+                replace(f, **{k: reb(getattr(f, k)) for k in FRAME_PATH_FIELDS})
                 for f in s.frames)
             shots.append(replace(s, frames=frames))
         videos.append(replace(v, shots=tuple(shots)))
@@ -168,56 +165,49 @@ def _cmd_sample(args):
     _emit({"shots": len(sampled.shots()), "samples_per_shot": args.samples})
 
 
-def _infer_like(args, solver):
-    manifest = read_manifest(args.manifest)
-    model = load_model(args.model) if args.model else None
+def _write_label_maps(args, manifest, label_shot):
+    """Write ``label_shot(video, frames, masks)`` of every shot's sampled
+    frames under ``--out``, one label map per frame."""
     out = _write_run(args)
-    num_labels = len(manifest.label_set)
     shots = manifest.shots()
     done = 0
     for video, shot in shots:
         frames = shot_frames(shot)
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
-        labels = solver(manifest, video, frames, masks, model, num_labels)
-        for frame, lab in zip(frames, labels):
-            write_labels(lab, _label_out_path(out, frame.image_path))
+        for frame, lab in zip(frames, label_shot(video, frames, masks)):
+            dest = _frame_file(out, frame.image_path)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            write_labels(lab, dest)
         done += len(frames)
     _emit({"shots": len(shots), "frames": done})
 
 
 def _cmd_infer(args):
     params = _inference_params(args)
+    manifest = read_manifest(args.manifest)
+    model = load_model(args.model) if args.model else None
 
-    def solver(manifest, video, frames, masks, model, num_labels):
+    def label_shot(video, frames, masks):
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
-        scores = [_frame_scores(manifest, f, model, num_labels,
-                                (m.height, m.width))
+        scores = [_frame_scores(manifest, f, model, (m.height, m.width))
                   for f, m in zip(frames, masks)]
         return infer_labels(list(zip(imgs, masks, scores)),
                             manifest.weak_indices(video), params)
 
-    _infer_like(args, solver)
+    _write_label_maps(args, manifest, label_shot)
 
 
 def _cmd_hard_assign(args):
-    def solver(manifest, video, frames, masks, model, num_labels):
-        return hard_assign(masks, manifest.weak_indices(video))
-
-    _infer_like(args, solver)
+    manifest = read_manifest(args.manifest)
+    _write_label_maps(args, manifest, lambda video, frames, masks:
+                      hard_assign(masks, manifest.weak_indices(video)))
 
 
 def _cmd_train_toy(args):
     manifest = read_manifest(args.manifest)
-    cfg = ToyTrainConfig(learning_rate=args.learning_rate,
-                         momentum=args.momentum,
-                         weight_decay=args.weight_decay,
-                         epochs=args.epochs,
-                         seed=args.seed,
-                         decay_every=args.decay_every,
-                         decay_factor=args.decay_factor,
-                         finetune_epochs=args.finetune_epochs,
-                         finetune_prediction_weight=args.finetune_prediction_weight,
-                         overlap_threshold=args.overlap_threshold)
+    # every ToyTrainConfig field is a train-toy option of the same name
+    cfg = ToyTrainConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(ToyTrainConfig)})
     model = train_loop(manifest, _inference_params(args), cfg)
     out = _write_run(args)
     save_model(model, out / "model.mtm")
@@ -238,9 +228,8 @@ def _cmd_select_finetune(args):
                 model, read_image(manifest.resolve(f.image_path))))
                 for f in frames]
         else:
-            predicted = [read_labels(
-                Path(args.labels) / _layout_path(f.image_path).with_suffix(".pgm"),
-                len(manifest.label_set)) for f in frames]
+            predicted = [read_labels(_frame_file(args.labels, f.image_path),
+                                     len(manifest.label_set)) for f in frames]
         overlaps.setdefault(video.video_id, {})[shot.shot_id] = (
             shot_overlap(masks, predicted))
     picks = select_finetune_shots(overlaps, args.overlap_threshold)
@@ -256,15 +245,13 @@ def _cmd_coloc(args):
     manifest = read_manifest(args.manifest)
     model = load_model(args.model) if args.model else None
     out = _write_run(args)
-    num_labels = len(manifest.label_set)
     pairwise = _pairwise_params(args)
     rows = []
     for video, shot in manifest.shots():
         category = manifest.weak_indices(video)[0]
         frames = shot_frames(shot)
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
-        scores = [_frame_scores(manifest, f, model, num_labels,
-                                (im.height, im.width))
+        scores = [_frame_scores(manifest, f, model, (im.height, im.width))
                   for f, im in zip(frames, imgs)]
         gmms = seed_gmms_from_scores(imgs, scores, category,
                                      n_components=args.components,
@@ -301,9 +288,8 @@ def _cmd_eval_iou(args):
             continue
         truth = read_labels(manifest.resolve(frame.ground_truth_label_path),
                             max(len(manifest.label_set), VOID_LABEL + 1))
-        pred = read_labels(
-            Path(args.pred) / _layout_path(frame.image_path).with_suffix(".pgm"),
-            len(manifest.label_set))
+        pred = read_labels(_frame_file(args.pred, frame.image_path),
+                           len(manifest.label_set))
         accumulate_iou(acc, pred, truth, ignore_value=args.ignore_value)
         frames += 1
     per_class = {name: (None if not np.isfinite(v) else float(v))
@@ -325,6 +311,9 @@ def _read_boxes_csv(path):
         if reader.fieldnames is None or need - set(reader.fieldnames):
             raise SchemaError(f"{path}: boxes CSV needs columns {sorted(need)}")
         for row in reader:
+            if None in row.values():
+                raise SchemaError(f"{path}, line {reader.line_num}: boxes CSV "
+                                  "rows need 5 fields")
             if row["x_min"] == "":
                 boxes[row["frame_path"]] = None
             else:
@@ -364,8 +353,7 @@ def _cmd_overlay(args):
     out = _write_run(args)
     done = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
-        label_path = (Path(args.labels)
-                      / _layout_path(frame.image_path).with_suffix(".pgm"))
+        label_path = _frame_file(args.labels, frame.image_path)
         if not label_path.exists():
             continue
         img = read_image(manifest.resolve(frame.image_path))
@@ -374,7 +362,7 @@ def _cmd_overlay(args):
         blend = np.where((labels > 0)[..., None],
                          (1 - args.opacity) * img.pixels + args.opacity * colors,
                          img.pixels)
-        dest = out / _layout_path(frame.image_path).with_suffix(".ppm")
+        dest = _frame_file(out, frame.image_path, ".ppm")
         dest.parent.mkdir(parents=True, exist_ok=True)
         write_image(RgbImage(blend), dest)
         done += 1
@@ -385,32 +373,33 @@ def _cmd_overlay(args):
 # argument plumbing
 
 
-def _add_common(p, manifest=True):
-    if manifest:
-        p.add_argument("--manifest", required=True, type=Path,
-                       help="dataset manifest JSON")
+def _add_common(p):
+    p.add_argument("--manifest", required=True, type=Path,
+                   help="dataset manifest JSON")
     p.add_argument("--out", required=True, type=Path, help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+
+
+def _add_energy(p):
+    p.add_argument("--seed", type=int, default=InferenceParams.seed,
                    help="seed for all randomness in this run")
-
-
-def _add_pairwise(p):
-    p.add_argument("--smoothness", type=float, default=10.0,
-                   help="pairwise strength")
-    p.add_argument("--contrast-scale", type=float, default=0.5,
+    p.add_argument("--smoothness", type=float,
+                   default=PairwiseParams.smoothness, help="pairwise strength")
+    p.add_argument("--contrast-scale", type=float,
+                   default=PairwiseParams.contrast_scale,
                    help="color-contrast exponent coefficient")
-    p.add_argument("--band", type=int, default=2,
+    p.add_argument("--band", type=int, default=PairwiseParams.boundary_band,
                    help="motion-boundary band half-width")
+    p.add_argument("--components", type=int, default=DEFAULT_COMPONENTS,
+                   help="GMM components per side")
 
 
 def _add_inference(p):
-    _add_pairwise(p)
-    p.add_argument("--prediction-weight", type=float, default=1.0,
+    _add_energy(p)
+    p.add_argument("--prediction-weight", type=float,
+                   default=InferenceParams.prediction_weight,
                    help="weight of the prediction unary")
-    p.add_argument("--iterations", type=int, default=4,
+    p.add_argument("--iterations", type=int, default=InferenceParams.iterations,
                    help="minimize/refit rounds")
-    p.add_argument("--components", type=int, default=5,
-                   help="GMM components per side")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,15 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="drop shots with unusable motion")
     _add_common(p)
-    p.add_argument("--min-frames", type=int, default=20)
-    p.add_argument("--min-foreground", type=float, default=0.025)
-    p.add_argument("--max-foreground", type=float, default=0.50)
-    p.add_argument("--min-run", type=int, default=20)
+    p.add_argument("--min-frames", type=int, default=PruneParams.min_frames)
+    p.add_argument("--min-foreground", type=float,
+                   default=PruneParams.min_foreground)
+    p.add_argument("--max-foreground", type=float,
+                   default=PruneParams.max_foreground)
+    p.add_argument("--min-run", type=int, default=PruneParams.min_run)
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("sample", help="sample frames evenly from kept ranges")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=int, default=PruneParams.samples_per_shot)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("infer", help="estimate per-pixel labels per shot")
@@ -443,21 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hard-assign", help="copy motion masks into labels")
     _add_common(p)
-    p.add_argument("--model", type=Path, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_hard_assign)
 
     p = sub.add_parser("train-toy", help="run the alternating training loop")
     _add_common(p)
     _add_inference(p)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--decay-every", type=int, default=0)
-    p.add_argument("--decay-factor", type=float, default=0.1)
-    p.add_argument("--finetune-epochs", type=int, default=0)
-    p.add_argument("--finetune-prediction-weight", type=float, default=2.0)
-    p.add_argument("--overlap-threshold", type=float, default=0.2)
+    p.add_argument("--epochs", type=int, default=ToyTrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float,
+                   default=ToyTrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=ToyTrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float,
+                   default=ToyTrainConfig.weight_decay)
+    p.add_argument("--decay-every", type=int,
+                   default=ToyTrainConfig.decay_every)
+    p.add_argument("--decay-factor", type=float,
+                   default=ToyTrainConfig.decay_factor)
+    p.add_argument("--finetune-epochs", type=int,
+                   default=ToyTrainConfig.finetune_epochs)
+    p.add_argument("--finetune-prediction-weight", type=float,
+                   default=ToyTrainConfig.finetune_prediction_weight)
+    p.add_argument("--overlap-threshold", type=float,
+                   default=ToyTrainConfig.overlap_threshold)
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("select-finetune",
@@ -466,16 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, default=None)
     p.add_argument("--labels", type=Path, default=None,
                    help="directory of label maps from infer/hard-assign")
-    p.add_argument("--overlap-threshold", type=float, default=0.2)
+    p.add_argument("--overlap-threshold", type=float,
+                   default=ToyTrainConfig.overlap_threshold)
     p.set_defaults(func=_cmd_select_finetune)
 
     p = sub.add_parser("coloc", help="co-localization boxes per frame")
     _add_common(p)
-    _add_pairwise(p)
+    _add_energy(p)
     p.add_argument("--model", type=Path, default=None)
     p.add_argument("--superpixels", type=int, default=1000)
-    p.add_argument("--compactness", type=float, default=10.0)
-    p.add_argument("--components", type=int, default=5)
+    p.add_argument("--compactness", type=float, default=DEFAULT_COMPACTNESS)
     p.set_defaults(func=_cmd_coloc)
 
     p = sub.add_parser("eval-iou", help="mean IoU against ground truth labels")

@@ -23,6 +23,7 @@ from .gmm import fit_gmm  # noqa: F401 -- perfbench's tracer test reads it
 # the original algorithm assume.
 _SLIC_ITERS = 10
 _SLIC_COLOR_SCALE = 100.0
+DEFAULT_COMPACTNESS = 10.0
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -223,7 +224,7 @@ def _cluster_means(ids, count, px, pos_y, pos_x):
 
 
 def slic_superpixels(img: RgbImage, target_count: int,
-                     compactness: float = 10.0) -> SuperpixelMap:
+                     compactness: float = DEFAULT_COMPACTNESS) -> SuperpixelMap:
     """SLIC-style clustering of a frame into roughly ``target_count``
     superpixels.
 

@@ -226,7 +226,7 @@ def validate_score_map(s: ScoreMap, num_labels: int | None = None) -> None:
         i = np.unravel_index(int(np.argmax(neg.any(axis=2))), (s.height, s.width))
         raise NegativeScore(f"negative score at pixel (row={i[0]}, col={i[1]})")
     sums = s.scores.sum(axis=2)
-    bad = np.abs(sums - 1.0) > SCORE_SUM_TOL
+    bad = ~(np.abs(sums - 1.0) <= SCORE_SUM_TOL)  # NaN sums are bad too
     if bad.any():
         i = np.unravel_index(int(np.argmax(bad)), (s.height, s.width))
         raise NotNormalized(

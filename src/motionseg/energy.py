@@ -137,12 +137,6 @@ class EnergyModel:
         object.__setattr__(self, "pairwise", w)
         object.__setattr__(self, "allowed_labels", tuple(self.allowed_labels))
 
-    def column_of(self, label: int) -> int:
-        try:
-            return self.allowed_labels.index(label)
-        except ValueError:
-            raise LabelNotAllowed(f"label {label} not in {self.allowed_labels}")
-
 
 def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
                  prediction_weight: float, params: PairwiseParams,

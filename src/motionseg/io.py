@@ -176,6 +176,10 @@ def write_scores(scores: ScoreMap, path) -> None:
 # ---------------------------------------------------------------------------
 # Dataset manifest
 
+# The FrameRecord fields that hold manifest-relative file paths.
+FRAME_PATH_FIELDS = ("image_path", "motion_mask_path", "score_map_path",
+                     "ground_truth_label_path")
+
 
 @dataclass(frozen=True)
 class FrameRecord:
@@ -239,8 +243,7 @@ def _parse_frame(obj, where) -> FrameRecord:
     _require(isinstance(obj, dict), f"{where}: frame must be an object")
     _require("image_path" in obj, f"{where}: missing image_path")
     _require("motion_mask_path" in obj, f"{where}: missing motion_mask_path")
-    for key in ("image_path", "motion_mask_path", "score_map_path",
-                "ground_truth_label_path"):
+    for key in FRAME_PATH_FIELDS:
         _require(isinstance(obj.get(key, ""), str),
                  f"{where}: {key} must be a string")
     box = obj.get("ground_truth_box")

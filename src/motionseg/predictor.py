@@ -105,8 +105,10 @@ class ToyTrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0 or self.finetune_epochs < 0:
-            raise ValueError("weight_decay and finetune_epochs must be >= 0")
+        if (self.weight_decay < 0 or self.finetune_epochs < 0
+                or self.decay_every < 0 or self.decay_factor < 0):
+            raise ValueError("weight_decay, finetune_epochs, decay_every and "
+                             "decay_factor must be >= 0")
 
 
 def batch_loss(model: ToyModel, batch, cw: ClassWeights) -> float:

@@ -7,6 +7,7 @@ contract, and determinism.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ import pytest
 
 from motionseg import __version__
 from motionseg.cli import main
+from motionseg.core import ScoreMap
 from motionseg.inference import hard_assign
 from motionseg.io import read_image, read_labels, read_manifest, read_mask, \
-    write_labels
+    write_labels, write_scores
 from motionseg.pipeline import shot_frames
 from motionseg.predictor import ToyModel, load_model, save_model
 from motionseg.synthetic import write_blob_dataset
@@ -125,7 +127,7 @@ def test_prune_run_json_contract(ws):
     assert doc["version"] == __version__
     assert doc["subcommand"] == "prune"
     cfg = doc["config"]
-    assert cfg["seed"] == 0 and cfg["min_frames"] == 20
+    assert "seed" not in cfg and cfg["min_frames"] == 20
     assert cfg["min_foreground"] == 0.025 and cfg["max_foreground"] == 0.50
     assert "func" not in cfg
 
@@ -353,6 +355,47 @@ def test_zero_components_is_one_line_json(ws, tmp_path, capsys):
     assert len(err_lines) == 1
     assert json.loads(err_lines[0]) == {
         "error": "ValueError", "message": "n_components must be >= 1"}
+
+
+def test_options_that_did_nothing_are_gone(ws, tmp_path):
+    # --seed only where a GMM is fitted; hard-assign reads no checkpoint
+    for argv in (["prune", "--seed", "1"], ["eval-iou", "--seed", "1"],
+                 ["hard-assign", "--model", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--manifest", str(ws.sampled_manifest),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_boxes_row_is_one_line_json(ws, tmp_path, capsys):
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\na.ppm,1,2\n")
+    rc = main(["eval-corloc", "--manifest", str(ws.sampled_manifest),
+               "--boxes", str(boxes), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError"
+    assert str(boxes) in doc["message"] and "line 2" in doc["message"]
+
+
+def test_negative_stored_scores_are_one_line_json(ws, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(ws.manifest.parent, data)
+    man = read_manifest(data / "manifest.json")
+    frame = man.videos[0].shots[0].frames[0]
+    scores = np.zeros((24, 30, 3))
+    scores[..., 0], scores[..., 1] = -0.5, 1.5
+    write_scores(ScoreMap(scores), man.resolve(frame.score_map_path))
+    rc = main(["infer", "--manifest", str(data / "manifest.json"),
+               "--iterations", "1", "--components", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "NegativeScore"
 
 
 def test_module_entrypoint():

@@ -98,6 +98,11 @@ def test_validate_score_map_negative():
         validate_score_map(ScoreMap(np.array([[[-0.1, 1.1]]])))
 
 
+def test_validate_score_map_nan():
+    with pytest.raises(NotNormalized, match=r"row=0, col=1"):
+        validate_score_map(ScoreMap(np.array([[[0.5, 0.5], [np.nan, 1.0]]])))
+
+
 def test_validate_score_map_reports_first_offender():
     s = np.full((2, 2, 2), 0.5)
     s[1, 0] = [0.9, 0.9]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,14 @@ def test_minimal_manifest_parses():
     assert m.label_set.categories == ("background", "car")
     assert len(m.videos[0].shots[0].frames) == 20
     assert str(m.resolve("f0.ppm")) == "/data/f0.ppm"
+
+
+def test_readme_manifest_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("**Dataset manifest: JSON.**", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    m = parse_manifest(json.loads(block))
+    assert m.label_set.categories == ("background", "blue", "red")
 
 
 def test_manifest_categories_field_fixes_order():

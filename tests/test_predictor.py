@@ -195,6 +195,10 @@ def test_config_validation():
         ToyTrainConfig(epochs=0)
     with pytest.raises(ValueError):
         ToyTrainConfig(momentum=1.5)
+    with pytest.raises(ValueError):
+        ToyTrainConfig(decay_every=-1)
+    with pytest.raises(ValueError):
+        ToyTrainConfig(decay_factor=-0.1)
 
 
 def test_train_loop_empty_manifest_returns_model_unchanged():
@@ -249,3 +253,15 @@ def test_train_loop_runs_and_changes_weights(prepared_manifest):
     out = train_loop(prepared_manifest, _quick_params(), _quick_cfg())
     assert out.num_labels == 3
     assert np.abs(out.weights).max() > 0
+
+
+def test_lr_step_schedule(prepared_manifest):
+    # decay_every=1 with factor 0 gives epochs 1.. a zero rate; without
+    # momentum or weight decay those epochs must leave the weights alone
+    def weights(epochs, **kw):
+        cfg = _quick_cfg(epochs=epochs, momentum=0.0, weight_decay=0.0, **kw)
+        return train_loop(prepared_manifest, _quick_params(), cfg).weights
+
+    once = weights(1)
+    assert weights(3, decay_every=1, decay_factor=0.0).tobytes() == once.tobytes()
+    assert weights(3).tobytes() != once.tobytes()
