@@ -59,7 +59,14 @@ from .pipeline import (
     shot_frames,
     shot_overlap,
 )
-from .predictor import ToyTrainConfig, load_model, predict, save_model, train_loop
+from .predictor import (
+    ToyTrainConfig,
+    check_classes,
+    load_model,
+    predict,
+    save_model,
+    train_loop,
+)
 
 # Overlay colors for labels 1.. (background keeps the image); cycled.
 _PALETTE = np.array([
@@ -96,6 +103,11 @@ def _inference_params(args) -> InferenceParams:
                            pairwise=_pairwise_params(args),
                            gmm_components=args.components,
                            seed=args.seed)
+
+
+def _manifest_model(args, manifest):
+    """The ``--model`` checkpoint, if given, checked against the manifest."""
+    return check_classes(load_model(args.model), manifest) if args.model else None
 
 
 def _frame_scores(manifest, frame, model, shape) -> ScoreMap:
@@ -185,7 +197,7 @@ def _write_label_maps(args, manifest, label_shot):
 def _cmd_infer(args):
     params = _inference_params(args)
     manifest = read_manifest(args.manifest)
-    model = load_model(args.model) if args.model else None
+    model = _manifest_model(args, manifest)
 
     def label_shot(video, frames, masks):
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
@@ -218,7 +230,7 @@ def _cmd_select_finetune(args):
     manifest = read_manifest(args.manifest)
     if (args.model is None) == (args.labels is None):
         raise SchemaError("give exactly one of --model or --labels")
-    model = load_model(args.model) if args.model else None
+    model = _manifest_model(args, manifest)
     overlaps = {}
     for video, shot in manifest.shots():
         frames = shot_frames(shot)
@@ -243,7 +255,7 @@ def _cmd_select_finetune(args):
 
 def _cmd_coloc(args):
     manifest = read_manifest(args.manifest)
-    model = load_model(args.model) if args.model else None
+    model = _manifest_model(args, manifest)
     out = _write_run(args)
     pairwise = _pairwise_params(args)
     rows = []

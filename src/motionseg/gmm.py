@@ -5,16 +5,16 @@ is fit on colors of pixels marked as moving foreground, the background
 mixture on the rest, and a pixel's unary cost is the negative log-likelihood
 under the corresponding mixture.
 
-Fitting is weighted EM. Initialization is k-means++ with the caller's seed,
-run on samples sorted lexicographically by color so the fit does not depend
-on sample order. Covariances are floored so flat color regions cannot
-produce singular matrices.
+Fitting is weighted EM; each step evaluates and re-estimates all K
+components at once, as batched (K, ...) array operations. Initialization is
+k-means++ with the caller's seed, run on samples sorted lexicographically by
+color so the fit does not depend on sample order. Covariances are floored so
+flat color regions cannot produce singular matrices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .errors import EmptyBackground, EmptyForeground, TooFewSamples
@@ -55,40 +55,22 @@ class FgBgGmm:
     background: Gmm
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues from below at VARIANCE_FLOOR, keeping symmetry."""
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals, VARIANCE_FLOOR)
-    return (vecs * vals) @ vecs.T
-
-
-def _component_log_density(mean, cov, colors):
-    """log N(colors; mean, cov) for an (N, 3) color array, via Cholesky."""
-    chol = np.linalg.cholesky(cov)
-    dev = colors - mean
-    sol = solve_triangular(chol, dev.T, lower=True)
-    maha = np.einsum("ij,ij->j", sol, sol)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (3.0 * _LOG_2PI + logdet + maha)
-
-
 def _log_terms(g: Gmm, colors: np.ndarray) -> np.ndarray:
-    """log(w_k N_k(colors)) as a (K, N) array; dead components give -inf."""
+    """log(w_k N_k(colors)) as a (K, N) array; dead components give -inf.
+    Solves L_k y = x - mu_k row by row with every component's Cholesky L_k."""
     with np.errstate(divide="ignore"):
         logw = np.log(g.weights)
-    terms = np.empty((g.n_components, len(colors)))
-    for k in range(g.n_components):
-        if np.isneginf(logw[k]):
-            terms[k] = -np.inf
-        else:
-            terms[k] = logw[k] + _component_log_density(
-                g.means[k], g.covariances[k], colors)
+    chol = np.linalg.cholesky(g.covariances)  # (K, 3, 3)
+    x, mu = colors.T, g.means[:, :, None]      # (3, N), (K, 3, 1)
+    y0 = (x[0] - mu[:, 0]) / chol[:, 0, 0, None]
+    y1 = (x[1] - mu[:, 1] - chol[:, 1, 0, None] * y0) / chol[:, 1, 1, None]
+    y2 = (x[2] - mu[:, 2] - chol[:, 2, 0, None] * y0
+          - chol[:, 2, 1, None] * y1) / chol[:, 2, 2, None]
+    maha = y0 * y0 + y1 * y1 + y2 * y2
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    terms = logw[:, None] - 0.5 * (3.0 * _LOG_2PI + logdet[:, None] + maha)
+    terms[np.isneginf(logw)] = -np.inf
     return terms
-
-
-def _log_likelihood(g: Gmm, colors: np.ndarray) -> np.ndarray:
-    """Per-sample log mixture density, (N,). Zero-weight components drop out."""
-    return logsumexp(_log_terms(g, colors), axis=0)
 
 
 def nll(g: Gmm, color) -> float | np.ndarray:
@@ -98,9 +80,8 @@ def nll(g: Gmm, color) -> float | np.ndarray:
     from both zero and infinity on the color cube.
     """
     color = np.asarray(color, dtype=np.float64)
-    if color.ndim == 1:
-        return float(-_log_likelihood(g, color[None, :])[0])
-    return -_log_likelihood(g, color)
+    out = -logsumexp(_log_terms(g, np.atleast_2d(color)), axis=0)
+    return float(out[0]) if color.ndim == 1 else out
 
 
 def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
@@ -189,17 +170,17 @@ def _e_step(g, colors, weights):
 def _m_step(colors, weights, resp):
     wresp = resp * weights[:, None]         # (N, K)
     mass = wresp.sum(axis=0)                # (K,)
-    k = resp.shape[1]
-    mix = mass / weights.sum()
-    means = np.zeros((k, 3))
-    covs = np.tile(VARIANCE_FLOOR * np.eye(3), (k, 1, 1))
-    for j in range(k):
-        if mass[j] <= 0.0:
-            continue  # dead component keeps zero mixing weight
-        means[j] = wresp[:, j] @ colors / mass[j]
-        dev = colors - means[j]
-        covs[j] = _floor_covariance((wresp[:, j][:, None] * dev).T @ dev / mass[j])
-    return Gmm(weights=mix, means=means, covariances=covs)
+    live = mass > 0.0  # dead components keep weight 0, mean 0, floor * I
+    m = mass[live, None, None]
+    means = np.zeros((len(mass), 3))
+    means[live] = (wresp.T @ colors)[live] / m[:, 0]
+    dev = colors.T - means[live][:, :, None]            # (L, 3, N)
+    scatter = (wresp.T[live][:, None, :] * dev) @ dev.transpose(0, 2, 1) / m
+    vals, vecs = np.linalg.eigh(scatter)
+    vals = np.maximum(vals, VARIANCE_FLOOR)
+    covs = np.tile(VARIANCE_FLOOR * np.eye(3), (len(mass), 1, 1))
+    covs[live] = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return Gmm(weights=mass / weights.sum(), means=means, covariances=covs)
 
 
 def frame_distance_weight(t: int, t_prime: int) -> float:

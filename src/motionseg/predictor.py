@@ -179,6 +179,14 @@ def load_model(path) -> ToyModel:
     return ToyModel(weights.astype(np.float64), np.zeros((classes, features)))
 
 
+def check_classes(model: ToyModel, manifest: DatasetManifest) -> ToyModel:
+    """``model`` if it has one class per manifest label, else BadDimensions."""
+    if model.num_labels != len(manifest.label_set):
+        raise BadDimensions(f"model has {model.num_labels} classes, "
+                            f"manifest {len(manifest.label_set)}")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # Alternating training loop
 
@@ -219,10 +227,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
     """
     if model is None:
         model = ToyModel.zeros(len(manifest.label_set))
-    if model.num_labels != len(manifest.label_set):
-        raise BadDimensions(
-            f"model has {model.num_labels} classes, manifest "
-            f"{len(manifest.label_set)}")
+    check_classes(model, manifest)
     shots = manifest.shots()
     if not shots:
         return model

@@ -157,6 +157,27 @@ def gaussian_mixture_nll(weights, means, covs, color):
     return -np.log(likelihood)
 
 
+def weighted_gaussians(colors, weights, resp, floor):
+    """Mixing weights, means and eigenvalue-floored covariances from soft
+    assignments, one component at a time. A component without mass keeps
+    weight 0, mean 0 and covariance floor * I."""
+    k = resp.shape[1]
+    mix, means = np.zeros(k), np.zeros((k, 3))
+    covs = np.tile(floor * np.eye(3), (k, 1, 1))
+    for j in range(k):
+        r = resp[:, j] * weights
+        mass = r.sum()
+        mix[j] = mass / weights.sum()
+        if mass == 0.0:
+            continue
+        means[j] = (r[:, None] * colors).sum(axis=0) / mass
+        dev = colors - means[j]
+        cov = (r[:, None, None] * dev[:, :, None] * dev[:, None, :]).sum(axis=0)
+        vals, vecs = np.linalg.eigh(cov / mass)
+        covs[j] = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
+    return mix, means, covs
+
+
 def label_iou(predicted, truth, label):
     """Plain intersection-over-union of one label between two maps."""
     p = predicted == label

@@ -270,6 +270,23 @@ def test_select_finetune_needs_exactly_one_source(ws, tmp_path, capsys):
     assert rc == 1
 
 
+def test_model_with_wrong_class_count_is_one_line_json(ws, tmp_path, capsys):
+    # the blob manifest has 3 labels (background, red, blue)
+    model_path = tmp_path / "seven.mtm"
+    save_model(ToyModel.zeros(7), model_path)
+    for sub in ("infer", "select-finetune", "coloc"):
+        out = tmp_path / sub
+        rc = main([sub, "--manifest", str(ws.sampled_manifest),
+                   "--model", str(model_path), "--out", str(out)])
+        assert rc == 1, sub
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1, sub
+        assert json.loads(err_lines[0]) == {
+            "error": "BadDimensions",
+            "message": "model has 7 classes, manifest 3"}, sub
+        assert not out.exists(), sub
+
+
 def test_coloc_then_eval_corloc(ws, tmp_path, capsys):
     boxes_out = tmp_path / "boxes"
     rc = main(["coloc", "--manifest", str(ws.sampled_manifest),

@@ -7,6 +7,7 @@ from motionseg.gmm import (
     VARIANCE_FLOOR,
     FgBgGmm,
     Gmm,
+    _m_step,
     fit_fgbg,
     fit_fgbg_from_motion,
     fit_gmm,
@@ -15,7 +16,7 @@ from motionseg.gmm import (
     nll,
 )
 
-from oracles import gaussian_mixture_nll
+from oracles import gaussian_mixture_nll, weighted_gaussians
 
 
 def _random_gmm(rng, k=3):
@@ -31,6 +32,46 @@ def test_identical_samples_hit_the_variance_floor():
     assert np.allclose(g.means[0], color)
     assert np.allclose(g.covariances[0], VARIANCE_FLOOR * np.eye(3), atol=1e-12)
     assert g.weights[0] == 1.0
+
+
+def test_dead_components_keep_zero_weight_and_the_floor():
+    # one distinct color: k-means++ stacks every center on it, so the
+    # nearest-center bootstrap gives all mass to component 0
+    color = np.array([0.3, 0.6, 0.9])
+    g = fit_gmm(np.tile(color, (40, 1)), n_components=3)
+    assert g.weights.tolist() == [1.0, 0.0, 0.0]
+    for k in (1, 2):
+        assert np.array_equal(g.means[k], np.zeros(3))
+        assert np.array_equal(g.covariances[k], VARIANCE_FLOOR * np.eye(3))
+    assert np.isfinite(nll(g, np.zeros(3)))
+    # near the mean, where the dense oracle's density does not underflow
+    for probe in (color, color + 1e-3, color - [2e-3, 0.0, 1e-3]):
+        got = nll(g, probe)
+        direct = gaussian_mixture_nll(g.weights, g.means, g.covariances, probe)
+        assert np.isfinite(got) and np.isfinite(direct)
+        assert abs(got - direct) <= 1e-12 * abs(direct)
+
+
+def test_m_step_matches_the_per_component_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(k, 200))
+        colors = rng.random((n, 3))
+        if trial % 2:
+            colors[:, 2] = 0.5  # a flat channel: the floor is active
+        weights = rng.random(n) + 0.1
+        resp = rng.random((n, k))
+        dead = rng.random(k) < 0.3
+        dead[0] = False
+        resp[:, dead] = 0.0
+        resp /= resp.sum(axis=1, keepdims=True)
+        g = _m_step(colors, weights, resp)
+        mix, means, covs = weighted_gaussians(colors, weights, resp,
+                                              VARIANCE_FLOOR)
+        for got, want in ((g.weights, mix), (g.means, means),
+                          (g.covariances, covs)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
 def test_two_blobs_recover_their_centroids():

@@ -31,6 +31,7 @@ from motionseg.io import (
     write_mask,
     write_scores,
 )
+from motionseg.predictor import FEATURE_COUNT, ToyModel, load_model, save_model
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +88,30 @@ def test_image_errors(tmp_path):
 
 
 def test_truncation_fuzz_always_raises_typed_errors(tmp_path):
+    # every proper prefix of a valid file, for every reader
     rng = np.random.default_rng(1)
     raw = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
-    good = tmp_path / "good.ppm"
-    write_image(RgbImage.from_bytes(raw), good)
-    data = good.read_bytes()
-    for cut in range(len(data)):
-        p = tmp_path / "cut.ppm"
-        p.write_bytes(data[:cut])
-        with pytest.raises(MotionSegError):
-            read_image(p)
+    scores = rng.random((4, 5, 3))
+    model = ToyModel(rng.standard_normal((3, FEATURE_COUNT)),
+                     np.zeros((3, FEATURE_COUNT)))
+    cases = [
+        (write_image, RgbImage.from_bytes(raw), read_image),
+        (write_mask, MotionMask(raw[..., 0] % 2), read_mask),
+        (write_labels, LabelMap(raw[..., 0] % 3), lambda p: read_labels(p, 3)),
+        (write_scores, ScoreMap(scores / scores.sum(axis=2, keepdims=True)),
+         read_scores),
+        (save_model, model, load_model),
+    ]
+    for write, value, read in cases:
+        good = tmp_path / "good"
+        write(value, good)
+        data = good.read_bytes()
+        read(good)
+        for cut in range(len(data)):
+            p = tmp_path / "cut"
+            p.write_bytes(data[:cut])
+            with pytest.raises(MotionSegError):
+                read(p)
 
 
 # ---------------------------------------------------------------------------
