@@ -28,7 +28,13 @@ from .coloc import (
     seed_gmms_from_scores,
     slic_superpixels,
 )
-from .core import RgbImage, ScoreMap, argmax_labels, validate_score_map
+from .core import (
+    RgbImage,
+    ScoreMap,
+    argmax_labels,
+    check_same_shape,
+    validate_score_map,
+)
 from .energy import PairwiseParams
 from .errors import MotionSegError, SchemaError
 from .gmm import DEFAULT_COMPONENTS
@@ -91,16 +97,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _pairwise_params(args) -> PairwiseParams:
-    return PairwiseParams(smoothness=args.smoothness,
-                          contrast_scale=args.contrast_scale,
-                          boundary_band=args.band)
-
-
 def _inference_params(args) -> InferenceParams:
+    pairwise = PairwiseParams(smoothness=args.smoothness,
+                              contrast_scale=args.contrast_scale,
+                              boundary_band=args.band)
     return InferenceParams(prediction_weight=args.prediction_weight,
                            iterations=args.iterations,
-                           pairwise=_pairwise_params(args),
+                           pairwise=pairwise,
                            gmm_components=args.components,
                            seed=args.seed)
 
@@ -110,16 +113,18 @@ def _manifest_model(args, manifest):
     return check_classes(load_model(args.model), manifest) if args.model else None
 
 
-def _frame_scores(manifest, frame, model, shape) -> ScoreMap:
-    """Scores for one frame: model prediction, stored map, or uniform."""
+def _frame_scores(manifest, frame, model, img) -> ScoreMap:
+    """Scores for one frame, whose image is ``img``: model prediction,
+    stored map, or uniform."""
     num_labels = len(manifest.label_set)
     if model is not None:
-        return predict(model, read_image(manifest.resolve(frame.image_path)))
+        return predict(model, img)
     if frame.score_map_path is not None:
         scores = read_scores(manifest.resolve(frame.score_map_path))
         validate_score_map(scores, num_labels)
         return scores
-    return ScoreMap(np.full(shape + (num_labels,), 1.0 / num_labels))
+    return ScoreMap(np.full((img.height, img.width, num_labels),
+                            1.0 / num_labels))
 
 
 def _frame_file(root, image_path, suffix=".pgm") -> Path:
@@ -201,8 +206,8 @@ def _cmd_infer(args):
 
     def label_shot(video, frames, masks):
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
-        scores = [_frame_scores(manifest, f, model, (m.height, m.width))
-                  for f, m in zip(frames, masks)]
+        scores = [_frame_scores(manifest, f, model, im)
+                  for f, im in zip(frames, imgs)]
         return infer_labels(list(zip(imgs, masks, scores)),
                             manifest.weak_indices(video), params)
 
@@ -257,13 +262,15 @@ def _cmd_coloc(args):
     manifest = read_manifest(args.manifest)
     model = _manifest_model(args, manifest)
     out = _write_run(args)
-    pairwise = _pairwise_params(args)
+    # the superpixel graph has no motion boundary, so no band
+    pairwise = PairwiseParams(smoothness=args.smoothness,
+                              contrast_scale=args.contrast_scale)
     rows = []
     for video, shot in manifest.shots():
         category = manifest.weak_indices(video)[0]
         frames = shot_frames(shot)
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
-        scores = [_frame_scores(manifest, f, model, (im.height, im.width))
+        scores = [_frame_scores(manifest, f, model, im)
                   for f, im in zip(frames, imgs)]
         gmms = seed_gmms_from_scores(imgs, scores, category,
                                      n_components=args.components,
@@ -369,9 +376,10 @@ def _cmd_overlay(args):
         if not label_path.exists():
             continue
         img = read_image(manifest.resolve(frame.image_path))
-        labels = read_labels(label_path, 256).labels
-        colors = _PALETTE[(labels - 1) % len(_PALETTE)]
-        blend = np.where((labels > 0)[..., None],
+        labels = read_labels(label_path, 256)
+        check_same_shape(img, labels)
+        colors = _PALETTE[(labels.labels - 1) % len(_PALETTE)]
+        blend = np.where((labels.labels > 0)[..., None],
                          (1 - args.opacity) * img.pixels + args.opacity * colors,
                          img.pixels)
         dest = _frame_file(out, frame.image_path, ".ppm")
@@ -399,14 +407,14 @@ def _add_energy(p):
     p.add_argument("--contrast-scale", type=float,
                    default=PairwiseParams.contrast_scale,
                    help="color-contrast exponent coefficient")
-    p.add_argument("--band", type=int, default=PairwiseParams.boundary_band,
-                   help="motion-boundary band half-width")
     p.add_argument("--components", type=int, default=DEFAULT_COMPONENTS,
                    help="GMM components per side")
 
 
 def _add_inference(p):
     _add_energy(p)
+    p.add_argument("--band", type=int, default=PairwiseParams.boundary_band,
+                   help="motion-boundary band half-width")
     p.add_argument("--prediction-weight", type=float,
                    default=InferenceParams.prediction_weight,
                    help="weight of the prediction unary")

@@ -222,13 +222,12 @@ def _solve_binary_columns(theta0, theta1, edges, cap, rev_cap) -> np.ndarray:
     Edge e = (i, j) costs ``cap[e]`` when y_i = 1 and y_j = 0, and
     ``rev_cap[e]`` when y_i = 0 and y_j = 1 (scalars broadcast).
     """
-    net = FlowNetwork(len(theta0))
     base = np.minimum(theta0, theta1)
-    # source side is y = 1, so the source arc is cut (paid) when y_i = 0
-    net.add_terminals(theta0 - base, theta1 - base)
     cap, rev_cap = np.broadcast_arrays(cap, rev_cap)
     keep = (cap > 0.0) | (rev_cap > 0.0)
-    net.add_edges(edges[keep, 0], edges[keep, 1], cap[keep], rev_cap[keep])
+    # source side is y = 1, so the source arc is cut (paid) when y_i = 0
+    net = FlowNetwork(theta0 - base, theta1 - base, edges[keep, 0],
+                      edges[keep, 1], cap[keep], rev_cap[keep])
     return (min_cut(net).side == SOURCE).astype(np.int64)
 
 

@@ -5,9 +5,9 @@ package. The solver is the Boykov-Kolmogorov augmenting-path algorithm:
 two search trees are grown from source and sink, reused between
 augmentations, with orphaned subtrees re-adopted instead of rebuilt.
 
-Networks are built from arrays: ``add_terminals`` and ``add_edges`` take
-whole capacity vectors and edge lists (``add_terminal``/``add_edge`` are
-their one-element forms). Capacities are 64-bit floats (the unaries are
+A network is built once, in one constructor call, from a per-node pair of
+terminal capacity vectors and an edge list with a capacity vector for
+each direction. Capacities are 64-bit floats (the unaries are
 log-likelihoods, so no integer scaling is applied). Terminal capacities
 are folded into a single per-node residual before the search, which
 shifts the flow by a constant that is added back at the end.
@@ -29,64 +29,46 @@ _ORPHAN = -3
 _FREE, _S, _T = 0, 1, 2
 
 
-class FlowNetwork:
-    """Sparse s-t network: per-node terminal capacities plus an arc list.
+def _check_caps(cap, shape):
+    cap = np.broadcast_to(np.asarray(cap, dtype=np.float64), shape)
+    bad = ~(np.isfinite(cap) & (cap >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"capacities must be finite and >= 0, got {cap[bad][0]}")
+    return cap
 
+
+class FlowNetwork:
+    """Sparse s-t network, built once from arrays.
+
+    Node i has capacity ``source_cap[i]`` from the source and
+    ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
+    with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
+    Scalar capacities broadcast. The node count is ``len(source_cap)``.
     Arcs are stored in sister pairs (arc ``a`` and ``a ^ 1`` point in
     opposite directions), the layout the solver operates on directly.
     """
 
-    def __init__(self, node_count: int):
-        if node_count < 0:
-            raise ValueError("node_count must be nonnegative")
-        self.node_count = node_count
-        self.source_cap = np.zeros(node_count)
-        self.sink_cap = np.zeros(node_count)
-        self.arc_head = []
-        self.arc_cap = []
-
-    @staticmethod
-    def _check_caps(cap, shape):
-        cap = np.broadcast_to(np.asarray(cap, dtype=np.float64), shape)
-        bad = ~(np.isfinite(cap) & (cap >= 0.0))
-        if bad.any():
-            raise ValueError(
-                f"capacities must be finite and >= 0, got {cap[bad][0]}")
-        return cap
-
-    def add_terminals(self, source_cap, sink_cap, nodes=None) -> None:
-        """Add capacity source->i and i->sink for every node, or for each i
-        in ``nodes``; capacities accumulate over calls and repeats."""
-        idx = slice(None) if nodes is None else np.asarray(nodes, dtype=np.intp)
-        shape = self.source_cap[idx].shape
-        src, snk = (self._check_caps(c, shape) for c in (source_cap, sink_cap))
-        np.add.at(self.source_cap, idx, src)
-        np.add.at(self.sink_cap, idx, snk)
-
-    def add_terminal(self, i: int, cap_source, cap_sink) -> None:
-        """Add capacity source->i and i->sink (accumulates over calls)."""
-        self.add_terminals([cap_source], [cap_sink], nodes=[i])
-
-    def add_edges(self, tails, heads, cap, rev_cap) -> None:
-        """Add arc pairs tails[e]->heads[e] with ``cap[e]`` and the reverse
-        with ``rev_cap[e]``; nothing is added if any edge is invalid."""
+    def __init__(self, source_cap, sink_cap, tails=(), heads=(), cap=(),
+                 rev_cap=()):
+        n = len(source_cap)
+        self.node_count = n
+        self.source_cap, self.sink_cap = (
+            _check_caps(c, (n,)).copy() for c in (source_cap, sink_cap))
         ends = np.stack([tails, heads], axis=1).astype(np.int64).reshape(-1, 2)
         loops = ends[ends[:, 0] == ends[:, 1], 0]
         if loops.size:
             raise ValueError(f"self-edge at node {loops[0]}")
-        if ends.size and not 0 <= ends.min() <= ends.max() < self.node_count:
-            raise IndexError(f"edge node outside [0, {self.node_count})")
-        caps = [self._check_caps(c, len(ends)) for c in (cap, rev_cap)]
-        self.arc_head += ends[:, ::-1].ravel().tolist()
-        self.arc_cap += np.stack(caps, axis=1).ravel().tolist()
-
-    def add_edge(self, i: int, j: int, cap, rev_cap) -> None:
-        """Add an arc pair i->j with ``cap`` and j->i with ``rev_cap``."""
-        self.add_edges([i], [j], [cap], [rev_cap])
+        if ends.size and not 0 <= ends.min() <= ends.max() < n:
+            raise IndexError(f"edge node outside [0, {n})")
+        caps = [_check_caps(c, len(ends)) for c in (cap, rev_cap)]
+        # lists, as the solver indexes them one element at a time
+        self.arc_head = ends[:, ::-1].ravel().tolist()
+        self.arc_cap = np.stack(caps, axis=1).ravel().tolist()
 
     def links(self):
         """Each node's arc list as ``(first, arc_next)``: node i's arcs are
-        first[i], arc_next[first[i]], ... up to -1, newest first."""
+        first[i], arc_next[first[i]], ... up to -1, highest arc id first."""
         head = np.asarray(self.arc_head, dtype=np.int64).reshape(-1, 2)
         tail = head[:, ::-1].ravel()
         first = np.full(self.node_count, -1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import check_same_shape
 from .errors import RangeTooShort
 from .io import DatasetManifest, read_mask
 
@@ -139,6 +140,7 @@ def overlap_fraction(mask, labeling) -> float:
     Both-empty frames score 0: a mask that found nothing says nothing
     about reliability.
     """
+    check_same_shape(mask, labeling)
     m = mask.mask == 1
     p = labeling.labels > 0
     union = int((m | p).sum())

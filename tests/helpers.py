@@ -5,7 +5,7 @@ import numpy as np
 import motionseg.energy
 from motionseg.core import GridAdjacency, RgbImage, ScoreMap
 from motionseg.energy import EnergyModel
-from motionseg.maxflow import SINK
+from motionseg.maxflow import SINK, FlowNetwork
 
 
 def random_image(rng, height, width):
@@ -46,6 +46,16 @@ def random_flow_network(rng, max_nodes=12, max_extra_edges=20):
             edges.append((int(i), int(j),
                           float(rng.random() * 3), float(rng.random() * 3)))
     return n, terminals, edges
+
+
+def flow_network(n, terminals, edges):
+    """The FlowNetwork of ``random_flow_network``'s lists: ``terminals``
+    holds (source, sink) per node, ``edges`` (i, j, cap_ij, cap_ji)."""
+    source, sink = np.array(terminals, dtype=np.float64).reshape(n, 2).T
+    tails, heads, cap, rev_cap = np.array(
+        edges, dtype=np.float64).reshape(-1, 4).T
+    return FlowNetwork(source, sink, tails.astype(np.int64),
+                       heads.astype(np.int64), cap, rev_cap)
 
 
 def recorded_cuts(monkeypatch):

@@ -25,7 +25,7 @@ from motionseg.io import manifest_to_dict, parse_manifest, read_image, \
     read_labels, read_manifest, read_mask, read_scores, write_image, \
     write_labels, write_mask, write_scores
 from motionseg.loss import ClassWeights, weighted_nll_loss
-from motionseg.maxflow import FlowNetwork, min_cut
+from motionseg.maxflow import min_cut
 from motionseg.metrics import ConfusionAccumulator, accumulate_iou, \
     box_iou, corloc, mean_iou
 from motionseg.pipeline import prune_manifest, prune_shot, sample_frames, \
@@ -34,7 +34,8 @@ from motionseg.predictor import ToyModel, ToyTrainConfig, load_model, \
     predict, save_model, train_loop
 from motionseg.synthetic import corrupted_mask_scene
 
-from helpers import random_flow_network, random_model, random_scores
+from helpers import flow_network, random_flow_network, random_model, \
+    random_scores
 from oracles import all_labelings, brute_force_min_cut, enumerate_minimum, \
     fd_loss_gradient, potts_energies, prune_oracle, sample_oracle, \
     select_oracle
@@ -111,12 +112,7 @@ def test_03_min_cut_matches_brute_force():
     worst = 0.0
     for _ in range(500):
         n, terminals, edges = random_flow_network(rng)
-        net = FlowNetwork(n)
-        for i, (src, snk) in enumerate(terminals):
-            net.add_terminal(i, src, snk)
-        for i, j, cap_ij, cap_ji in edges:
-            net.add_edge(i, j, cap_ij, cap_ji)
-        got = min_cut(net).flow_value
+        got = min_cut(flow_network(n, terminals, edges)).flow_value
         want, _ = brute_force_min_cut(n, terminals, edges)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-9

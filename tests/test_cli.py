@@ -16,9 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import motionseg.cli
 from motionseg import __version__
 from motionseg.cli import main
-from motionseg.core import ScoreMap
+from motionseg.core import LabelMap, ScoreMap
 from motionseg.inference import hard_assign
 from motionseg.io import read_image, read_labels, read_manifest, read_mask, \
     write_labels, write_scores
@@ -287,6 +288,46 @@ def test_model_with_wrong_class_count_is_one_line_json(ws, tmp_path, capsys):
         assert not out.exists(), sub
 
 
+def test_model_runs_read_each_frame_image_once(ws, tmp_path, monkeypatch):
+    # red wins on red pixels, blue on blue ones, background elsewhere
+    weights = np.zeros((3, 10))
+    weights[1, 0] = weights[2, 2] = 20.0
+    weights[1, 9] = weights[2, 9] = -10.0
+    model_path = tmp_path / "color.mtm"
+    save_model(ToyModel(weights, np.zeros((3, 10))), model_path)
+    reads = []
+
+    def counting_read_image(path):
+        reads.append(str(path))
+        return read_image(path)
+
+    monkeypatch.setattr(motionseg.cli, "read_image", counting_read_image)
+    for sub, extra in (("infer", ["--iterations", "1"]),
+                       ("coloc", ["--superpixels", "60"])):
+        reads.clear()
+        rc = main([sub, "--manifest", str(ws.sampled_manifest), *extra,
+                   "--components", "2", "--model", str(model_path),
+                   "--out", str(tmp_path / sub)])
+        assert rc == 0, sub
+        assert len(reads) == len(set(reads)) == 20, sub
+
+
+def test_wrong_size_label_map_is_one_line_json(ws, tmp_path, capsys):
+    labels = tmp_path / "labels"
+    shutil.copytree(ws.hard_out, labels)
+    frame = shot_frames(read_manifest(ws.sampled_manifest)
+                        .videos[0].shots[0])[0]
+    write_labels(LabelMap(np.zeros((1, 30), dtype=np.int32)),
+                 labels / _layout(frame.image_path).with_suffix(".pgm"))
+    for sub in ("select-finetune", "overlay"):
+        rc = main([sub, "--manifest", str(ws.sampled_manifest),
+                   "--labels", str(labels), "--out", str(tmp_path / sub)])
+        assert rc == 1, sub
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1, sub
+        assert json.loads(err_lines[0])["error"] == "DimensionMismatch", sub
+
+
 def test_coloc_then_eval_corloc(ws, tmp_path, capsys):
     boxes_out = tmp_path / "boxes"
     rc = main(["coloc", "--manifest", str(ws.sampled_manifest),
@@ -375,9 +416,10 @@ def test_zero_components_is_one_line_json(ws, tmp_path, capsys):
 
 
 def test_options_that_did_nothing_are_gone(ws, tmp_path):
-    # --seed only where a GMM is fitted; hard-assign reads no checkpoint
+    # --seed only where a GMM is fitted; hard-assign reads no checkpoint;
+    # coloc's superpixel graph has no motion-boundary band
     for argv in (["prune", "--seed", "1"], ["eval-iou", "--seed", "1"],
-                 ["hard-assign", "--model", "x"]):
+                 ["hard-assign", "--model", "x"], ["coloc", "--band", "2"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--manifest", str(ws.sampled_manifest),
                   "--out", str(tmp_path / "out")])
