@@ -368,6 +368,8 @@ def _cmd_eval_corloc(args):
 
 
 def _cmd_overlay(args):
+    if not 0.0 <= args.opacity <= 1.0:
+        raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
     manifest = read_manifest(args.manifest)
     out = _write_run(args)
     done = 0
@@ -419,7 +421,8 @@ def _add_inference(p):
                    default=InferenceParams.prediction_weight,
                    help="weight of the prediction unary")
     p.add_argument("--iterations", type=int, default=InferenceParams.iterations,
-                   help="minimize/refit rounds")
+                   help="at most N minimize/refit rounds; stops early when a "
+                        "round repeats the previous labeling")
 
 
 def build_parser() -> argparse.ArgumentParser:

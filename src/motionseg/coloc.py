@@ -7,6 +7,7 @@ contrast-sensitive Potts scaled by shared boundary length, and the final
 box encloses the largest 4-connected foreground component.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +237,10 @@ def slic_superpixels(img: RgbImage, target_count: int,
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
+    compactness = float(compactness)
+    if not (compactness >= 0 and math.isfinite(compactness * compactness)):
+        raise ValueError(f"compactness must be >= 0 and its square finite, "
+                         f"got {compactness}")
     h, w = img.height, img.width
     n = h * w
     target = min(target_count, n)

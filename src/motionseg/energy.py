@@ -47,8 +47,10 @@ class PairwiseParams:
     boundary_band: int = 2
 
     def __post_init__(self):
-        if self.smoothness <= 0 or self.contrast_scale <= 0:
-            raise ValueError("smoothness and contrast_scale must be positive")
+        if not all(np.isfinite(x) and x > 0
+                   for x in (self.smoothness, self.contrast_scale)):
+            raise ValueError(
+                "smoothness and contrast_scale must be finite and positive")
         if self.boundary_band < 0:
             raise ValueError("boundary_band must be >= 0")
 
@@ -87,7 +89,8 @@ def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
     edge[1:, :] |= diff
     edge[:-1, :] |= diff
     if half_width > 0 and edge.any():
-        size = 2 * half_width + 1
+        # a wider band than the frame covers no more of it
+        size = 2 * min(half_width, max(m.shape)) + 1
         edge = binary_dilation(edge, structure=np.ones((size, size), dtype=bool))
     return BoundaryBand(edge)
 

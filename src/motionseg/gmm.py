@@ -9,13 +9,14 @@ Fitting is weighted EM; each step evaluates and re-estimates all K
 components at once, as batched (K, ...) array operations. Initialization is
 k-means++ with the caller's seed, run on samples sorted lexicographically by
 color so the fit does not depend on sample order. Covariances are floored so
-flat color regions cannot produce singular matrices.
+flat color regions cannot produce singular matrices. The log-sum-exp over
+components, in the E-step and in :func:`nll`, is a plain numpy reduction
+that gives the same bits as scipy's on these inputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyBackground, EmptyForeground, TooFewSamples
 
@@ -73,6 +74,25 @@ def _log_terms(g: Gmm, colors: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _logsumexp(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(terms), axis=0)) for a (K, N) array whose every column
+    has a finite maximum. Takes the steps of scipy.special's log-sum-exp
+    over axis 0 (scipy 1.17), so the bits agree, without its array-API
+    overhead and its second ``exp`` pass.
+
+    Every :class:`Gmm` has a live component and the covariance floor keeps
+    its terms finite, so columns of ``_log_terms`` always qualify; dead
+    components give -inf entries, which add nothing.
+    """
+    top = terms.max(axis=0)
+    at_top = terms == top
+    count = at_top.sum(axis=0, dtype=np.float64)
+    # the maxima add exactly count; only the other terms go through exp
+    rest = np.exp(np.where(at_top, -np.inf, terms) - top).sum(axis=0)
+    rest = np.where(rest == 0, rest, rest / count)
+    return np.log1p(rest) + np.log(count) + top
+
+
 def nll(g: Gmm, color) -> float | np.ndarray:
     """Negative log-likelihood of a color (3,) or a batch of colors (N, 3).
 
@@ -80,7 +100,7 @@ def nll(g: Gmm, color) -> float | np.ndarray:
     from both zero and infinity on the color cube.
     """
     color = np.asarray(color, dtype=np.float64)
-    out = -logsumexp(_log_terms(g, np.atleast_2d(color)), axis=0)
+    out = -_logsumexp(_log_terms(g, np.atleast_2d(color)))
     return float(out[0]) if color.ndim == 1 else out
 
 
@@ -162,7 +182,7 @@ def _kmeanspp_centers(colors, weights, k, rng):
 def _e_step(g, colors, weights):
     """Responsibilities and weighted NLL under the current parameters."""
     terms = _log_terms(g, colors)
-    norm = logsumexp(terms, axis=0)
+    norm = _logsumexp(terms)
     resp = np.exp(terms - norm).T  # (N, K)
     return resp, float(-(weights * norm).sum())
 

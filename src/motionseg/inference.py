@@ -76,11 +76,13 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
     ``batch`` is a list of (RgbImage, MotionMask, ScoreMap) triples sharing
     one frame size; ``weak_labels`` are the video's object label indices
     (nonempty, background excluded). Each frame gets its own GMM pair,
-    fit from the whole batch with inverse-distance frame weights, then
-    ``params.iterations`` rounds of minimize-and-refit. A single object
-    label is solved exactly by binary cut; more labels use expansion
-    moves. The mixture component count is capped at the available sample
-    count per side so tiny frames remain fittable.
+    fit from the whole batch with inverse-distance frame weights, then at
+    most ``params.iterations`` rounds of minimize-and-refit. The loop stops
+    early when a round repeats the previous labeling: the refit is then the
+    same call as the one before it, so every later round would repeat it
+    bit for bit. A single object label is solved exactly by binary cut;
+    more labels use expansion moves. The mixture component count is capped
+    at the available sample count per side so tiny frames remain fittable.
 
     If a round produces an all-background labeling the previous labeling
     is kept (refitting a foreground GMM from nothing is meaningless).
@@ -111,8 +113,11 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
                 new_labeling = minimize_binary(model)
             else:
                 new_labeling = minimize_expansion(model, init=labeling)
-            if labeling is not None and not (new_labeling.labels > 0).any():
-                break
+            if labeling is not None:
+                if not (new_labeling.labels > 0).any():
+                    break  # keep the previous labeling
+                if np.array_equal(new_labeling.labels, labeling.labels):
+                    break  # fixed point: every later round repeats this one
             labeling = new_labeling
             if not (labeling.labels > 0).any():
                 break  # nothing to refit from; all-background is the answer

@@ -427,6 +427,39 @@ def test_options_that_did_nothing_are_gone(ws, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["infer", "--smoothness", "nan"], "smoothness"),
+    (["infer", "--contrast-scale", "nan"], "contrast_scale"),
+    (["infer", "--contrast-scale", "inf"], "contrast_scale"),
+    (["coloc", "--compactness", "nan"], "compactness"),
+    (["coloc", "--compactness", "inf"], "compactness"),
+    (["coloc", "--compactness", "-5"], "compactness"),
+    (["coloc", "--compactness", "1e308"], "compactness"),
+    (["overlay", "--opacity", "nan"], "--opacity"),
+    (["overlay", "--opacity", "2"], "--opacity"),
+    (["overlay", "--opacity", "-0.5"], "--opacity"),
+])
+def test_bad_numeric_option_is_one_line_json(ws, tmp_path, capsys, argv, name):
+    extra = ["--labels", str(ws.infer_out)] if argv[0] == "overlay" else []
+    rc = main([*argv, *extra, "--manifest", str(ws.sampled_manifest),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "ValueError" and name in doc["message"]
+
+
+def test_band_wider_than_the_frame_runs(ws, tmp_path):
+    # frames are 24x30: any band of 30 or more covers the whole frame
+    for band in ("100000", "30"):
+        assert main(["infer", *ws.infer_args, "--band", band,
+                     "--out", str(tmp_path / band)]) == 0
+    maps = [{k: v for k, v in _snapshot(tmp_path / band).items()
+             if k.endswith(".pgm")} for band in ("100000", "30")]
+    assert maps[0] and maps[0] == maps[1]
+
+
 def test_short_boxes_row_is_one_line_json(ws, tmp_path, capsys):
     boxes = tmp_path / "boxes.csv"
     boxes.write_text("frame_path,x_min,y_min,x_max,y_max\na.ppm,1,2\n")

@@ -87,6 +87,11 @@ def test_pairwise_params_validation():
         PairwiseParams(contrast_scale=-1.0)
     with pytest.raises(ValueError):
         PairwiseParams(boundary_band=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PairwiseParams(smoothness=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PairwiseParams(contrast_scale=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,14 @@ def test_boundary_band_matches_direct_dilation():
                     cheb = np.maximum(np.abs(ys - y), np.abs(xs - x)).min()
                     want[y, x] = cheb <= half
         assert np.array_equal(band.astype(bool), want)
+
+
+def test_band_wider_than_the_frame_is_the_whole_frame():
+    rng = np.random.default_rng(16)
+    mask = MotionMask(rng.integers(0, 2, size=(5, 8)).astype(np.uint8))
+    wide = boundary_band_from_mask(mask, 10**6).band
+    assert np.array_equal(wide, boundary_band_from_mask(mask, 8).band)
+    assert wide.all()
 
 
 def test_boundary_band_constant_mask_is_empty():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from motionseg.core import MotionMask, RgbImage
 from motionseg.errors import EmptyBackground, EmptyForeground, TooFewSamples
@@ -7,6 +8,8 @@ from motionseg.gmm import (
     VARIANCE_FLOOR,
     FgBgGmm,
     Gmm,
+    _log_terms,
+    _logsumexp,
     _m_step,
     fit_fgbg,
     fit_fgbg_from_motion,
@@ -137,6 +140,23 @@ def test_nll_finite_even_far_away():
     g = Gmm(np.array([1.0]), np.zeros((1, 3)),
             (VARIANCE_FLOOR * np.eye(3))[None, :, :])
     assert np.isfinite(nll(g, np.ones(3)))
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(12)
+    cases = [rng.normal(0.0, 30.0, (k, n))
+             for k, n in ((1, 1), (1, 50), (5, 1), (3, 200))]
+    cases.append(np.round(rng.normal(0.0, 2.0, (4, 300))))  # ties
+    cases.append(np.zeros((3, 20)))                          # all tied
+    dead = rng.normal(0.0, 5.0, (4, 100))
+    dead[[1, 3]] = -np.inf                                   # dead rows
+    cases.append(dead)
+    # a fitted mixture with dead components, probed on quantized colors
+    g = fit_gmm(np.tile([0.3, 0.6, 0.9], (40, 1)), n_components=3)
+    cases.append(_log_terms(g, np.round(rng.random((64, 3)) * 4) / 4))
+    for terms in cases:
+        np.testing.assert_array_max_ulp(_logsumexp(terms),
+                                        logsumexp(terms, axis=0), maxulp=2)
 
 
 def test_em_history_is_non_increasing():

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,3 +179,26 @@ def test_hard_assign_returns_label_maps():
     out = hard_assign([mask], (3,))[0]
     assert isinstance(out, LabelMap)
     assert out.labels.tolist() == [[3, 0], [0, 3]]
+
+
+@pytest.mark.parametrize("scene, weak", [
+    (corrupted_mask_scene(3), (1,)),
+    (two_object_scene(0, height=96, width=160), (1, 2)),
+], ids=["binary", "expansion"])
+def test_rounds_stop_at_the_fixed_point(monkeypatch, scene, weak):
+    # both scenes repeat their first labeling in round 2; every later round
+    # would rebuild the same energy from the same start
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_gmm(*args, **kwargs)
+
+    monkeypatch.setattr("motionseg.gmm.fit_gmm", counting_fit)
+    batch = [(scene.image, scene.mask, scene.scores)]
+    params = InferenceParams()
+    out = infer_labels(batch, weak, params)[0]
+    # the motion fit plus one refit, a fg/bg pair each
+    assert len(calls) == 4 < 2 * params.iterations
+    stopped = infer_labels(batch, weak, replace(params, iterations=2))[0]
+    assert np.array_equal(out.labels, stopped.labels)
