@@ -1,12 +1,12 @@
 """Batch command-line frontend.
 
 Every subcommand reads a dataset manifest, writes its outputs under
-``--out``, and drops a ``run.json`` echoing the fully resolved
-configuration (tool version, subcommand, every flag). Only ``infer``,
-``train-toy`` and ``coloc`` draw random numbers, so only they take
-``--seed``. Outputs are deterministic: two runs with identical run.json
-files are byte-identical. Errors exit nonzero with a one-line JSON
-object on stderr.
+``--out``, and, once the run succeeds, a ``run.json`` echoing the fully
+resolved configuration (tool version, subcommand, every flag). Only
+``infer``, ``train-toy`` and ``coloc`` draw random numbers, so only they
+take ``--seed``. Outputs are deterministic: two runs with identical
+run.json files are byte-identical. Errors exit nonzero with a one-line
+JSON object on stderr and write no run.json.
 """
 
 import argparse
@@ -185,7 +185,7 @@ def _cmd_sample(args):
 def _write_label_maps(args, manifest, label_shot):
     """Write ``label_shot(video, frames, masks)`` of every shot's sampled
     frames under ``--out``, one label map per frame."""
-    out = _write_run(args)
+    out = Path(args.out)
     shots = manifest.shots()
     done = 0
     for video, shot in shots:
@@ -196,6 +196,7 @@ def _write_label_maps(args, manifest, label_shot):
             dest.parent.mkdir(parents=True, exist_ok=True)
             write_labels(lab, dest)
         done += len(frames)
+    _write_run(args)
     _emit({"shots": len(shots), "frames": done})
 
 
@@ -261,7 +262,6 @@ def _cmd_select_finetune(args):
 def _cmd_coloc(args):
     manifest = read_manifest(args.manifest)
     model = _manifest_model(args, manifest)
-    out = _write_run(args)
     # the superpixel graph has no motion boundary, so no band
     pairwise = PairwiseParams(smoothness=args.smoothness,
                               contrast_scale=args.contrast_scale)
@@ -284,6 +284,7 @@ def _cmd_coloc(args):
             else:
                 rows.append((frame.image_path, box.x_min, box.y_min,
                              box.x_max, box.y_max))
+    out = _write_run(args)
     with open(out / "boxes.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame_path", "x_min", "y_min", "x_max", "y_max"])
@@ -323,22 +324,23 @@ def _cmd_eval_iou(args):
 
 
 def _read_boxes_csv(path):
+    need = ("frame_path", "x_min", "y_min", "x_max", "y_max")
     boxes = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"frame_path", "x_min", "y_min", "x_max", "y_max"}
-        if reader.fieldnames is None or need - set(reader.fieldnames):
-            raise SchemaError(f"{path}: boxes CSV needs columns {sorted(need)}")
-        for row in reader:
-            if None in row.values():
-                raise SchemaError(f"{path}, line {reader.line_num}: boxes CSV "
-                                  "rows need 5 fields")
-            if row["x_min"] == "":
-                boxes[row["frame_path"]] = None
-            else:
-                boxes[row["frame_path"]] = BoundingBox(
-                    int(row["x_min"]), int(row["y_min"]),
-                    int(row["x_max"]), int(row["y_max"]))
+        try:
+            if reader.fieldnames is None or set(need) - set(reader.fieldnames):
+                raise SchemaError(f"{path}: boxes CSV needs columns "
+                                  f"{sorted(need)}")
+            for row in reader:
+                if None in row.values():
+                    raise SchemaError(f"{path}, line {reader.line_num}: "
+                                      "boxes CSV rows need 5 fields")
+                frame, *box = (row[k] for k in need)
+                # an empty x_min marks a frame without a box
+                boxes[frame] = BoundingBox(*map(int, box)) if box[0] else None
+        except csv.Error as e:  # e.g. a field over csv's size limit
+            raise SchemaError(f"{path}, line {reader.line_num}: {e}") from e
     return boxes
 
 
@@ -371,7 +373,7 @@ def _cmd_overlay(args):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
     manifest = read_manifest(args.manifest)
-    out = _write_run(args)
+    out = Path(args.out)
     done = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
         label_path = _frame_file(args.labels, frame.image_path)
@@ -388,6 +390,7 @@ def _cmd_overlay(args):
         dest.parent.mkdir(parents=True, exist_ok=True)
         write_image(RgbImage(blend), dest)
         done += 1
+    _write_run(args)
     _emit({"frames": done})
 
 

@@ -10,6 +10,8 @@ examples):
   ``"MSF1 <height> <width> <channels>\\n"`` followed by
   height*width*channels IEEE-754 float32 little-endian values, row-major,
   channel-last.
+* Checkpoints:  ``MTM1`` - the same layout (:func:`read_tensor`), header
+  ``"MTM1 <classes> <features>\\n"``; see :mod:`motionseg.predictor`.
 * Manifests:    JSON, schema documented on :func:`read_manifest`.
 
 Writers emit canonical headers so that write(read(f)) is byte-identical to f
@@ -17,8 +19,9 @@ for canonical files.
 """
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -137,40 +140,48 @@ def write_labels(labels: LabelMap, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# MSF1 score tensors
+# Header-line float32 tensors: MSF1 score maps, MTM1 checkpoints
 
 _MSF_MAGIC = b"MSF1"
 
 
-def read_scores(path) -> ScoreMap:
-    """Read an MSF1 score tensor; the float32 payload round-trips bit-exactly."""
+def read_tensor(path, magic: bytes, ndim: int) -> np.ndarray:
+    """Read ``"<magic> <n1> ... <n_ndim>\\n"`` followed by n1*...*n_ndim
+    float32 little-endian values, row-major; returns them as float64."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:
         raise TruncatedFile(f"{path}: no header line")
     fields = data[:newline].split()
-    if not fields or fields[0] != _MSF_MAGIC:
-        raise BadMagic(f"{path}: expected MSF1 header")
-    if len(fields) != 4:
-        raise BadMagic(f"{path}: header needs 'MSF1 h w c', got {len(fields)} fields")
+    if len(fields) != ndim + 1 or fields[0] != magic:
+        raise BadMagic(f"{path}: expected a {magic.decode()} header with "
+                       f"{ndim} sizes")
     try:
-        height, width, channels = (int(x) for x in fields[1:])
+        shape = tuple(int(x) for x in fields[1:])
     except ValueError as e:
         raise BadMagic(f"{path}: non-integer header field") from e
-    if height < 1 or width < 1 or channels < 1:
-        raise BadDimensions(f"{path}: bad shape {height}x{width}x{channels}")
+    if min(shape) < 1:
+        raise BadDimensions(f"{path}: bad shape {'x'.join(map(str, shape))}")
     payload = data[newline + 1:]
-    need = height * width * channels * 4
+    need = 4 * math.prod(shape)  # Python ints: huge sizes cannot overflow
     if len(payload) != need:
         raise SizeMismatch(f"{path}: payload has {len(payload)} of {need} bytes")
-    raw = np.frombuffer(payload, dtype="<f4").reshape(height, width, channels)
-    return ScoreMap(raw.astype(np.float64))
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+
+
+def write_tensor(array: np.ndarray, magic: bytes, path) -> None:
+    """Write ``array`` in the layout :func:`read_tensor` reads."""
+    header = b" ".join([magic, *(b"%d" % n for n in array.shape)]) + b"\n"
+    Path(path).write_bytes(header + array.astype("<f4").tobytes())
+
+
+def read_scores(path) -> ScoreMap:
+    """Read an MSF1 score tensor; the float32 payload round-trips bit-exactly."""
+    return ScoreMap(read_tensor(path, _MSF_MAGIC, 3))
 
 
 def write_scores(scores: ScoreMap, path) -> None:
-    header = b"MSF1 %d %d %d\n" % (scores.height, scores.width, scores.channels)
-    payload = scores.scores.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_tensor(scores.scores, _MSF_MAGIC, path)
 
 
 # ---------------------------------------------------------------------------
@@ -368,38 +379,22 @@ def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"{path}: invalid JSON: {e}") from e
     return parse_manifest(doc, base_dir=path.parent)
 
 
+def _present_fields(items) -> dict:
+    """``asdict`` factory: unset optional fields dropped, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in items if v is not None}
+
+
 def manifest_to_dict(m: DatasetManifest) -> dict:
     """Inverse of :func:`parse_manifest`, dropping unset optional fields."""
-    videos = []
-    for v in m.videos:
-        shots = []
-        for s in v.shots:
-            frames = []
-            for f in s.frames:
-                fo = {"image_path": f.image_path,
-                      "motion_mask_path": f.motion_mask_path}
-                if f.score_map_path is not None:
-                    fo["score_map_path"] = f.score_map_path
-                if f.ground_truth_label_path is not None:
-                    fo["ground_truth_label_path"] = f.ground_truth_label_path
-                if f.ground_truth_box is not None:
-                    fo["ground_truth_box"] = list(f.ground_truth_box)
-                frames.append(fo)
-            so = {"shot_id": s.shot_id, "frames": frames}
-            if s.kept_range is not None:
-                so["kept_range"] = list(s.kept_range)
-            if s.sampled_indices is not None:
-                so["sampled_indices"] = list(s.sampled_indices)
-            shots.append(so)
-        videos.append({"video_id": v.video_id,
-                       "weak_labels": list(v.weak_labels),
-                       "shots": shots})
-    return {"categories": list(m.label_set.categories[1:]), "videos": videos}
+    return {"categories": list(m.label_set.categories[1:]),
+            "videos": [asdict(v, dict_factory=_present_fields)
+                       for v in m.videos]}
 
 
 def write_manifest(m: DatasetManifest, path) -> None:

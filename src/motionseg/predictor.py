@@ -6,21 +6,14 @@ at desk scale, not to segment well; any real predictor can replace it by
 writing score maps to disk.
 """
 
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RgbImage, ScoreMap, argmax_labels
-from .errors import (
-    BadDimensions,
-    BadMagic,
-    SizeMismatch,
-    TruncatedFile,
-    ZeroCount,
-)
+from .errors import BadDimensions, ZeroCount
 from .inference import InferenceParams, infer_labels
-from .io import DatasetManifest, read_image, read_mask
+from .io import DatasetManifest, read_image, read_mask, read_tensor, write_tensor
 from .loss import ClassWeights, class_weights, weighted_nll_loss
 from .pipeline import select_finetune_shots, shot_frames, shot_overlap
 
@@ -150,33 +143,16 @@ def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,
 def save_model(model: ToyModel, path) -> None:
     """Write an MTM1 checkpoint: "MTM1 <classes> <features>\\n" then the
     weights as float32 little-endian, row-major. Velocity is not saved."""
-    header = b"MTM1 %d %d\n" % (model.num_labels, FEATURE_COUNT)
-    Path(path).write_bytes(header + model.weights.astype("<f4").tobytes())
+    write_tensor(model.weights, _MODEL_MAGIC, path)
 
 
 def load_model(path) -> ToyModel:
     """Read an MTM1 checkpoint; the momentum state starts at zero."""
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise TruncatedFile(f"{path}: no header line")
-    fields = data[:newline].split()
-    if not fields or fields[0] != _MODEL_MAGIC:
-        raise BadMagic(f"{path}: expected MTM1 header")
-    if len(fields) != 3:
-        raise BadMagic(f"{path}: header needs 'MTM1 classes features'")
-    try:
-        classes, features = int(fields[1]), int(fields[2])
-    except ValueError as e:
-        raise BadMagic(f"{path}: non-integer header field") from e
+    weights = read_tensor(path, _MODEL_MAGIC, 2)
+    classes, features = weights.shape
     if classes < 2 or features != FEATURE_COUNT:
         raise BadDimensions(f"{path}: bad shape {classes}x{features}")
-    payload = data[newline + 1:]
-    need = classes * features * 4
-    if len(payload) != need:
-        raise SizeMismatch(f"{path}: payload has {len(payload)} of {need} bytes")
-    weights = np.frombuffer(payload, dtype="<f4").reshape(classes, features)
-    return ToyModel(weights.astype(np.float64), np.zeros((classes, features)))
+    return ToyModel(weights, np.zeros_like(weights))
 
 
 def check_classes(model: ToyModel, manifest: DatasetManifest) -> ToyModel:

@@ -413,6 +413,7 @@ def test_zero_components_is_one_line_json(ws, tmp_path, capsys):
     assert len(err_lines) == 1
     assert json.loads(err_lines[0]) == {
         "error": "ValueError", "message": "n_components must be >= 1"}
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 def test_options_that_did_nothing_are_gone(ws, tmp_path):
@@ -438,6 +439,7 @@ def test_options_that_did_nothing_are_gone(ws, tmp_path):
     (["overlay", "--opacity", "nan"], "--opacity"),
     (["overlay", "--opacity", "2"], "--opacity"),
     (["overlay", "--opacity", "-0.5"], "--opacity"),
+    (["coloc", "--smoothness", "nan"], "smoothness"),
 ])
 def test_bad_numeric_option_is_one_line_json(ws, tmp_path, capsys, argv, name):
     extra = ["--labels", str(ws.infer_out)] if argv[0] == "overlay" else []
@@ -448,6 +450,7 @@ def test_bad_numeric_option_is_one_line_json(ws, tmp_path, capsys, argv, name):
     assert len(err_lines) == 1
     doc = json.loads(err_lines[0])
     assert doc["error"] == "ValueError" and name in doc["message"]
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 def test_band_wider_than_the_frame_runs(ws, tmp_path):
@@ -471,6 +474,21 @@ def test_short_boxes_row_is_one_line_json(ws, tmp_path, capsys):
     doc = json.loads(err_lines[0])
     assert doc["error"] == "SchemaError"
     assert str(boxes) in doc["message"] and "line 2" in doc["message"]
+
+
+def test_overlong_boxes_field_is_one_line_json(ws, tmp_path, capsys):
+    # longer than the csv module's default field size limit of 131,072
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\n"
+                     + "a" * 200_000 + ",1,2,3,4\n")
+    rc = main(["eval-corloc", "--manifest", str(ws.sampled_manifest),
+               "--boxes", str(boxes), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError" and str(boxes) in doc["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_stored_scores_are_one_line_json(ws, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -204,6 +205,8 @@ def test_scores_errors(tmp_path):
         (b"MSF1 0 1 1\n", BadDimensions),
         (b"MSF1 1 1 2\n" + bytes(4), SizeMismatch),        # short payload
         (b"MSF1 1 1 1\n" + bytes(8), SizeMismatch),        # long payload
+        # 2**64 payload bytes: a size that wraps to 0 in int64
+        (b"MSF1 4611686018427387904 1 1\n", SizeMismatch),
         (b"MSF1 1 1 1", TruncatedFile),                    # no newline
     ]
     for raw, err in cases:
@@ -350,6 +353,54 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    with pytest.raises(SchemaError):
-        read_manifest(p)
+    # the second is nested past the JSON decoder's recursion limit
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+        p.write_text(text)
+        with pytest.raises(SchemaError):
+            read_manifest(p)
+
+
+# ---------------------------------------------------------------------------
+# Writer bytes
+
+def test_writer_bytes_are_pinned(tmp_path):
+    # sha256 of every writer's bytes: a codec or manifest-writer change
+    # that moves one byte fails here
+    rng = np.random.default_rng(90)
+    raw = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+    scores = rng.random((5, 7, 3))
+    doc = _minimal_doc(frame_count=4)
+    shot = doc["videos"][0]["shots"][0]
+    shot.update(kept_range=[1, 4], sampled_indices=[1, 3])
+    # frame 1 sets every optional field; the other frames leave them out
+    shot["frames"][1].update(score_map_path="f1.msf",
+                             ground_truth_label_path="f1_gt.pgm",
+                             ground_truth_box=[1, 2, 5, 4])
+    cases = [
+        (write_image, RgbImage.from_bytes(raw), "image.ppm"),
+        (write_mask, MotionMask(raw[..., 0] % 2), "mask.pgm"),
+        (write_labels, LabelMap(raw[..., 1] % 3), "labels.pgm"),
+        (write_scores, ScoreMap(scores / scores.sum(axis=2, keepdims=True)),
+         "scores.msf"),
+        (save_model, ToyModel(rng.standard_normal((3, FEATURE_COUNT)),
+                              np.zeros((3, FEATURE_COUNT))), "model.mtm"),
+        (write_manifest, parse_manifest(doc), "manifest.json"),
+    ]
+    digests = {}
+    for write, value, name in cases:
+        write(value, tmp_path / name)
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == {
+        "image.ppm":
+            "9ac72f8eceeeac16ee9fd5d09a293afe8aeb99aabf88edf97eac8811f36d0ec5",
+        "mask.pgm":
+            "430b626f8817e44f0d9794aad4b677342331fa7c66c660610c652ed8eee9ebf2",
+        "labels.pgm":
+            "6c574709c58d283eb4056c50e659999de5da30b8c8b510b0a64f68fe9cb795c4",
+        "scores.msf":
+            "b554643f2d7a9bfa006ee7e7ff1e8ce6b1b9aa085c6e9f0427e05d4fbd117a58",
+        "model.mtm":
+            "1ca0c3432f823da5fde4581f13969b9ee80cbaa1d0144337b9f8ec98043958a0",
+        "manifest.json":
+            "4d1a25ca5de037ea2f31301c825e27fd41c608b3d004a037666015707869db5d",
+    }
