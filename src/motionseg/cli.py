@@ -11,6 +11,7 @@ JSON object on stderr and write no run.json.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -428,7 +429,9 @@ def _add_inference(p):
                         "round repeats the previous labeling")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="motionseg",
         description="Latent-label inference from motion masks and predictions")

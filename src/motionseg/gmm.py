@@ -6,12 +6,15 @@ mixture on the rest, and a pixel's unary cost is the negative log-likelihood
 under the corresponding mixture.
 
 Fitting is weighted EM; each step evaluates and re-estimates all K
-components at once, as batched (K, ...) array operations. Initialization is
-k-means++ with the caller's seed, run on samples sorted lexicographically by
-color so the fit does not depend on sample order. Covariances are floored so
-flat color regions cannot produce singular matrices. The log-sum-exp over
-components, in the E-step and in :func:`nll`, is a plain numpy reduction
-that gives the same bits as scipy's on these inputs.
+components at once, as batched (K, ...) array operations. EM stops when
+the weighted NLL per unit of sample weight moves by less than ``EM_TOL``
+nats in one step (scikit-learn's default tolerance), or after
+``EM_MAX_ITER`` steps. Initialization is k-means++ with the caller's seed,
+run on samples sorted lexicographically by color so the fit does not
+depend on sample order. Covariances are floored so flat color regions
+cannot produce singular matrices. The log-sum-exp over components, in the
+E-step and in :func:`nll`, is a plain numpy reduction that gives the same
+bits as scipy's on these inputs.
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,9 @@ VARIANCE_FLOOR = 1e-6
 
 DEFAULT_COMPONENTS = 5
 
-_EM_MAX_ITER = 100
-_EM_REL_TOL = 1e-6
+# Stopping rule of fit_gmm: nats of mean NLL per step, and the step cap.
+EM_TOL = 1e-3
+EM_MAX_ITER = 100
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -108,10 +112,11 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
             return_history=False):
     """Fit a weighted GMM to (N, 3) colors with positive sample weights.
 
-    Runs EM to convergence: stops when the relative change of the weighted
-    NLL drops below 1e-6, or after 100 iterations. The weighted NLL is
-    non-increasing across iterations (up to the covariance floor, which
-    only activates on degenerate clusters).
+    Runs EM until the weighted NLL per unit of sample weight changes by
+    less than ``EM_TOL`` nats in one step, or for ``EM_MAX_ITER`` steps,
+    so scaling all weights alike does not change when it stops. The
+    weighted NLL is non-increasing across iterations (up to the covariance
+    floor, which only activates on degenerate clusters).
 
     With ``return_history`` also returns the per-iteration weighted NLL,
     evaluated on the parameters entering each iteration.
@@ -143,12 +148,13 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
     resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
     g = _m_step(colors, weights, resp)
 
+    tol = EM_TOL * weights.sum()
     history = []
     prev = None
-    for _ in range(_EM_MAX_ITER):
+    for _ in range(EM_MAX_ITER):
         resp, cur_nll = _e_step(g, colors, weights)
         history.append(cur_nll)
-        if prev is not None and abs(prev - cur_nll) < _EM_REL_TOL * max(1.0, abs(prev)):
+        if prev is not None and abs(prev - cur_nll) < tol:
             break
         prev = cur_nll
         g = _m_step(colors, weights, resp)

@@ -170,7 +170,11 @@ def read_tensor(path, magic: bytes, ndim: int) -> np.ndarray:
 
 
 def write_tensor(array: np.ndarray, magic: bytes, path) -> None:
-    """Write ``array`` in the layout :func:`read_tensor` reads."""
+    """Write ``array`` in the layout :func:`read_tensor` reads; an empty
+    array, which that reader rejects, raises before any byte is written."""
+    if array.size == 0:
+        raise BadDimensions(
+            f"{path}: bad shape {'x'.join(map(str, array.shape))}")
     header = b" ".join([magic, *(b"%d" % n for n in array.shape)]) + b"\n"
     Path(path).write_bytes(header + array.astype("<f4").tobytes())
 

@@ -6,6 +6,7 @@ assert on each stage's files, the stdout JSON summaries, the run.json
 contract, and determinism.
 """
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -81,6 +82,31 @@ def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser_with_independent_namespaces(tmp_path,
+                                                            monkeypatch):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        seen.append((self, ns))
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    missing = str(tmp_path / "missing.json")
+    assert main(["prune", "--manifest", missing, "--out", str(tmp_path / "a"),
+                 "--min-frames", "3"]) == 1
+    assert main(["sample", "--manifest", missing,
+                 "--out", str(tmp_path / "b")]) == 1
+    (p1, ns1), (p2, ns2) = seen
+    assert p1 is p2 is motionseg.cli.build_parser()
+    assert ns1 is not ns2
+    assert (ns1.subcommand, ns1.min_frames, ns1.out) == ("prune", 3,
+                                                         tmp_path / "a")
+    assert ns2.subcommand == "sample" and ns2.out == tmp_path / "b"
+    assert not hasattr(ns2, "min_frames")
 
 
 def test_error_is_one_line_json(tmp_path, capsys):

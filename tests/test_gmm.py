@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from motionseg.core import MotionMask, RgbImage
 from motionseg.errors import EmptyBackground, EmptyForeground, TooFewSamples
 from motionseg.gmm import (
+    EM_MAX_ITER,
+    EM_TOL,
     VARIANCE_FLOOR,
     FgBgGmm,
     Gmm,
@@ -18,6 +22,7 @@ from motionseg.gmm import (
     motion_color_samples,
     nll,
 )
+from motionseg.synthetic import blob_video_frames
 
 from oracles import gaussian_mixture_nll, weighted_gaussians
 
@@ -170,6 +175,63 @@ def test_em_history_is_non_increasing():
                              return_history=True)
         diffs = np.diff(history)
         assert (diffs <= 1e-9).all(), f"NLL increased: {history}"
+
+
+def _weighted_colors(rng, n, kind):
+    """(n, 3) colors of one of three shapes, and positive weights."""
+    if kind == "uniform":
+        colors = rng.random((n, 3))
+    elif kind == "quantized":
+        colors = np.round(rng.random((n, 3)) * 3) / 3
+    else:  # clustered around a few centers
+        centers = rng.random((4, 3))
+        colors = np.clip(centers[rng.integers(0, 4, n)]
+                         + 0.02 * rng.standard_normal((n, 3)), 0.0, 1.0)
+    return colors, rng.uniform(0.05, 2.0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 200),
+       st.sampled_from(["uniform", "quantized", "clustered"]),
+       st.integers(0, 2**32 - 1))
+def test_em_stops_at_the_first_step_below_the_per_sample_tolerance(
+        k, extra, kind, seed):
+    rng = np.random.default_rng(seed)
+    colors, weights = _weighted_colors(rng, k + extra, kind)
+    _, history = fit_gmm(colors, weights, n_components=k, seed=seed,
+                         return_history=True)
+    steps = np.abs(np.diff(history))
+    tol = EM_TOL * weights.sum()
+    assert 2 <= len(history) <= EM_MAX_ITER
+    assert steps[-1] < tol or len(history) == EM_MAX_ITER
+    assert (steps[:-1] >= tol).all()
+
+
+def test_em_stopping_reads_the_mean_nll_not_the_total_weight():
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        k = trial % 5 + 1
+        colors, weights = _weighted_colors(
+            rng, int(rng.integers(k, 300)),
+            ("uniform", "quantized", "clustered")[trial % 3])
+        g1, h1 = fit_gmm(colors, weights, k, seed=trial, return_history=True)
+        # scaling by 4 is exact in floating point, so every EM quantity
+        # scales exactly and only the stopping rule could tell them apart
+        g4, h4 = fit_gmm(colors, 4.0 * weights, k, seed=trial,
+                         return_history=True)
+        assert len(h1) == len(h4)
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(g1, name), getattr(g4, name))
+
+
+def test_blob_video_fits_stop_well_before_the_cap():
+    images, _, masks = blob_video_frames(0, "red")
+    fg_c, fg_w, bg_c, bg_w = motion_color_samples(list(zip(images, masks)), 15)
+    for colors, weights in ((fg_c, fg_w), (bg_c, bg_w)):
+        _, history = fit_gmm(colors, weights, n_components=5, seed=0,
+                             return_history=True)
+        # a total-NLL relative tolerance of 1e-6 ran both to the cap of 100
+        assert len(history) < 30
 
 
 def test_fit_is_sample_order_independent():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ def test_scores_errors(tmp_path):
         p.write_bytes(raw)
         with pytest.raises(err):
             read_scores(p)
+
+
+def test_tensor_writers_refuse_what_their_reader_rejects(tmp_path):
+    # ToyModel itself refuses empty weights; save_model reads only .weights
+    cases = [(write_scores, ScoreMap(np.zeros(shape)))
+             for shape in ((0, 2, 2), (2, 0, 2), (0, 0, 1))]
+    cases += [(save_model, SimpleNamespace(weights=np.zeros(shape)))
+              for shape in ((0, FEATURE_COUNT), (2, 0))]
+    for i, (write, value) in enumerate(cases):
+        p = tmp_path / f"empty{i}"
+        with pytest.raises(BadDimensions):
+            write(value, p)
+        assert not p.exists()
 
 
 # ---------------------------------------------------------------------------
