@@ -38,14 +38,12 @@ from .energy import (
     build_energy,
     minimize_binary,
     minimize_expansion,
-    potts_weight,
     total_energy,
 )
 from .errors import MotionSegError
 from .gmm import (
     FgBgGmm,
     Gmm,
-    fit_fgbg_from_motion,
     fit_gmm,
     frame_distance_weight,
     nll,
@@ -134,7 +132,6 @@ __all__ = [
     "class_weights",
     "coloc_segment",
     "corloc",
-    "fit_fgbg_from_motion",
     "fit_gmm",
     "frame_distance_weight",
     "hard_assign",
@@ -146,7 +143,6 @@ __all__ = [
     "minimize_binary",
     "minimize_expansion",
     "nll",
-    "potts_weight",
     "predict",
     "prune_manifest",
     "prune_shot",

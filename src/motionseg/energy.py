@@ -95,20 +95,6 @@ def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
     return BoundaryBand(edge)
 
 
-def potts_weight(z_i, z_j, i, j, band: BoundaryBand, p: PairwiseParams) -> float:
-    """Pairwise weight between 4-neighbor pixels i=(row,col), j=(row,col).
-
-    The label indicator [x_i != x_j] is applied by the solvers, not here.
-    """
-    if band.band[i] and band.band[j]:
-        return 0.0
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    d2 = float(((z_i - z_j) ** 2).sum())
-    dist = float(np.hypot(i[0] - j[0], i[1] - j[1]))
-    return p.smoothness * np.exp(-p.contrast_scale * d2) / dist
-
-
 @dataclass(frozen=True)
 class EnergyModel:
     """Assembled unary/pairwise costs over the allowed labels.

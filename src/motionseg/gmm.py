@@ -251,17 +251,3 @@ def fit_fgbg(fg_colors, fg_weights, bg_colors, bg_weights,
     return FgBgGmm(foreground=fit_gmm(fg_colors, fg_weights, k, seed),
                    background=fit_gmm(bg_colors, bg_weights, k, seed))
 
-
-def fit_fgbg_from_motion(frames, target_index, n_components=DEFAULT_COMPONENTS,
-                         seed=0) -> FgBgGmm:
-    """Fit foreground/background GMMs for one frame of a batch.
-
-    ``frames`` is a list of (RgbImage, MotionMask) pairs. Colors from frame
-    t' enter with weight 1/(1+|t-t'|) relative to the target frame, so the
-    target frame dominates but the whole batch stabilizes the fit. The
-    component count is capped as in :func:`fit_fgbg`: a side with fewer
-    samples than ``n_components`` gets fewer components instead of raising
-    ``TooFewSamples``.
-    """
-    return fit_fgbg(*motion_color_samples(frames, target_index),
-                    n_components, seed)

@@ -7,7 +7,7 @@ boundary band, never directly as labels; the direct copy is available
 separately as :func:`hard_assign` for comparison.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class InferenceParams:
     """Knobs of the iterative estimator.
 
     ``prediction_weight`` balances the prediction unary against the GMM
-    unary: 1.0 during normal training, 2.0 in fine-tune mode where the
-    predictions are more reliable.
+    unary: 1.0 during normal training, ``finetune_prediction_weight`` of
+    ``ToyTrainConfig`` in fine-tune epochs, where predictions are better.
     """
 
     prediction_weight: float = 1.0
@@ -49,9 +49,6 @@ class InferenceParams:
             raise ValueError("prediction_weight must be >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-
-    def finetune_mode(self, prediction_weight: float = 2.0) -> "InferenceParams":
-        return replace(self, prediction_weight=prediction_weight)
 
 
 def _refit_from_labeling(img, labeling, motion, n_components, seed) -> FgBgGmm:

@@ -11,6 +11,10 @@ each direction. Capacities are 64-bit floats (the unaries are
 log-likelihoods, so no integer scaling is applied). Terminal capacities
 are folded into a single per-node residual before the search, which
 shifts the flow by a constant that is added back at the end.
+
+``FlowNetwork`` holds read-only numpy arrays. ``min_cut`` links each
+node's arcs and turns the arrays into Python lists once, at the start of
+the solve, since the search reads them one element at a time.
 """
 
 from collections import deque
@@ -45,8 +49,9 @@ class FlowNetwork:
     ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
     with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
     Scalar capacities broadcast. The node count is ``len(source_cap)``.
-    Arcs are stored in sister pairs (arc ``a`` and ``a ^ 1`` point in
-    opposite directions), the layout the solver operates on directly.
+    ``source_cap``, ``sink_cap`` and the per-arc ``arc_head`` (int64) and
+    ``arc_cap`` (float64) are read-only arrays. Arc ``2e`` is edge e and
+    arc ``2e + 1`` its reverse, so arc ``a ^ 1`` is arc ``a`` reversed.
     """
 
     def __init__(self, source_cap, sink_cap, tails=(), heads=(), cap=(),
@@ -62,22 +67,10 @@ class FlowNetwork:
         if ends.size and not 0 <= ends.min() <= ends.max() < n:
             raise IndexError(f"edge node outside [0, {n})")
         caps = [_check_caps(c, len(ends)) for c in (cap, rev_cap)]
-        # lists, as the solver indexes them one element at a time
-        self.arc_head = ends[:, ::-1].ravel().tolist()
-        self.arc_cap = np.stack(caps, axis=1).ravel().tolist()
-
-    def links(self):
-        """Each node's arc list as ``(first, arc_next)``: node i's arcs are
-        first[i], arc_next[first[i]], ... up to -1, highest arc id first."""
-        head = np.asarray(self.arc_head, dtype=np.int64).reshape(-1, 2)
-        tail = head[:, ::-1].ravel()
-        first = np.full(self.node_count, -1)
-        np.maximum.at(first, tail, np.arange(len(tail)))
-        order = np.argsort(tail, kind="stable")
-        same = tail[order[1:]] == tail[order[:-1]]
-        arc_next = np.full(len(tail), -1)
-        arc_next[order[1:][same]] = order[:-1][same]
-        return first.tolist(), arc_next.tolist()
+        self.arc_head = ends[:, ::-1].ravel()
+        self.arc_cap = np.stack(caps, axis=1).ravel()
+        for a in (self.source_cap, self.sink_cap, self.arc_head, self.arc_cap):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,17 +86,22 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     """Compute the max flow and a minimum cut of ``net``.
 
     The returned flow equals the capacity of the cut induced by ``side``,
-    and no cut has smaller capacity. Nodes reachable from the source in
-    the final residual graph are labeled SOURCE; in particular free nodes
-    fall on the SINK side.
+    and no cut has smaller capacity. SOURCE is the final source search
+    tree: with no node active it is closed under residual arcs, and its
+    nodes reach the source along residual parent arcs, so it is the
+    residual reachable set of the source, the smallest source side of any
+    minimum cut. Free nodes fall on the SINK side.
     """
-    n = net.node_count
-    if n == 0:
-        return MinCutResult(0.0, np.zeros(0, dtype=np.uint8))
-
-    first, nxt = net.links()
-    head = net.arc_head
-    rescap = list(net.arc_cap)
+    # node i's arcs, highest id first: first[i], nxt[first[i]], ... to -1
+    tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
+    first = np.full(net.node_count, -1)
+    np.maximum.at(first, tail, np.arange(len(tail)))
+    order = np.argsort(tail, kind="stable")
+    same = tail[order[1:]] == tail[order[:-1]]
+    nxt = np.full(len(tail), -1)
+    nxt[order[1:][same]] = order[:-1][same]
+    first, nxt, head, rescap = (
+        a.tolist() for a in (first, nxt, net.arc_head, net.arc_cap))
 
     # fold terminal capacities: tr > 0 means residual from source,
     # tr < 0 residual to sink; min(src, snk) flows immediately
@@ -261,18 +259,5 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             augment(connecting)
             adopt()
 
-    # label sides by residual reachability from the source
-    from_source = np.asarray(tr) > 0.0
-    side = np.where(from_source, SOURCE, SINK).astype(np.uint8)
-    bfs = deque(np.flatnonzero(from_source).tolist())
-    while bfs:
-        u = bfs.popleft()
-        a = first[u]
-        while a != -1:
-            if rescap[a] > 0.0:
-                v = head[a]
-                if side[v] == SINK:
-                    side[v] = SOURCE
-                    bfs.append(v)
-            a = nxt[a]
+    side = np.where(np.asarray(tree) == _S, SOURCE, SINK).astype(np.uint8)
     return MinCutResult(float(flow), side)

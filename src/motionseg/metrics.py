@@ -42,13 +42,6 @@ class ConfusionAccumulator:
     def num_labels(self) -> int:
         return len(self.intersection)
 
-    def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        """Combine two accumulators; associative and commutative."""
-        if other.num_labels != self.num_labels:
-            raise DimensionMismatch("cannot merge accumulators of different size")
-        return ConfusionAccumulator(self.intersection + other.intersection,
-                                    self.union + other.union)
-
     def iou_by_class(self) -> np.ndarray:
         """Per-class IoU; classes with zero union give nan."""
         with np.errstate(invalid="ignore"):

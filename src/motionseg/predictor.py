@@ -6,7 +6,7 @@ at desk scale, not to segment well; any real predictor can replace it by
 writing score maps to disk.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,16 +102,6 @@ class ToyTrainConfig:
                 or self.decay_every < 0 or self.decay_factor < 0):
             raise ValueError("weight_decay, finetune_epochs, decay_every and "
                              "decay_factor must be >= 0")
-
-
-def batch_loss(model: ToyModel, batch, cw: ClassWeights) -> float:
-    """Mean per-pixel weighted loss of (RgbImage, LabelMap) pairs."""
-    total, pixels = 0.0, 0
-    for img, labeling in batch:
-        loss, _ = weighted_nll_loss(predict(model, img), labeling, cw)
-        total += loss
-        pixels += labeling.labels.size
-    return total / pixels
 
 
 def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,
@@ -246,6 +236,6 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
         chosen = [(v, s) for v, s in shots
                   if picks.get(v.video_id) == s.shot_id]
         if chosen:
-            run_epochs(cfg.finetune_epochs, chosen,
-                       params.finetune_mode(cfg.finetune_prediction_weight))
+            run_epochs(cfg.finetune_epochs, chosen, replace(
+                params, prediction_weight=cfg.finetune_prediction_weight))
     return model

@@ -5,7 +5,10 @@ import numpy as np
 import motionseg.energy
 from motionseg.core import GridAdjacency, RgbImage, ScoreMap
 from motionseg.energy import EnergyModel
+from motionseg.gmm import DEFAULT_COMPONENTS, fit_fgbg, motion_color_samples
+from motionseg.loss import weighted_nll_loss
 from motionseg.maxflow import SINK, FlowNetwork
+from motionseg.predictor import predict
 
 
 def random_image(rng, height, width):
@@ -75,8 +78,26 @@ def recorded_cuts(monkeypatch):
 def cut_capacity_of(net, side):
     """Capacity of the s-t cut that ``side`` induces in a FlowNetwork."""
     sink = np.asarray(side) == SINK
-    head = np.asarray(net.arc_head, dtype=np.int64)
-    tail = head.reshape(-1, 2)[:, ::-1].ravel()
-    crossing = np.asarray(net.arc_cap)[~sink[tail] & sink[head]].sum()
+    tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
+    crossing = net.arc_cap[~sink[tail] & sink[net.arc_head]].sum()
     return float(net.source_cap[sink].sum() + net.sink_cap[~sink].sum()
                  + crossing)
+
+
+def fit_fgbg_from_motion(frames, target_index, n_components=DEFAULT_COMPONENTS,
+                         seed=0):
+    """Foreground/background GMMs for one frame of a batch of
+    (RgbImage, MotionMask) pairs: ``fit_fgbg`` on the batch's motion color
+    samples, weighted 1/(1+|t-t'|) towards the target frame t."""
+    return fit_fgbg(*motion_color_samples(frames, target_index),
+                    n_components, seed)
+
+
+def batch_loss(model, batch, cw):
+    """Mean per-pixel weighted loss of (RgbImage, LabelMap) pairs."""
+    total, pixels = 0.0, 0
+    for img, labeling in batch:
+        loss, _ = weighted_nll_loss(predict(model, img), labeling, cw)
+        total += loss
+        pixels += labeling.labels.size
+    return total / pixels

@@ -47,12 +47,29 @@ def model_columns(model, labeling):
     return np.searchsorted(allowed, labeling.labels.ravel())
 
 
+def potts_weight(z_i, z_j, i, j, band, p):
+    """Pairwise weight between 4-neighbor pixels i=(row,col), j=(row,col).
+
+    Zero when both pixels lie in the BoundaryBand `band`, otherwise
+    p.smoothness * exp(-p.contrast_scale * |z_i - z_j|^2) / |i - j| for
+    the PairwiseParams `p`. The label indicator [x_i != x_j] is left out.
+    """
+    if band.band[i] and band.band[j]:
+        return 0.0
+    z_i = np.asarray(z_i, dtype=np.float64)
+    z_j = np.asarray(z_j, dtype=np.float64)
+    d2 = float(((z_i - z_j) ** 2).sum())
+    dist = float(np.hypot(i[0] - j[0], i[1] - j[1]))
+    return p.smoothness * np.exp(-p.contrast_scale * d2) / dist
+
+
 def brute_force_min_cut(node_count, terminals, edges):
     """Minimum s-t cut capacity by enumerating all 2^n side assignments.
 
     `terminals` is a list of (source_cap, sink_cap) per node; `edges` a
     list of (i, j, cap_ij, cap_ji). Side bit 1 means SINK. Returns
-    (min capacity, side bits of the first minimizer).
+    (min capacity, side bits of every minimizer, one per row), where a
+    minimizer is an assignment within 1e-9 of the minimum.
     """
     count = 1 << node_count
     side = (np.arange(count)[:, None] >> np.arange(node_count)[None, :]) & 1
@@ -62,8 +79,8 @@ def brute_force_min_cut(node_count, terminals, edges):
     for i, j, cap_ij, cap_ji in edges:
         cost = cost + cap_ij * ((1 - side[:, i]) * side[:, j])
         cost = cost + cap_ji * ((1 - side[:, j]) * side[:, i])
-    best = int(np.argmin(cost))
-    return float(cost[best]), side[best]
+    best = cost.min()
+    return float(best), side[cost <= best + 1e-9]
 
 
 def cut_capacity(side, terminals, edges):

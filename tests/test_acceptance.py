@@ -18,7 +18,7 @@ from motionseg.coloc import BoundingBox, SuperpixelMap, coloc_segment
 from motionseg.core import GridAdjacency, LabelMap, MotionMask, RgbImage, \
     ScoreMap, argmax_labels
 from motionseg.energy import BoundaryBand, EnergyModel, PairwiseParams, \
-    minimize_binary, minimize_expansion, potts_weight, total_energy
+    minimize_binary, minimize_expansion, total_energy
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.inference import InferenceParams, hard_assign, infer_labels
 from motionseg.io import manifest_to_dict, parse_manifest, read_image, \
@@ -37,8 +37,8 @@ from motionseg.synthetic import corrupted_mask_scene
 from helpers import flow_network, random_flow_network, random_model, \
     random_scores
 from oracles import all_labelings, brute_force_min_cut, enumerate_minimum, \
-    fd_loss_gradient, potts_energies, prune_oracle, sample_oracle, \
-    select_oracle
+    fd_loss_gradient, potts_energies, potts_weight, prune_oracle, \
+    sample_oracle, select_oracle
 
 
 def _softmax(logits):

@@ -24,7 +24,6 @@ from motionseg.energy import (
     EnergyModel,
     PairwiseParams,
     minimize_binary,
-    potts_weight,
 )
 from motionseg.errors import EmptyBackground, EmptyForeground
 from motionseg.gmm import FgBgGmm, Gmm, nll
@@ -33,7 +32,7 @@ from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import cut_capacity_of, random_image, recorded_cuts
 from oracles import (all_labelings, cluster_means, flood_label, merge_bounded,
-                     potts_energies)
+                     potts_energies, potts_weight)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 

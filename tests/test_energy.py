@@ -16,7 +16,6 @@ from motionseg.energy import (
     build_energy,
     minimize_binary,
     minimize_expansion,
-    potts_weight,
     total_energy,
 )
 from motionseg.errors import (
@@ -24,11 +23,12 @@ from motionseg.errors import (
     LabelNotAllowed,
     WrongLabelCount,
 )
-from motionseg.gmm import FgBgGmm, Gmm, fit_fgbg_from_motion, fit_gmm, nll
+from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.synthetic import two_object_scene
 
-from helpers import cut_capacity_of, random_model, random_scores, recorded_cuts
-from oracles import enumerate_minimum
+from helpers import (cut_capacity_of, fit_fgbg_from_motion, random_model,
+                     random_scores, recorded_cuts)
+from oracles import enumerate_minimum, potts_weight
 
 
 def _no_band(h, w):

@@ -16,7 +16,6 @@ from motionseg.gmm import (
     _logsumexp,
     _m_step,
     fit_fgbg,
-    fit_fgbg_from_motion,
     fit_gmm,
     frame_distance_weight,
     motion_color_samples,
@@ -24,6 +23,7 @@ from motionseg.gmm import (
 )
 from motionseg.synthetic import blob_video_frames
 
+from helpers import fit_fgbg_from_motion
 from oracles import gaussian_mixture_nll, weighted_gaussians
 
 

@@ -35,8 +35,6 @@ def test_params_validation():
         InferenceParams(prediction_weight=-0.5)
     with pytest.raises(ValueError):
         InferenceParams(iterations=0)
-    fine = InferenceParams().finetune_mode()
-    assert fine.prediction_weight == 2.0
 
 
 def test_perfect_mask_recovers_itself_and_matches_enumeration():

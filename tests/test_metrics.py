@@ -60,19 +60,6 @@ def test_accumulation_is_order_invariant():
     assert np.allclose(a.iou_by_class(), b.iou_by_class(), equal_nan=True)
 
 
-def test_merge_equals_joint_accumulation():
-    rng = np.random.default_rng(61)
-    pairs = [(rng.integers(0, 2, (4, 4)), rng.integers(0, 2, (4, 4)))
-             for _ in range(4)]
-    joint = ConfusionAccumulator.zeros(2)
-    parts = [ConfusionAccumulator.zeros(2) for _ in range(2)]
-    for k, (p, t) in enumerate(pairs):
-        accumulate_iou(joint, _lm(p), _lm(t))
-        accumulate_iou(parts[k % 2], _lm(p), _lm(t))
-    merged = parts[0].merge(parts[1])
-    assert np.allclose(merged.iou_by_class(), joint.iou_by_class())
-
-
 def test_ignore_value_skips_pixels():
     truth = np.array([[1, VOID_LABEL], [0, VOID_LABEL]], dtype=np.int32)
     pred = np.array([[1, 0], [0, 1]], dtype=np.int32)

@@ -16,7 +16,6 @@ from motionseg.predictor import (
     FEATURE_COUNT,
     ToyModel,
     ToyTrainConfig,
-    batch_loss,
     color_features,
     load_model,
     predict,
@@ -25,7 +24,7 @@ from motionseg.predictor import (
     train_loop,
 )
 
-from helpers import random_image
+from helpers import batch_loss, random_image
 
 
 def _weights(cw=(1.0, 1.0)):
