@@ -240,10 +240,15 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     to label a" and solves it exactly as a binary cut; labels are swept in
     ascending order. A move is accepted only when it strictly lowers the
     energy, so the energy is non-increasing across moves; passing
-    ``energy_trace`` records the energy after every move. Terminates after
-    ``sweeps`` full passes or when a pass brings no strict decrease.
+    ``energy_trace`` records the energy after every move run. Stops once
+    every label's move has run since the last acceptance, that move
+    included: a rejected move changes nothing, and each a-expansion of an
+    accepted a-move's result is one of the labeling before it. That gives
+    the labeling of whole sweeps with fewer ``energy_trace`` entries.
+    ``sweeps`` caps the moves at ``sweeps`` times the label count.
     """
-    if len(m.allowed_labels) < 2:
+    labels = len(m.allowed_labels)
+    if labels < 2:
         raise WrongLabelCount("expansion needs at least 2 allowed labels")
     if init is None:
         cols = np.argmin(m.unary, axis=1)
@@ -253,30 +258,31 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     e0, e1 = edges[:, 0], edges[:, 1]
     energy = _energy_of_columns(m, cols)
 
-    for _ in range(max(1, sweeps)):
-        improved = False
-        for a in range(len(m.allowed_labels)):
-            ci, cj = cols[e0], cols[e1]
-            theta0 = m.unary[np.arange(len(cols)), cols]  # keep
-            theta1 = m.unary[:, a].copy()                 # switch to a
-            # pairwise reparameterization:
-            #   E(0,0)=w[ci!=cj]  E(0,1)=w[ci!=a]  E(1,0)=w[cj!=a]  E(1,1)=0
-            w_keep = m.pairwise * (ci != cj)   # A
-            w_i = m.pairwise * (ci != a)       # B
-            w_j = m.pairwise * (cj != a)       # C
-            np.add.at(theta1, e0, w_j - w_keep)
-            np.add.at(theta1, e1, -w_j)
-            cap = w_i + w_j - w_keep           # >= 0 for Potts
-            # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
-            y = _solve_binary_columns(theta0, theta1, edges[:, ::-1], cap, 0.0)
-            candidate = np.where(y, a, cols)
-            cand_energy = _energy_of_columns(m, candidate)
-            if cand_energy < energy:
-                cols = candidate
-                energy = cand_energy
-                improved = True
-            if energy_trace is not None:
-                energy_trace.append(energy)
-        if not improved:
+    unchanged = 0  # moves run since the last accepted one, counting it
+    for move in range(max(1, sweeps) * labels):
+        a = move % labels
+        ci, cj = cols[e0], cols[e1]
+        theta0 = m.unary[np.arange(len(cols)), cols]  # keep
+        theta1 = m.unary[:, a].copy()                 # switch to a
+        # pairwise reparameterization:
+        #   E(0,0)=w[ci!=cj]  E(0,1)=w[ci!=a]  E(1,0)=w[cj!=a]  E(1,1)=0
+        w_keep = m.pairwise * (ci != cj)   # A
+        w_i = m.pairwise * (ci != a)       # B
+        w_j = m.pairwise * (cj != a)       # C
+        np.add.at(theta1, e0, w_j - w_keep)
+        np.add.at(theta1, e1, -w_j)
+        cap = w_i + w_j - w_keep           # >= 0 for Potts
+        # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
+        y = _solve_binary_columns(theta0, theta1, edges[:, ::-1], cap, 0.0)
+        candidate = np.where(y, a, cols)
+        cand_energy = _energy_of_columns(m, candidate)
+        if cand_energy < energy:
+            cols = candidate
+            energy = cand_energy
+            unchanged = 0
+        unchanged += 1
+        if energy_trace is not None:
+            energy_trace.append(energy)
+        if unchanged == labels:
             break
     return _columns_to_labelmap(m, cols)

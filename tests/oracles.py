@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration, explicit
 loops, textbook formulas. No code is shared with the package beyond its
-public data types, so agreement is meaningful evidence.
+public data types, so agreement is meaningful evidence; the one exception,
+``expansion_full_sweeps``, says why.
 """
 
 import numpy as np
@@ -61,6 +62,73 @@ def potts_weight(z_i, z_j, i, j, band, p):
     d2 = float(((z_i - z_j) ** 2).sum())
     dist = float(np.hypot(i[0] - j[0], i[1] - j[1]))
     return p.smoothness * np.exp(-p.contrast_scale * d2) / dist
+
+
+def expansion_full_sweeps(m, init=None, sweeps=5, energy_trace=None):
+    """Expansion moves in whole sweeps over the labels of EnergyModel
+    ``m``, ending after ``sweeps`` sweeps or after a sweep without a strict
+    decrease; returns the column labeling.
+
+    Unlike the rest of this module it reuses the package's move solver and
+    energy (looked up on the module at call time, so recorded cuts see its
+    moves): it checks only when ``minimize_expansion`` may stop.
+    """
+    import motionseg.energy as energy
+    cols = (np.argmin(m.unary, axis=1) if init is None
+            else model_columns(m, init))
+    edges = m.adjacency.edges()
+    e0, e1 = edges[:, 0], edges[:, 1]
+    best = energy._energy_of_columns(m, cols)
+    for _ in range(max(1, sweeps)):
+        improved = False
+        for a in range(len(m.allowed_labels)):
+            ci, cj = cols[e0], cols[e1]
+            theta0 = m.unary[np.arange(len(cols)), cols]
+            theta1 = m.unary[:, a].copy()
+            w_keep = m.pairwise * (ci != cj)
+            w_i = m.pairwise * (ci != a)
+            w_j = m.pairwise * (cj != a)
+            np.add.at(theta1, e0, w_j - w_keep)
+            np.add.at(theta1, e1, -w_j)
+            y = energy._solve_binary_columns(theta0, theta1, edges[:, ::-1],
+                                             w_i + w_j - w_keep, 0.0)
+            candidate = np.where(y, a, cols)
+            cand_energy = energy._energy_of_columns(m, candidate)
+            if cand_energy < best:
+                cols, best, improved = candidate, cand_energy, True
+            if energy_trace is not None:
+                energy_trace.append(best)
+        if not improved:
+            break
+    return cols
+
+
+def seed_centers(img, rows, cols):
+    """SLIC seed centers by a direct loop over the rows x cols grid: each
+    stratum midpoint moves to the first strictly lower-gradient pixel of
+    its 3x3 neighborhood in (dy, dx) scan order, else stays fractional."""
+    h, w = img.height, img.width
+    px = img.pixels
+    grad = np.zeros((h, w))
+    if w > 2:
+        grad[:, 1:-1] += ((px[:, 2:] - px[:, :-2]) ** 2).sum(axis=2)
+    if h > 2:
+        grad[1:-1, :] += ((px[2:, :] - px[:-2, :]) ** 2).sum(axis=2)
+    centers = []
+    for r in range(rows):
+        for c in range(cols):
+            fy = (r + 0.5) * h / rows - 0.5
+            fx = (c + 0.5) * w / cols - 0.5
+            iy = int(np.clip(round(fy), 0, h - 1))
+            ix = int(np.clip(round(fx), 0, w - 1))
+            best = (iy, ix)
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    y, x = iy + dy, ix + dx
+                    if 0 <= y < h and 0 <= x < w and grad[y, x] < grad[best]:
+                        best = (y, x)
+            centers.append((fy, fx) if best == (iy, ix) else best)
+    return centers
 
 
 def brute_force_min_cut(node_count, terminals, edges):

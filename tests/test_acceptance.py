@@ -1,4 +1,4 @@
-"""The release gate: eleven checks, one per shipped guarantee.
+"""The release gate: one check per shipped guarantee, two for training.
 
 Each test exercises one headline property of the library at its stated
 tolerance and prints a single PASS line with the measured numbers (run
@@ -214,9 +214,8 @@ def test_07_iteration_insensitivity(corrupted_suite):
 # 8. end-to-end training improves held-out IoU
 
 
-def _held_out_mean_iou(manifest, model):
-    acc = ConfusionAccumulator.zeros(3)
-    count = 0
+def _held_out_frames(manifest):
+    """(image, ground truth) of every kept frame that was not sampled."""
     for video in manifest.videos:
         for shot in video.shots:
             start, stop = shot.kept_range
@@ -225,11 +224,17 @@ def _held_out_mean_iou(manifest, model):
                 if idx in sampled:
                     continue
                 frame = shot.frames[idx]
-                img = read_image(manifest.resolve(frame.image_path))
-                truth = read_labels(
-                    manifest.resolve(frame.ground_truth_label_path), 3)
-                accumulate_iou(acc, argmax_labels(predict(model, img)), truth)
-                count += 1
+                yield (read_image(manifest.resolve(frame.image_path)),
+                       read_labels(
+                           manifest.resolve(frame.ground_truth_label_path), 3))
+
+
+def _held_out_mean_iou(manifest, model):
+    acc = ConfusionAccumulator.zeros(3)
+    count = 0
+    for img, truth in _held_out_frames(manifest):
+        accumulate_iou(acc, argmax_labels(predict(model, img)), truth)
+        count += 1
     return mean_iou(acc), count
 
 
@@ -249,6 +254,31 @@ def test_08_training_improves_held_out_iou(blob_manifest_path):
     print(f"PASS [8/11] training lifts held-out mean IoU "
           f"{baseline:.4f} -> {trained:.4f} on {held_out} frames "
           f"({elapsed:.1f} s)")
+
+
+def test_08_training_lowers_held_out_nll(blob_manifest_path):
+    # the held-out IoU above is a step function of training progress; the
+    # per-pixel NLL of the ground truth moves with every epoch block
+    manifest = sample_manifest(prune_manifest(read_manifest(
+        blob_manifest_path)))
+    frames = list(_held_out_frames(manifest))
+    uniform = ClassWeights(np.ones(3))
+
+    def mean_nll(model):
+        return sum(weighted_nll_loss(predict(model, img), truth, uniform)[0]
+                   for img, truth in frames) / sum(
+                       truth.labels.size for _, truth in frames)
+
+    params = InferenceParams(iterations=1, gmm_components=2, seed=0)
+    cfg = ToyTrainConfig(learning_rate=0.2, epochs=8, seed=0)
+    model = ToyModel.zeros(3)
+    nlls = [mean_nll(model)]
+    for _ in range(3):
+        model = train_loop(manifest, params, cfg, model)
+        nlls.append(mean_nll(model))
+    assert all(b < a for a, b in zip(nlls, nlls[1:])), nlls
+    print(f"PASS [8/11] held-out mean NLL after 0/8/16/24 epochs "
+          f"{['%.4f' % v for v in nlls]}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import motionseg.coloc
 from motionseg.coloc import (
+    _SLIC_ITERS,
     BoundingBox,
     SuperpixelMap,
     _cluster_means,
     _flood_label,
     _merge_bounded,
+    _seed_centers,
     _split_largest,
     coloc_segment,
     largest_component_box,
@@ -32,7 +35,7 @@ from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import cut_capacity_of, random_image, recorded_cuts
 from oracles import (all_labelings, cluster_means, flood_label, merge_bounded,
-                     potts_energies, potts_weight)
+                     potts_energies, potts_weight, seed_centers)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -118,19 +121,23 @@ def _sha256(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-def test_slic_bytes_are_pinned(tmp_path):
+def _pinned_blob_frame(root):
     manifest = read_manifest(write_blob_dataset(
-        tmp_path, seed=100100, videos_per_category=1, height=112, width=144))
+        root, seed=100100, videos_per_category=1, height=112, width=144))
     frame = manifest.videos[0].shots[0].frames[0]
+    return read_image(manifest.resolve(frame.image_path))
+
+
+def test_slic_bytes_are_pinned(tmp_path):
     cases = [
-        (read_image(manifest.resolve(frame.image_path)), 250,
-         "7c9f88b172648c4ac9578f957b8493087996a8be1d632e1b69a4a0131f7817d0",
-         "e44898eccf71327ac4fdb78ad14ff1b5127a567b361d93d1a5ab448fa401478b",
-         "b33160378dd108039a74275c8379e740847b7fe307e7f4faad1cbc575f80cb1a"),
+        (_pinned_blob_frame(tmp_path), 250,
+         "cb3bdcfa30d6b080bfd9c4d454a1f5e102e93ba076c478e6a466f5f793faa7f2",
+         "8e84fbc4f5b753c0955cf376a67a0356638bd2978bd64e9cfc290c8ec1a1d469",
+         "5d10775ca2e45b348b3050c5bf61dc3c4f65dfdc874474b73f6fa33314ae1c7a"),
         (two_object_scene(0, height=96, width=160).image, 120,
-         "e1af036b366aa7236774bac35d8c983dc1af910f2e97eae44394ca37b77591ea",
-         "594ce5e165d8ac7576ac65e9a709ffe53e87313ff970a2306b376b427ef7b5e9",
-         "9ae153ac967ea7127cc99ca3f6cde710cc0247adab31c48fec0841e7c8059ce0"),
+         "87f6e853590cab041701e507f90097b3cd498cf0f450c415556f5cc4903bfefa",
+         "d9886b7b647ff2f8107462c0336d60d6cf6a2be90bcace8fa1e606bcc41e8cd2",
+         "80539ec3e898b734f932b2bd2d47bc99bfcf4e60c89c685786214a66528686a8"),
         # some centers end an iteration with no pixels and must stay put
         (random_image(np.random.default_rng(60), 8, 9), 12,
          "5b92004921614a1de23b5d4086db6fcf023a09e079f757d60aab93eabd159848",
@@ -142,6 +149,41 @@ def test_slic_bytes_are_pinned(tmp_path):
         assert _sha256(sp.ids) == ids
         assert _sha256(sp.mean_colors) == mean_colors
         assert _sha256(sp.centroids) == centroids
+
+
+def test_slic_stops_on_its_residual_before_the_cap(tmp_path, monkeypatch):
+    calls = []
+    means = motionseg.coloc._cluster_means
+
+    def counted(*args):
+        calls.append(args)
+        return means(*args)
+
+    monkeypatch.setattr(motionseg.coloc, "_cluster_means", counted)
+    slic_superpixels(_pinned_blob_frame(tmp_path), 250)
+    iterations = len(calls) - 1  # the last call measures the final map
+    assert 1 <= iterations < _SLIC_ITERS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.sampled_from(
+    ["random", "flat", "levels"]), st.integers(0, 2**32 - 1), st.data())
+def test_seed_centers_match_loop_oracle(h, w, kind, seed, data):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        px = rng.random((h, w, 3))
+    elif kind == "flat":  # every gradient ties
+        px = np.full((h, w, 3), rng.random())
+    else:  # few distinct values: many ties, some strict minima
+        px = rng.integers(0, 3, size=(h, w, 3)) / 2.0
+    rows, cols = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    img = RgbImage(px)
+    got = _seed_centers(img, rows, cols)
+    want = np.array(seed_centers(img, rows, cols), dtype=np.float64)
+    assert got.shape == (rows * cols, 2)
+    assert np.array_equal(got, want)
+    if min(h, w) <= 2:
+        event("a side of at most 2 pixels")
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionseg.core import (
     GridAdjacency,
@@ -28,7 +30,7 @@ from motionseg.synthetic import two_object_scene
 
 from helpers import (cut_capacity_of, fit_fgbg_from_motion, random_model,
                      random_scores, recorded_cuts)
-from oracles import enumerate_minimum, potts_weight
+from oracles import enumerate_minimum, expansion_full_sweeps, potts_weight
 
 
 def _no_band(h, w):
@@ -322,6 +324,47 @@ def test_expansion_energy_trace_is_monotone():
         assert abs(trace[-1] - total_energy(m, out)) <= 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 5), st.booleans())
+def test_expansion_stops_with_the_full_sweep_labels(seed, labels, h, w,
+                                                    sweeps, with_init):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, h, w, tuple(range(labels)),
+                     pairwise_scale=float(rng.uniform(0.1, 1.5)))
+    init = (LabelMap(rng.choice(m.allowed_labels, size=(h, w)))
+            if with_init else None)
+    trace, want_trace = [], []
+    out = minimize_expansion(m, init=init, sweeps=sweeps, energy_trace=trace)
+    want = expansion_full_sweeps(m, init, sweeps, want_trace)
+    assert np.array_equal(out.labels.ravel(), want)
+    assert 1 <= len(trace) <= len(want_trace)
+    assert (np.diff(trace) <= 0).all()
+    assert trace[-1] == total_energy(m, out)
+
+
+def _two_object_model():
+    """The energy of a 96x160 two-object scene at the multi-label
+    benchmark's settings."""
+    scene = two_object_scene(5, height=96, width=160, confidence=0.45,
+                             noise=0.15)
+    gmms = fit_fgbg_from_motion([(scene.image, scene.mask)], 0, n_components=1)
+    params = PairwiseParams()
+    band = boundary_band_from_mask(scene.mask, params.boundary_band)
+    return build_energy(scene.image, gmms, scene.scores, (0, 1, 2), 1.0,
+                        params, band)
+
+
+def test_expansion_skips_moves_that_cannot_change_the_labels(monkeypatch):
+    m = _two_object_model()
+    cuts = recorded_cuts(monkeypatch)
+    out = minimize_expansion(m)
+    ran = len(cuts)
+    want = expansion_full_sweeps(m)
+    assert ran < len(cuts) - ran
+    assert np.array_equal(out.labels.ravel(), want)
+
+
 def test_expansion_never_above_init():
     rng = np.random.default_rng(30)
     for _ in range(10):
@@ -386,13 +429,7 @@ def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
 
 
 def test_expansion_move_cut_certificates_on_two_object_scene(monkeypatch):
-    scene = two_object_scene(5, height=96, width=160, confidence=0.45,
-                             noise=0.15)
-    gmms = fit_fgbg_from_motion([(scene.image, scene.mask)], 0, n_components=1)
-    params = PairwiseParams()
-    band = boundary_band_from_mask(scene.mask, params.boundary_band)
-    m = build_energy(scene.image, gmms, scene.scores, (0, 1, 2), 1.0, params,
-                     band)
+    m = _two_object_model()
     cuts = recorded_cuts(monkeypatch)
     minimize_expansion(m, sweeps=1)
     assert len(cuts) == 3  # one move per label
