@@ -340,7 +340,8 @@ def _read_boxes_csv(path):
                 frame, *box = (row[k] for k in need)
                 # an empty x_min marks a frame without a box
                 boxes[frame] = BoundingBox(*map(int, box)) if box[0] else None
-        except csv.Error as e:  # e.g. a field over csv's size limit
+        except (csv.Error, ValueError) as e:
+            # a field over csv's size limit, bad UTF-8, a bad coordinate
             raise SchemaError(f"{path}, line {reader.line_num}: {e}") from e
     return boxes
 

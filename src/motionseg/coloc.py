@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import GridAdjacency, LabelMap, RgbImage, check_same_shape
 from .energy import PairwiseParams, _solve_binary_columns
@@ -26,8 +25,6 @@ _SLIC_ITERS = 10
 _SLIC_TOL = 0.03
 _SLIC_COLOR_SCALE = 100.0
 DEFAULT_COMPACTNESS = 10.0
-
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -133,19 +130,36 @@ def _seed_centers(img, rows, cols):
 
 
 def _flood_label(ids):
-    """Relabel 4-connected equal-value components in raster discovery
-    order; returns (label map, component count).
+    """Number the 4-connected equal-value components of ``ids`` by their
+    first pixel in raster order; returns (label map, component count).
 
-    Pixels sit at the even cells of a (2h-1)x(2w-1) grid, joined by the
-    cell between two 4-neighbors when their ids agree. A component's first
-    cell in raster order is a pixel, so labels follow pixel discovery."""
+    Works on row runs of equal value, numbered in raster order. A run is
+    linked to each run below it that carries its value, and every tree
+    root hooks onto the smallest root it shares a link with, until no link
+    joins two trees. A root is then its component's first run."""
     h, w = ids.shape
-    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    grid[::2, ::2] = True
-    grid[::2, 1::2] = ids[:, 1:] == ids[:, :-1]
-    grid[1::2, ::2] = ids[1:, :] == ids[:-1, :]
-    lab, count = ndimage.label(grid, structure=FOUR_CONNECTED)
-    return (lab[::2, ::2] - 1).astype(np.int32), count
+    start = np.ones((h, w), dtype=bool)
+    start[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    run = np.cumsum(start).reshape(h, w) - 1
+    # one link per vertical pair of equal pixels, except where the upper
+    # run also holds the equal pair to its left (then so does the lower)
+    down = ids[1:] == ids[:-1]
+    link = down.copy()
+    link[:, 1:] &= ~(down[:, :-1] & ~start[:-1, 1:])
+    a, b = run[:-1][link], run[1:][link]
+    parent = np.arange(run[-1, -1] + 1)
+    while len(a):
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        a, b = parent[a], parent[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    number = np.cumsum(parent == np.arange(len(parent))) - 1
+    return number[parent][run].astype(np.int32), int(number[-1]) + 1
 
 
 def _split_largest(out, count):
@@ -384,10 +398,8 @@ def largest_component_box(x: LabelMap):
     fg = x.labels > 0
     if not fg.any():
         return None
-    comp, count = ndimage.label(fg, structure=FOUR_CONNECTED)
-    sizes = np.bincount(comp.ravel(), minlength=count + 1)
-    sizes[0] = 0
-    best = int(np.argmax(sizes))  # scipy labels in raster order of discovery
+    comp, count = _flood_label(fg)
+    best = int(np.argmax(np.bincount(comp[fg], minlength=count)))
     rows, cols = np.nonzero(comp == best)
     return BoundingBox(int(cols.min()), int(rows.min()),
                        int(cols.max()), int(rows.max()))

@@ -18,7 +18,6 @@ problems with expansion moves (each move is one exact binary cut).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .core import GridAdjacency, LabelMap, MotionMask, RgbImage, ScoreMap
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
@@ -77,6 +76,15 @@ class BoundaryBand:
         return self.band.shape[1]
 
 
+def _window_any(a, r):
+    """OR of ``a`` over the windows of half-width ``r`` along its rows."""
+    w = a.shape[1]
+    c = np.zeros((a.shape[0], w + 1), dtype=np.int64)
+    np.cumsum(a, axis=1, out=c[:, 1:])
+    x = np.arange(w)
+    return c[:, np.minimum(x + r + 1, w)] > c[:, np.maximum(x - r, 0)]
+
+
 def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
     """Band of all pixels within Chebyshev distance ``half_width`` of a
     mask boundary pixel (a pixel with a 4-neighbor of opposite value)."""
@@ -90,8 +98,8 @@ def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
     edge[:-1, :] |= diff
     if half_width > 0 and edge.any():
         # a wider band than the frame covers no more of it
-        size = 2 * min(half_width, max(m.shape)) + 1
-        edge = binary_dilation(edge, structure=np.ones((size, size), dtype=bool))
+        r = min(half_width, max(m.shape))
+        edge = _window_any(_window_any(edge, r).T, r).T
     return BoundaryBand(edge)
 
 

@@ -41,6 +41,10 @@ class NonBinaryMask(MotionSegError):
     """A mask file contains a value other than 0 or 255."""
 
 
+class NonFiniteValue(MotionSegError):
+    """A checkpoint holds a NaN or infinite weight."""
+
+
 class LabelOutOfRange(MotionSegError):
     """A label file contains an index outside the label set."""
 

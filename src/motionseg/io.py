@@ -65,7 +65,10 @@ def _parse_pnm_header(data: bytes, magic: bytes, path):
             start = pos
             while pos < len(data) and data[pos:pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            try:
+                fields.append(int(data[start:pos]))
+            except ValueError as e:  # past int()'s digit limit
+                raise BadDimensions(f"{path}: header number too long") from e
         else:
             raise BadMagic(f"{path}: unexpected byte {c!r} in header")
     width, height, maxval = fields
@@ -342,6 +345,8 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
         _require(isinstance(categories, list) and categories
                  and _str_list(categories),
                  "categories must be a nonempty list of strings")
+        _require(len(set(categories)) == len(categories),
+                 "categories must be unique")
         unknown = set(weak) - set(categories)
         if unknown:
             raise UnknownLabel(f"weak labels not in categories: {sorted(unknown)}")
@@ -383,7 +388,7 @@ def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
         raise SchemaError(f"{path}: invalid JSON: {e}") from e
     return parse_manifest(doc, base_dir=path.parent)
 

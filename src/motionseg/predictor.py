@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import RgbImage, ScoreMap, argmax_labels
-from .errors import BadDimensions, ZeroCount
+from .errors import BadDimensions, NonFiniteValue, ZeroCount
 from .inference import InferenceParams, infer_labels
 from .io import DatasetManifest, read_image, read_mask, read_tensor, write_tensor
 from .loss import ClassWeights, class_weights, weighted_nll_loss
@@ -142,6 +142,8 @@ def load_model(path) -> ToyModel:
     classes, features = weights.shape
     if classes < 2 or features != FEATURE_COUNT:
         raise BadDimensions(f"{path}: bad shape {classes}x{features}")
+    if not np.isfinite(weights).all():
+        raise NonFiniteValue(f"{path}: weights must be finite")
     return ToyModel(weights, np.zeros_like(weights))
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_erosion
 
 from .core import LabelMap, LabelSet, MotionMask, RgbImage, ScoreMap
 from .io import (
@@ -62,6 +61,14 @@ def _shift(mask, dy, dx):
     return out
 
 
+def _erode(mask):
+    """One-pixel erosion by the 4-neighbor cross; pixels outside the frame
+    count as 0."""
+    m = np.pad(mask, 1)
+    return (m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1]
+            & m[1:-1, :-2] & m[1:-1, 2:])
+
+
 def _corrupt_mask(truth, rng):
     """Degrade a binary mask into the target IoU band against itself.
 
@@ -73,10 +80,10 @@ def _corrupt_mask(truth, rng):
     direction = rng.integers(4)
     step = ((-1, 0), (1, 0), (0, -1), (0, 1))[direction]
     candidates = []
-    for erosions in ((1, 0) if erode_first else (0, 1)):
+    for erode in (erode_first, not erode_first):
         base = truth
-        if erosions:
-            base = binary_erosion(truth, iterations=erosions)
+        if erode:
+            base = _erode(truth)
             if not base.any():
                 continue
         for d in range(0, max(truth.shape)):
@@ -216,7 +223,7 @@ def blob_video_frames(seed, category, frame_count=26, height=24, width=30,
         pixels = np.clip(pixels + rng.normal(0.0, noise, pixels.shape), 0.0, 1.0)
         mask = disk
         if disk.any() and t % 2 == 1:
-            eroded = binary_erosion(disk)
+            eroded = _erode(disk)
             if eroded.any():
                 mask = eroded
         images.append(RgbImage(pixels))

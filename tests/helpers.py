@@ -1,6 +1,7 @@
 """Small builders shared across test modules."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 import motionseg.energy
 from motionseg.core import GridAdjacency, RgbImage, ScoreMap
@@ -9,6 +10,14 @@ from motionseg.gmm import DEFAULT_COMPONENTS, fit_fgbg, motion_color_samples
 from motionseg.loss import weighted_nll_loss
 from motionseg.maxflow import SINK, FlowNetwork
 from motionseg.predictor import predict
+
+
+@st.composite
+def binary_masks(draw):
+    """Boolean (h, w) masks with sides of 1 to 12 pixels."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=bool).reshape(h, w)
 
 
 def random_image(rng, height, width):

@@ -467,6 +467,33 @@ def test_box_tightness():
         assert fg[box.y_max, box.x_min:box.x_max + 1].any()
 
 
+@settings(max_examples=300, deadline=None)
+@given(_id_maps())
+def test_box_matches_scipy_label_reference(ids):
+    comp, count = ndimage.label(ids > 0, structure=FOUR)
+    got = largest_component_box(LabelMap(ids))
+    if count == 0:
+        assert got is None
+        return
+    sizes = np.bincount(comp.ravel())[1:]
+    best = int(np.argmax(sizes)) + 1  # scipy numbers by first pixel
+    rows, cols = np.nonzero(comp == best)
+    assert got == BoundingBox(int(cols.min()), int(rows.min()),
+                              int(cols.max()), int(rows.max()))
+    if (sizes == sizes.max()).sum() > 1:
+        event("equal-size tie")
+
+
+def test_flood_label_matches_bfs_oracle_on_large_maps():
+    # components spanning many row runs take several hooking rounds
+    rng = np.random.default_rng(61)
+    for p in (0.45, 0.55, 0.6):
+        ids = (rng.random((48, 64)) < p).astype(np.int32)
+        got, count = _flood_label(ids)
+        want, want_count = flood_label(ids)
+        assert count == want_count and np.array_equal(got, want)
+
+
 def test_bounding_box_validation():
     with pytest.raises(ValueError):
         BoundingBox(5, 0, 4, 0)

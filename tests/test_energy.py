@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from motionseg.core import (
     GridAdjacency,
@@ -28,8 +29,8 @@ from motionseg.errors import (
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.synthetic import two_object_scene
 
-from helpers import (cut_capacity_of, fit_fgbg_from_motion, random_model,
-                     random_scores, recorded_cuts)
+from helpers import (binary_masks, cut_capacity_of, fit_fgbg_from_motion,
+                     random_model, random_scores, recorded_cuts)
 from oracles import enumerate_minimum, expansion_full_sweeps, potts_weight
 
 
@@ -122,6 +123,20 @@ def test_boundary_band_matches_direct_dilation():
                     cheb = np.maximum(np.abs(ys - y), np.abs(xs - x)).min()
                     want[y, x] = cheb <= half
         assert np.array_equal(band.astype(bool), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_masks(), st.integers(0, 15))
+def test_boundary_band_matches_scipy_dilation(m, half):
+    p = np.pad(m, 1, mode="edge")  # off-frame neighbors never differ
+    edge = ((p[:-2, 1:-1] != m) | (p[2:, 1:-1] != m)
+            | (p[1:-1, :-2] != m) | (p[1:-1, 2:] != m))
+    square = np.ones((2 * half + 1, 2 * half + 1), dtype=bool)
+    want = ndimage.binary_dilation(edge, structure=square) if half else edge
+    got = boundary_band_from_mask(MotionMask(m.astype(np.uint8)), half).band
+    assert got.dtype == bool and np.array_equal(got, want)
+    if half >= max(m.shape):
+        event("half-width at least the frame side")
 
 
 def test_band_wider_than_the_frame_is_the_whole_frame():

@@ -5,7 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionseg.cli import _read_boxes_csv
 from motionseg.core import LabelMap, MotionMask, RgbImage, ScoreMap
 from motionseg.errors import (
     BadDimensions,
@@ -14,6 +17,7 @@ from motionseg.errors import (
     LabelOutOfRange,
     MotionSegError,
     NonBinaryMask,
+    NonFiniteValue,
     SchemaError,
     SizeMismatch,
     TruncatedFile,
@@ -27,6 +31,7 @@ from motionseg.io import (
     read_manifest,
     read_mask,
     read_scores,
+    read_tensor,
     write_image,
     write_labels,
     write_manifest,
@@ -372,6 +377,113 @@ def test_manifest_invalid_json(tmp_path):
         p.write_text(text)
         with pytest.raises(SchemaError):
             read_manifest(p)
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzz
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file per reader: name -> (bytes, reader, strict).
+
+    A strict file's every proper prefix is invalid; a boxes CSV cut at a row
+    or digit boundary can still be a valid CSV."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(3)
+    raw = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+    scores = rng.random((3, 4, 3))
+    model = ToyModel(rng.standard_normal((3, FEATURE_COUNT)),
+                     np.zeros((3, FEATURE_COUNT)))
+    doc = _minimal_doc(frame_count=3)
+    doc["videos"][0]["shots"][0].update(kept_range=[0, 3], sampled_indices=[1])
+    doc["videos"][0]["shots"][0]["frames"][1]["ground_truth_box"] = [0, 1, 2, 3]
+    boxes = root / "boxes.csv"
+    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\n"
+                     "v/f0.ppm,1,2,13,20\nv/f1.ppm,,,,\n")
+    cases = {
+        "image": (write_image, RgbImage.from_bytes(raw), read_image),
+        "mask": (write_mask, MotionMask(raw[..., 0] % 2), read_mask),
+        "labels": (write_labels, LabelMap(raw[..., 1] % 3),
+                   lambda p: read_labels(p, 3)),
+        "scores": (write_scores, ScoreMap(scores / scores.sum(axis=2,
+                                                              keepdims=True)),
+                   read_scores),
+        "tensor": (write_scores, ScoreMap(scores),
+                   lambda p: read_tensor(p, b"MSF1", 3)),
+        "model": (save_model, model, load_model),
+        "manifest": (write_manifest, parse_manifest(doc), read_manifest),
+    }
+    files = {"boxes": (boxes, _read_boxes_csv, False)}
+    for name, (write, value, read) in cases.items():
+        write(value, root / name)
+        files[name] = (root / name, read, True)
+    for path, read, _ in files.values():
+        read(path)  # each file starts valid
+    return {name: (path.read_bytes(), read, strict)
+            for name, (path, read, strict) in files.items()}
+
+
+@st.composite
+def _damage(draw, data):
+    """``data`` truncated, or with a few bytes overwritten, inserted or
+    deleted; returns (damaged bytes, whether it is a proper prefix)."""
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "delete"]))
+    if kind == "truncate":
+        # keep the cut before the last non-blank byte, so that a manifest
+        # loses at least its closing brace
+        return data[:draw(st.integers(0, len(data.rstrip()) - 1))], True
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out) - 1))
+        if kind == "overwrite":
+            out[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            out[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif len(out) > 1:
+            del out[at]
+    return bytes(out), False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["image", "mask", "labels", "scores", "tensor",
+                        "model", "manifest", "boxes"]), st.data())
+def test_damaged_files_raise_only_package_errors(valid_files, tmp_path_factory,
+                                                 name, data):
+    good, read, strict = valid_files[name]
+    damaged, prefix = data.draw(_damage(good))
+    p = tmp_path_factory.getbasetemp() / f"damaged_{name}"
+    p.write_bytes(damaged)
+    if prefix and strict:
+        with pytest.raises(MotionSegError):
+            read(p)
+        return
+    try:
+        read(p)
+    except MotionSegError:
+        pass
+
+
+_HEADER = b"frame_path,x_min,y_min,x_max,y_max\n"
+
+
+@pytest.mark.parametrize("name, data, read, err", [
+    ("nan.mtm", b"MTM1 2 %d\n" % FEATURE_COUNT
+     + np.full(2 * FEATURE_COUNT, np.nan, dtype="<f4").tobytes(),
+     load_model, NonFiniteValue),
+    ("wide.ppm", b"P6\n" + b"1" * 5000 + b" 1\n255\n\0\0\0", read_image,
+     BadDimensions),
+    ("dup.json", b'{"categories": ["a", "a"], "videos": []}', read_manifest,
+     SchemaError),
+    ("utf8.json", b'{"videos": [], "x": "\xff"}', read_manifest, SchemaError),
+    ("utf8.csv", _HEADER + b"\xff,1,2,3,4\n", _read_boxes_csv, SchemaError),
+    ("word.csv", _HEADER + b"a,1,2,x,4\n", _read_boxes_csv, SchemaError),
+    ("flipped.csv", _HEADER + b"a,3,2,1,4\n", _read_boxes_csv, SchemaError),
+])
+def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
+    p = tmp_path / name
+    p.write_bytes(data)
+    with pytest.raises(err):
+        read(p)
 
 
 # ---------------------------------------------------------------------------
