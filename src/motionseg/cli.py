@@ -1,12 +1,15 @@
 """Batch command-line frontend.
 
-Every subcommand reads a dataset manifest, writes its outputs under
-``--out``, and, once the run succeeds, a ``run.json`` echoing the fully
-resolved configuration (tool version, subcommand, every flag). Only
-``infer``, ``train-toy`` and ``coloc`` draw random numbers, so only they
-take ``--seed``. Outputs are deterministic: two runs with identical
-run.json files are byte-identical. Errors exit nonzero with a one-line
-JSON object on stderr and write no run.json.
+Every subcommand reads a dataset manifest and writes its outputs under
+``--out``, in this order: its artifacts; then, once they are all written,
+a ``run.json`` echoing the fully resolved configuration (tool version,
+subcommand, every flag); then one JSON summary line on stdout. Each
+handler only computes and writes its artifacts and returns the summary;
+:func:`main` does the rest. Only ``infer``, ``train-toy`` and ``coloc``
+draw random numbers, so only they take ``--seed``. Outputs are
+deterministic: two runs with identical run.json files are byte-identical.
+Errors exit 1 with a one-line JSON object on stderr and write no
+run.json.
 """
 
 import argparse
@@ -83,19 +86,25 @@ _PALETTE = np.array([
 ])
 
 
-def _write_run(args) -> Path:
+def _out_file(args, name) -> Path:
+    """``name`` under ``--out``; the directory is made on a stage's first
+    write, so a stage that fails before writing leaves no ``--out``."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write_json(args, name, doc) -> None:
+    _out_file(args, name).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_run(args) -> None:
     config = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in sorted(vars(args).items()) if k != "func"}
-    doc = {"tool": "motionseg", "version": __version__,
-           "subcommand": args.subcommand, "config": config}
-    (out / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    _write_json(args, "run.json", {"tool": "motionseg", "version": __version__,
+                                   "subcommand": args.subcommand,
+                                   "config": config})
 
 
 def _inference_params(args) -> InferenceParams:
@@ -136,9 +145,12 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
     return Path(root) / Path(*parts).with_suffix(suffix)
 
 
-def _rebase_manifest(manifest, out: Path):
-    """Rewrite frame paths relative to ``out`` so a manifest written there
-    keeps resolving to the original dataset files."""
+def _write_rebased(args, manifest) -> None:
+    """Write ``manifest`` as ``--out``/manifest.json, its frame paths
+    rewritten relative to ``--out`` so they keep resolving to the original
+    dataset files."""
+    path = _out_file(args, "manifest.json")
+    out = path.parent
 
     def reb(rel):
         if rel is None:
@@ -154,33 +166,29 @@ def _rebase_manifest(manifest, out: Path):
                 for f in s.frames)
             shots.append(replace(s, frames=frames))
         videos.append(replace(v, shots=tuple(shots)))
-    return replace(manifest, videos=tuple(videos), base_dir=out)
+    write_manifest(replace(manifest, videos=tuple(videos), base_dir=out), path)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_prune(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_prune(args, manifest):
     params = PruneParams(min_frames=args.min_frames,
                          min_foreground=args.min_foreground,
                          max_foreground=args.max_foreground,
                          min_run=args.min_run)
     before = len(manifest.shots())
     pruned = prune_manifest(manifest, params)
-    out = _write_run(args)
-    write_manifest(_rebase_manifest(pruned, out), out / "manifest.json")
-    _emit({"shots_in": before, "shots_kept": len(pruned.shots())})
+    _write_rebased(args, pruned)
+    return {"shots_in": before, "shots_kept": len(pruned.shots())}
 
 
-def _cmd_sample(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_sample(args, manifest):
     params = PruneParams(samples_per_shot=args.samples)
     sampled = sample_manifest(manifest, params)
-    out = _write_run(args)
-    write_manifest(_rebase_manifest(sampled, out), out / "manifest.json")
-    _emit({"shots": len(sampled.shots()), "samples_per_shot": args.samples})
+    _write_rebased(args, sampled)
+    return {"shots": len(sampled.shots()), "samples_per_shot": args.samples}
 
 
 def _write_label_maps(args, manifest, label_shot):
@@ -197,13 +205,11 @@ def _write_label_maps(args, manifest, label_shot):
             dest.parent.mkdir(parents=True, exist_ok=True)
             write_labels(lab, dest)
         done += len(frames)
-    _write_run(args)
-    _emit({"shots": len(shots), "frames": done})
+    return {"shots": len(shots), "frames": done}
 
 
-def _cmd_infer(args):
+def _cmd_infer(args, manifest):
     params = _inference_params(args)
-    manifest = read_manifest(args.manifest)
     model = _manifest_model(args, manifest)
 
     def label_shot(video, frames, masks):
@@ -213,28 +219,25 @@ def _cmd_infer(args):
         return infer_labels(list(zip(imgs, masks, scores)),
                             manifest.weak_indices(video), params)
 
-    _write_label_maps(args, manifest, label_shot)
+    return _write_label_maps(args, manifest, label_shot)
 
 
-def _cmd_hard_assign(args):
-    manifest = read_manifest(args.manifest)
-    _write_label_maps(args, manifest, lambda video, frames, masks:
-                      hard_assign(masks, manifest.weak_indices(video)))
+def _cmd_hard_assign(args, manifest):
+    return _write_label_maps(args, manifest, lambda video, frames, masks:
+                             hard_assign(masks, manifest.weak_indices(video)))
 
 
-def _cmd_train_toy(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_train_toy(args, manifest):
     # every ToyTrainConfig field is a train-toy option of the same name
     cfg = ToyTrainConfig(**{f.name: getattr(args, f.name)
                             for f in fields(ToyTrainConfig)})
     model = train_loop(manifest, _inference_params(args), cfg)
-    out = _write_run(args)
-    save_model(model, out / "model.mtm")
-    _emit({"classes": model.num_labels, "model": str(out / "model.mtm")})
+    path = _out_file(args, "model.mtm")
+    save_model(model, path)
+    return {"classes": model.num_labels, "model": str(path)}
 
 
-def _cmd_select_finetune(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_select_finetune(args, manifest):
     if (args.model is None) == (args.labels is None):
         raise SchemaError("give exactly one of --model or --labels")
     model = _manifest_model(args, manifest)
@@ -252,16 +255,13 @@ def _cmd_select_finetune(args):
         overlaps.setdefault(video.video_id, {})[shot.shot_id] = (
             shot_overlap(masks, predicted))
     picks = select_finetune_shots(overlaps, args.overlap_threshold)
-    out = _write_run(args)
-    doc = {"selection": picks, "overlaps": overlaps}
-    (out / "selection.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _emit({"selected": sum(1 for v in picks.values() if v is not None),
-           "videos": len(picks)})
+    _write_json(args, "selection.json",
+                {"selection": picks, "overlaps": overlaps})
+    return {"selected": sum(1 for v in picks.values() if v is not None),
+            "videos": len(picks)}
 
 
-def _cmd_coloc(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_coloc(args, manifest):
     model = _manifest_model(args, manifest)
     # the superpixel graph has no motion boundary, so no band
     pairwise = PairwiseParams(smoothness=args.smoothness,
@@ -285,12 +285,12 @@ def _cmd_coloc(args):
             else:
                 rows.append((frame.image_path, box.x_min, box.y_min,
                              box.x_max, box.y_max))
-    out = _write_run(args)
-    with open(out / "boxes.csv", "w", newline="") as fh:
+    path = _out_file(args, "boxes.csv")
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame_path", "x_min", "y_min", "x_max", "y_max"])
         writer.writerows(rows)
-    _emit({"frames": len(rows), "boxes": str(out / "boxes.csv")})
+    return {"frames": len(rows), "boxes": str(path)}
 
 
 def _frames_for_eval(manifest, sampled_only):
@@ -300,8 +300,7 @@ def _frames_for_eval(manifest, sampled_only):
             yield video, frame
 
 
-def _cmd_eval_iou(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_eval_iou(args, manifest):
     acc = ConfusionAccumulator.zeros(len(manifest.label_set))
     frames = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
@@ -318,10 +317,8 @@ def _cmd_eval_iou(args):
                                     acc.iou_by_class())}
     report = {"frames": frames, "per_class_iou": per_class,
               "mean_iou": mean_iou(acc)}
-    out = _write_run(args)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _emit({"frames": frames, "mean_iou": report["mean_iou"]})
+    _write_json(args, "report.json", report)
+    return {"frames": frames, "mean_iou": report["mean_iou"]}
 
 
 def _read_boxes_csv(path):
@@ -346,8 +343,7 @@ def _read_boxes_csv(path):
     return boxes
 
 
-def _cmd_eval_corloc(args):
-    manifest = read_manifest(args.manifest)
+def _cmd_eval_corloc(args, manifest):
     predicted = _read_boxes_csv(args.boxes)
     pairs = []
     by_class = {}
@@ -365,16 +361,13 @@ def _cmd_eval_corloc(args):
         "per_class_corloc": {name: corloc(p) for name, p in
                              sorted(by_class.items())},
     }
-    out = _write_run(args)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _emit({"frames": len(pairs), "corloc": report["corloc"]})
+    _write_json(args, "report.json", report)
+    return {"frames": len(pairs), "corloc": report["corloc"]}
 
 
-def _cmd_overlay(args):
+def _cmd_overlay(args, manifest):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
-    manifest = read_manifest(args.manifest)
     out = Path(args.out)
     done = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
@@ -392,18 +385,11 @@ def _cmd_overlay(args):
         dest.parent.mkdir(parents=True, exist_ok=True)
         write_image(RgbImage(blend), dest)
         done += 1
-    _write_run(args)
-    _emit({"frames": done})
+    return {"frames": done}
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-
-def _add_common(p):
-    p.add_argument("--manifest", required=True, type=Path,
-                   help="dataset manifest JSON")
-    p.add_argument("--out", required=True, type=Path, help="output directory")
 
 
 def _add_energy(p):
@@ -440,104 +426,85 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"motionseg {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("prune", help="drop shots with unusable motion")
-    _add_common(p)
+    def add(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--manifest", required=True, type=Path,
+                       help="dataset manifest JSON")
+        p.add_argument("--out", required=True, type=Path, help="output directory")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("prune", _cmd_prune, "drop shots with unusable motion")
     p.add_argument("--min-frames", type=int, default=PruneParams.min_frames)
     p.add_argument("--min-foreground", type=float,
                    default=PruneParams.min_foreground)
     p.add_argument("--max-foreground", type=float,
                    default=PruneParams.max_foreground)
     p.add_argument("--min-run", type=int, default=PruneParams.min_run)
-    p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("sample", help="sample frames evenly from kept ranges")
-    _add_common(p)
+    p = add("sample", _cmd_sample, "sample frames evenly from kept ranges")
     p.add_argument("--samples", type=int, default=PruneParams.samples_per_shot)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("infer", help="estimate per-pixel labels per shot")
-    _add_common(p)
+    p = add("infer", _cmd_infer, "estimate per-pixel labels per shot")
     _add_inference(p)
     p.add_argument("--model", type=Path, default=None,
                    help="toy model checkpoint supplying scores")
-    p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("hard-assign", help="copy motion masks into labels")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hard_assign)
+    add("hard-assign", _cmd_hard_assign, "copy motion masks into labels")
 
-    p = sub.add_parser("train-toy", help="run the alternating training loop")
-    _add_common(p)
+    p = add("train-toy", _cmd_train_toy, "run the alternating training loop")
     _add_inference(p)
-    p.add_argument("--epochs", type=int, default=ToyTrainConfig.epochs)
-    p.add_argument("--learning-rate", type=float,
-                   default=ToyTrainConfig.learning_rate)
-    p.add_argument("--momentum", type=float, default=ToyTrainConfig.momentum)
-    p.add_argument("--weight-decay", type=float,
-                   default=ToyTrainConfig.weight_decay)
-    p.add_argument("--decay-every", type=int,
-                   default=ToyTrainConfig.decay_every)
-    p.add_argument("--decay-factor", type=float,
-                   default=ToyTrainConfig.decay_factor)
-    p.add_argument("--finetune-epochs", type=int,
-                   default=ToyTrainConfig.finetune_epochs)
-    p.add_argument("--finetune-prediction-weight", type=float,
-                   default=ToyTrainConfig.finetune_prediction_weight)
-    p.add_argument("--overlap-threshold", type=float,
-                   default=ToyTrainConfig.overlap_threshold)
-    p.set_defaults(func=_cmd_train_toy)
+    for f in fields(ToyTrainConfig):
+        if f.name != "seed":  # --seed comes with the energy options
+            p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                           default=f.default)
 
-    p = sub.add_parser("select-finetune",
-                       help="pick the best-overlapping shot per video")
-    _add_common(p)
+    p = add("select-finetune", _cmd_select_finetune,
+            "pick the best-overlapping shot per video")
     p.add_argument("--model", type=Path, default=None)
     p.add_argument("--labels", type=Path, default=None,
                    help="directory of label maps from infer/hard-assign")
     p.add_argument("--overlap-threshold", type=float,
                    default=ToyTrainConfig.overlap_threshold)
-    p.set_defaults(func=_cmd_select_finetune)
 
-    p = sub.add_parser("coloc", help="co-localization boxes per frame")
-    _add_common(p)
+    p = add("coloc", _cmd_coloc, "co-localization boxes per frame")
     _add_energy(p)
     p.add_argument("--model", type=Path, default=None)
     p.add_argument("--superpixels", type=int, default=1000)
     p.add_argument("--compactness", type=float, default=DEFAULT_COMPACTNESS)
-    p.set_defaults(func=_cmd_coloc)
 
-    p = sub.add_parser("eval-iou", help="mean IoU against ground truth labels")
-    _add_common(p)
+    p = add("eval-iou", _cmd_eval_iou, "mean IoU against ground truth labels")
     p.add_argument("--pred", required=True, type=Path,
                    help="directory of predicted label maps")
     p.add_argument("--ignore-value", type=int, default=VOID_LABEL)
     p.add_argument("--sampled-only", action="store_true",
                    help="restrict to the frames selected per shot")
-    p.set_defaults(func=_cmd_eval_iou)
 
-    p = sub.add_parser("eval-corloc", help="CorLoc against ground truth boxes")
-    _add_common(p)
+    p = add("eval-corloc", _cmd_eval_corloc,
+            "CorLoc against ground truth boxes")
     p.add_argument("--boxes", required=True, type=Path, help="boxes CSV")
     p.add_argument("--sampled-only", action="store_true")
-    p.set_defaults(func=_cmd_eval_corloc)
 
-    p = sub.add_parser("overlay", help="render label maps over frames")
-    _add_common(p)
+    p = add("overlay", _cmd_overlay, "render label maps over frames")
     p.add_argument("--labels", required=True, type=Path)
     p.add_argument("--opacity", type=float, default=0.5)
     p.add_argument("--sampled-only", action="store_true")
-    p.set_defaults(func=_cmd_overlay)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one stage: the handler writes its artifacts and returns its
+    summary; only then are ``run.json`` and the summary line written."""
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        summary = args.func(args, read_manifest(args.manifest))
+        _write_run(args)
     except (MotionSegError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
         return 1
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

@@ -65,7 +65,7 @@ class SuperpixelMap:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Inclusive pixel-coordinate box."""
+    """Inclusive pixel-coordinate box; coordinates are >= 0."""
 
     x_min: int
     y_min: int
@@ -73,8 +73,9 @@ class BoundingBox:
     y_max: int
 
     def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"degenerate box {self}")
+        if not (0 <= self.x_min <= self.x_max
+                and 0 <= self.y_min <= self.y_max):
+            raise ValueError(f"negative or flipped box {self}")
 
     @property
     def area(self) -> int:

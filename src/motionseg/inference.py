@@ -45,8 +45,9 @@ class InferenceParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.prediction_weight < 0:
-            raise ValueError("prediction_weight must be >= 0")
+        if not (np.isfinite(self.prediction_weight)
+                and self.prediction_weight >= 0):
+            raise ValueError("prediction_weight must be finite and >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

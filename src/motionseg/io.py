@@ -268,7 +268,9 @@ def _parse_frame(obj, where) -> FrameRecord:
     if box is not None:
         _require(_int_list(box) and len(box) == 4,
                  f"{where}: ground_truth_box must have 4 integer coordinates")
-        box = tuple(int(v) for v in box)
+        x_min, y_min, x_max, y_max = box = tuple(int(v) for v in box)
+        _require(0 <= x_min <= x_max and 0 <= y_min <= y_max,
+                 f"{where}: ground_truth_box {list(box)} is negative or flipped")
     return FrameRecord(
         image_path=obj["image_path"],
         motion_mask_path=obj["motion_mask_path"],

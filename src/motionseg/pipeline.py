@@ -167,6 +167,8 @@ def select_finetune_shots(overlaps, threshold: float = 0.2) -> dict:
     below ``threshold`` (a best exactly at the threshold is selected).
     Ties take the first shot in mapping order.
     """
+    if not np.isfinite(threshold):
+        raise ValueError("overlap_threshold must be finite")
     picks = {}
     for video_id, per_shot in overlaps.items():
         best_shot, best = None, -np.inf

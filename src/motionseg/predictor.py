@@ -92,6 +92,10 @@ class ToyTrainConfig:
     overlap_threshold: float = 0.2
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "decay_factor",
+                     "finetune_prediction_weight", "overlap_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

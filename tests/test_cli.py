@@ -7,15 +7,20 @@ contract, and determinism.
 """
 
 import argparse
+import io
 import json
 import shutil
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motionseg.cli
 from motionseg import __version__
@@ -466,9 +471,24 @@ def test_options_that_did_nothing_are_gone(ws, tmp_path):
     (["overlay", "--opacity", "2"], "--opacity"),
     (["overlay", "--opacity", "-0.5"], "--opacity"),
     (["coloc", "--smoothness", "nan"], "smoothness"),
+    (["train-toy", "--learning-rate", "nan"], "learning_rate"),
+    (["train-toy", "--learning-rate", "inf"], "learning_rate"),
+    (["train-toy", "--weight-decay", "nan"], "weight_decay"),
+    (["train-toy", "--weight-decay", "inf"], "weight_decay"),
+    (["train-toy", "--decay-factor", "nan"], "decay_factor"),
+    (["train-toy", "--finetune-prediction-weight", "nan"],
+     "finetune_prediction_weight"),
+    (["train-toy", "--finetune-prediction-weight", "inf"],
+     "finetune_prediction_weight"),
+    (["train-toy", "--overlap-threshold", "nan"], "overlap_threshold"),
+    (["train-toy", "--prediction-weight", "nan"], "prediction_weight"),
+    (["infer", "--prediction-weight", "nan"], "prediction_weight"),
+    (["infer", "--prediction-weight", "inf"], "prediction_weight"),
+    (["select-finetune", "--overlap-threshold", "nan"], "overlap_threshold"),
 ])
 def test_bad_numeric_option_is_one_line_json(ws, tmp_path, capsys, argv, name):
-    extra = ["--labels", str(ws.infer_out)] if argv[0] == "overlay" else []
+    extra = (["--labels", str(ws.infer_out)]
+             if argv[0] in ("overlay", "select-finetune") else [])
     rc = main([*argv, *extra, "--manifest", str(ws.sampled_manifest),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -477,6 +497,37 @@ def test_bad_numeric_option_is_one_line_json(ws, tmp_path, capsys, argv, name):
     doc = json.loads(err_lines[0])
     assert doc["error"] == "ValueError" and name in doc["message"]
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+@pytest.mark.parametrize("sub, artifact, extra", [
+    ("prune", "manifest.json", []),
+    ("sample", "manifest.json", []),
+    ("train-toy", "model.mtm", ["--epochs", "1", "--iterations", "1",
+                                "--components", "2"]),
+    ("select-finetune", "selection.json", ["--labels", "hard"]),
+    ("coloc", "boxes.csv", ["--superpixels", "60", "--components", "2"]),
+    ("eval-iou", "report.json", ["--pred", "hard", "--sampled-only"]),
+    ("eval-corloc", "report.json", ["--boxes", "boxes"]),
+])
+def test_failed_artifact_write_leaves_no_run_json(ws, tmp_path, capsys, sub,
+                                                  artifact, extra):
+    # the artifact's path is taken by a directory, so its write fails;
+    # run.json is written only after every artifact, so there is none
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\n")
+    inputs = {"hard": str(ws.hard_out), "boxes": str(boxes)}
+    manifest = ws.manifest if sub == "prune" else ws.sampled_manifest
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    rc = main([sub, "--manifest", str(manifest), "--out", str(out),
+               *(inputs.get(a, a) for a in extra)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "IsADirectoryError"
+    assert captured.out == ""
+    assert not (out / "run.json").exists()
 
 
 def test_band_wider_than_the_frame_runs(ws, tmp_path):
@@ -500,6 +551,20 @@ def test_short_boxes_row_is_one_line_json(ws, tmp_path, capsys):
     doc = json.loads(err_lines[0])
     assert doc["error"] == "SchemaError"
     assert str(boxes) in doc["message"] and "line 2" in doc["message"]
+
+
+def test_negative_box_row_is_located_one_line_json(ws, tmp_path, capsys):
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\na.ppm,-5,2,3,3\n")
+    rc = main(["eval-corloc", "--manifest", str(ws.sampled_manifest),
+               "--boxes", str(boxes), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError"
+    assert str(boxes) in doc["message"] and "line 2" in doc["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_overlong_boxes_field_is_one_line_json(ws, tmp_path, capsys):
@@ -532,6 +597,115 @@ def test_negative_stored_scores_are_one_line_json(ws, tmp_path, capsys):
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "NegativeScore"
+
+
+@pytest.fixture(scope="module")
+def tiny_tree(tmp_path_factory):
+    """A 12x16 blob dataset with every stage's artifacts: the inputs the
+    fuzz test damages, and the runs that read them (without ``--out``)."""
+    root = tmp_path_factory.mktemp("tiny")
+    data = write_blob_dataset(root / "data", seed=3, height=12, width=16,
+                              with_scores=True)
+    pruned, sampled = root / "pruned", root / "sampled"
+    m = str(sampled / "manifest.json")
+    model, labels = str(root / "color.mtm"), str(root / "labels")
+    # red wins on red pixels, blue on blue ones, background elsewhere
+    weights = np.zeros((3, 10))
+    weights[1, 0] = weights[2, 2] = 20.0
+    weights[1, 9] = weights[2, 9] = -10.0
+    save_model(ToyModel(weights, np.zeros((3, 10))), model)
+    energy = ["--iterations", "1", "--components", "1"]
+    coloc = ["coloc", "--manifest", m, "--superpixels", "20",
+             "--components", "1"]
+    runs = {
+        "prune": ["prune", "--manifest", str(data)],
+        "sample": ["sample", "--manifest", str(pruned / "manifest.json"),
+                   "--samples", "2"],
+        "infer": ["infer", "--manifest", m, *energy],
+        "infer-model": ["infer", "--manifest", m, *energy, "--model", model],
+        "hard-assign": ["hard-assign", "--manifest", m],
+        "train-toy": ["train-toy", "--manifest", m, "--epochs", "1", *energy],
+        "select-labels": ["select-finetune", "--manifest", m,
+                          "--labels", labels],
+        "select-model": ["select-finetune", "--manifest", m, "--model", model],
+        "coloc": coloc,
+        "coloc-model": [*coloc, "--model", model],
+        "eval-iou": ["eval-iou", "--manifest", m, "--pred", labels,
+                     "--sampled-only"],
+        "eval-corloc": ["eval-corloc", "--manifest", m, "--sampled-only",
+                        "--boxes", str(root / "boxes" / "boxes.csv")],
+        "overlay": ["overlay", "--manifest", m, "--labels", labels],
+    }
+    # build the tree stage by stage; each run's artifacts feed the next
+    for name, out in (("prune", pruned), ("sample", sampled),
+                      ("infer", labels), ("coloc", root / "boxes")):
+        assert main([*runs[name], "--out", str(out)]) == 0, name
+    frame = data.parent / "red_00" / "frame_008"  # a sampled frame
+    inputs = {"manifest": Path(m), "frame": frame.with_suffix(".ppm"),
+              "mask": Path(f"{frame}_mask.pgm"),
+              "scores": Path(f"{frame}_scores.msf"), "model": Path(model),
+              "boxes": root / "boxes" / "boxes.csv"}
+    return SimpleNamespace(root=root, runs=runs, inputs=inputs)
+
+
+@st.composite
+def _damaged(draw, good, others):
+    """``good`` truncated, with 1-4 bytes garbled, or replaced by another
+    input's bytes; None stands for a directory in the file's place."""
+    kind = draw(st.sampled_from(["truncate", "garble", "replace"]))
+    if kind == "truncate":
+        return good[:draw(st.integers(0, len(good) - 1))]
+    if kind == "replace":
+        return draw(st.sampled_from([*others, None]))
+    out = bytearray(good)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["prune", "sample", "infer", "infer-model",
+                        "hard-assign", "train-toy", "select-labels",
+                        "select-model", "coloc", "coloc-model", "eval-iou",
+                        "eval-corloc", "overlay"]),
+       st.sampled_from(["manifest", "frame", "mask", "scores", "model",
+                        "boxes"]), st.data())
+def test_damaged_input_is_success_or_one_line_json(tiny_tree, run, name, data):
+    """ROADMAP item 6: no input makes a run end in a traceback, a warning
+    or a run.json beside a failure."""
+    argv = tiny_tree.runs[run]
+    target = (Path(argv[argv.index("--manifest") + 1]) if name == "manifest"
+              else tiny_tree.inputs[name])
+    good = target.read_bytes()
+    others = [p.read_bytes() for k, p in tiny_tree.inputs.items() if k != name]
+    damaged = data.draw(_damaged(good, others))
+    out = tiny_tree.root / "fuzz_out"
+    shutil.rmtree(out, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        if damaged is None:
+            target.unlink()
+            target.mkdir()
+        else:
+            target.write_bytes(damaged)
+        with warnings.catch_warnings(), redirect_stdout(stdout), \
+                redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            rc = main([*argv, "--out", str(out)])
+    finally:
+        if target.is_dir():
+            target.rmdir()
+        target.write_bytes(good)
+    if rc == 0:
+        assert (out / "run.json").is_file()
+        assert len(stdout.getvalue().splitlines()) == 1
+        assert isinstance(json.loads(stdout.getvalue()), dict)
+    else:
+        assert rc == 1 and stdout.getvalue() == ""
+        err_lines = stderr.getvalue().splitlines()
+        assert len(err_lines) == 1
+        assert set(json.loads(err_lines[0])) == {"error", "message"}
+        assert not (out / "run.json").exists()
 
 
 def test_module_entrypoint():

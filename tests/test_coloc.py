@@ -495,6 +495,7 @@ def test_flood_label_matches_bfs_oracle_on_large_maps():
 
 
 def test_bounding_box_validation():
-    with pytest.raises(ValueError):
-        BoundingBox(5, 0, 4, 0)
+    for coords in ((5, 0, 4, 0), (0, 5, 0, 4), (-5, 2, 3, 3), (1, -1, 3, 3)):
+        with pytest.raises(ValueError):
+            BoundingBox(*coords)
     assert BoundingBox(1, 2, 3, 5).area == 3 * 4

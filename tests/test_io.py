@@ -328,6 +328,13 @@ def test_manifest_schema_errors():
         doc["videos"][0]["shots"][0]["frames"][1].update(frame_fields)
         with pytest.raises(SchemaError):
             parse_manifest(doc)
+    # a negative or flipped box is named with its location
+    for box in ([-5, 2, 3, 3], [1, -1, 3, 3], [5, 5, 1, 1], [1, 4, 3, 3]):
+        doc = _minimal_doc()
+        doc["videos"][0]["shots"][0]["frames"][1]["ground_truth_box"] = box
+        with pytest.raises(SchemaError, match=r"videos\[0\]\.shots\[0\]"
+                                              r"\.frames\[1\]: ground_truth_box"):
+            parse_manifest(doc)
     bad_videos = [{"video_id": {"x": 1}}, {"video_id": 3},
                   {"weak_labels": [3]}, {"weak_labels": ["car", None]}]
     for video_fields in bad_videos:
@@ -478,6 +485,7 @@ _HEADER = b"frame_path,x_min,y_min,x_max,y_max\n"
     ("utf8.csv", _HEADER + b"\xff,1,2,3,4\n", _read_boxes_csv, SchemaError),
     ("word.csv", _HEADER + b"a,1,2,x,4\n", _read_boxes_csv, SchemaError),
     ("flipped.csv", _HEADER + b"a,3,2,1,4\n", _read_boxes_csv, SchemaError),
+    ("negative.csv", _HEADER + b"a,-5,2,3,3\n", _read_boxes_csv, SchemaError),
 ])
 def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
     p = tmp_path / name
