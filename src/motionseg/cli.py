@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ from .core import (
     validate_score_map,
 )
 from .energy import PairwiseParams
-from .errors import MotionSegError, SchemaError
+from .errors import (EmptyBackground, EmptyForeground, MotionSegError,
+                     SchemaError)
 from .gmm import DEFAULT_COMPONENTS
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
@@ -84,6 +85,9 @@ _PALETTE = np.array([
     (0.60, 0.31, 0.64), (1.00, 0.50, 0.00), (1.00, 1.00, 0.20),
     (0.65, 0.34, 0.16), (0.97, 0.51, 0.75),
 ])
+
+# boxes.csv header; BoundingBox's fields in order, after the frame path
+_BOX_COLUMNS = ["frame_path", "x_min", "y_min", "x_max", "y_max"]
 
 
 def _out_file(args, name) -> Path:
@@ -273,22 +277,24 @@ def _cmd_coloc(args, manifest):
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
         scores = [_frame_scores(manifest, f, model, im)
                   for f, im in zip(frames, imgs)]
-        gmms = seed_gmms_from_scores(imgs, scores, category,
-                                     n_components=args.components,
-                                     seed=args.seed)
+        try:
+            gmms = seed_gmms_from_scores(imgs, scores, category,
+                                         n_components=args.components,
+                                         seed=args.seed)
+        except (EmptyForeground, EmptyBackground):
+            gmms = None  # no confident pixel on one side: no box in the shot
         for frame, img in zip(frames, imgs):
-            sp = slic_superpixels(img, args.superpixels, args.compactness)
-            seg = coloc_segment(img, sp, gmms, pairwise)
-            box = largest_component_box(seg)
-            if box is None:
-                rows.append((frame.image_path, "", "", "", ""))
-            else:
-                rows.append((frame.image_path, box.x_min, box.y_min,
-                             box.x_max, box.y_max))
+            box = None
+            if gmms is not None:
+                sp = slic_superpixels(img, args.superpixels, args.compactness)
+                box = largest_component_box(
+                    coloc_segment(img, sp, gmms, pairwise))
+            rows.append((frame.image_path,
+                         *(astuple(box) if box else ("",) * 4)))
     path = _out_file(args, "boxes.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame_path", "x_min", "y_min", "x_max", "y_max"])
+        writer.writerow(_BOX_COLUMNS)
         writer.writerows(rows)
     return {"frames": len(rows), "boxes": str(path)}
 
@@ -322,23 +328,31 @@ def _cmd_eval_iou(args, manifest):
 
 
 def _read_boxes_csv(path):
-    need = ("frame_path", "x_min", "y_min", "x_max", "y_max")
+    """``boxes.csv`` as frame path -> box, or None for a row whose four
+    coordinates are all empty. The header must be exactly the five column
+    names, every row must have five fields, and coordinates are ASCII
+    digits; anything else is a SchemaError naming the file and line."""
     boxes = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None or set(need) - set(reader.fieldnames):
-                raise SchemaError(f"{path}: boxes CSV needs columns "
-                                  f"{sorted(need)}")
-            for row in reader:
-                if None in row.values():
-                    raise SchemaError(f"{path}, line {reader.line_num}: "
-                                      "boxes CSV rows need 5 fields")
-                frame, *box = (row[k] for k in need)
-                # an empty x_min marks a frame without a box
-                boxes[frame] = BoundingBox(*map(int, box)) if box[0] else None
+            if next(reader, None) != _BOX_COLUMNS:
+                raise SchemaError(f"{path}: boxes CSV needs the header "
+                                  f"{','.join(_BOX_COLUMNS)}")
+            for row in filter(None, reader):  # blank lines are no rows
+                if len(row) != len(_BOX_COLUMNS):
+                    raise ValueError(f"boxes CSV rows need 5 fields, got "
+                                     f"{len(row)}")
+                frame, *box = row
+                if box == [""] * 4:
+                    boxes[frame] = None
+                elif all(c.isascii() and c.isdigit() for c in box):
+                    boxes[frame] = BoundingBox(*map(int, box))
+                else:
+                    raise ValueError(f"coordinates {box} must be ASCII "
+                                     "digits, or all four empty")
         except (csv.Error, ValueError) as e:
-            # a field over csv's size limit, bad UTF-8, a bad coordinate
+            # a field over csv's size limit, bad UTF-8, a bad row or box
             raise SchemaError(f"{path}, line {reader.line_num}: {e}") from e
     return boxes
 

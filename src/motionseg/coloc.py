@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridAdjacency, LabelMap, RgbImage, check_same_shape
+from .core import (GridAdjacency, LabelMap, PixelGrid, RgbImage, _frozen,
+                   check_same_shape)
 from .energy import PairwiseParams, _solve_binary_columns
 from .errors import DimensionMismatch, EmptyBackground, EmptyForeground
 from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, nll
@@ -28,7 +29,7 @@ DEFAULT_COMPACTNESS = 10.0
 
 
 @dataclass(frozen=True)
-class SuperpixelMap:
+class SuperpixelMap(PixelGrid):
     """A partition of the pixel grid into 4-connected superpixels."""
 
     ids: np.ndarray          # (H, W) int32, values 0..S-1
@@ -37,30 +38,19 @@ class SuperpixelMap:
     counts: np.ndarray       # (S,) pixel counts, all >= 1
 
     def __post_init__(self):
-        ids = np.ascontiguousarray(self.ids, dtype=np.int32)
+        ids = np.asarray(self.ids, dtype=np.int32)
         if ids.ndim != 2:
             raise DimensionMismatch(f"expected (H, W) ids, got {ids.shape}")
         s = len(self.counts)
         if ids.min() != 0 or ids.max() != s - 1 or np.any(self.counts < 1):
             raise ValueError("superpixel ids must cover 0..S-1, each nonempty")
-        ids.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", _frozen(ids))
         for name in ("mean_colors", "centroids", "counts"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n_superpixels(self) -> int:
         return len(self.counts)
-
-    @property
-    def height(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ids.shape[1]
 
 
 @dataclass(frozen=True)
@@ -377,15 +367,12 @@ def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
     theta0 = sp.counts * nll(gmms.background, sp.mean_colors)
     theta1 = sp.counts * nll(gmms.foreground, sp.mean_colors)
     edges, boundary = _superpixel_edges(sp)
-    if len(edges):
-        dc = ((sp.mean_colors[edges[:, 0]] - sp.mean_colors[edges[:, 1]]) ** 2
-              ).sum(axis=1)
-        dist = np.sqrt(((sp.centroids[edges[:, 0]]
-                         - sp.centroids[edges[:, 1]]) ** 2).sum(axis=1))
-        weights = (params.smoothness * np.exp(-params.contrast_scale * dc)
-                   / dist * boundary)
-    else:
-        weights = np.zeros(0)
+    dc = ((sp.mean_colors[edges[:, 0]] - sp.mean_colors[edges[:, 1]]) ** 2
+          ).sum(axis=1)
+    dist = np.sqrt(((sp.centroids[edges[:, 0]]
+                     - sp.centroids[edges[:, 1]]) ** 2).sum(axis=1))
+    weights = (params.smoothness * np.exp(-params.contrast_scale * dc)
+               / dist * boundary)
     y = _solve_binary_columns(theta0, theta1, edges, weights, weights)
     return LabelMap(y[sp.ids].astype(np.int32))
 

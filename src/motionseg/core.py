@@ -30,8 +30,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class PixelGrid:
+    """Base of the per-pixel dataclasses. A subclass's first field is its
+    grid array, shaped (H, W) or (H, W, C); ``height`` and ``width`` are
+    that array's first two axes."""
+
+    @property
+    def height(self) -> int:
+        return getattr(self, next(iter(self.__dataclass_fields__))).shape[0]
+
+    @property
+    def width(self) -> int:
+        return getattr(self, next(iter(self.__dataclass_fields__))).shape[1]
+
+
 @dataclass(frozen=True)
-class RgbImage:
+class RgbImage(PixelGrid):
     """An RGB frame with channels normalized to [0, 1]."""
 
     pixels: np.ndarray  # (H, W, 3) float64
@@ -49,17 +63,9 @@ class RgbImage:
         """Build from an (H, W, 3) uint8 array by dividing by 255."""
         return cls(np.asarray(raw, dtype=np.float64) / 255.0)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
-class MotionMask:
+class MotionMask(PixelGrid):
     """A binary foreground/background mask, 1 = moving foreground."""
 
     mask: np.ndarray  # (H, W) uint8 in {0, 1}
@@ -71,14 +77,6 @@ class MotionMask:
         if m.size and not np.isin(m, (0, 1)).all():
             raise ValueError("mask values must be exactly 0 or 1")
         object.__setattr__(self, "mask", _frozen(m.astype(np.uint8)))
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.mask.shape[1]
 
     def foreground_fraction(self) -> float:
         return float(self.mask.mean()) if self.mask.size else 0.0
@@ -116,7 +114,7 @@ class LabelSet:
 
 
 @dataclass(frozen=True)
-class LabelMap:
+class LabelMap(PixelGrid):
     """Per-pixel label indices into an associated LabelSet."""
 
     labels: np.ndarray  # (H, W) int32
@@ -129,17 +127,9 @@ class LabelMap:
             raise ValueError("label indices must be nonnegative")
         object.__setattr__(self, "labels", _frozen(x.astype(np.int32)))
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
 
 @dataclass(frozen=True)
-class ScoreMap:
+class ScoreMap(PixelGrid):
     """Per-pixel per-class prediction scores, channel-last.
 
     Construction checks only the shape; value invariants (nonnegative,
@@ -154,14 +144,6 @@ class ScoreMap:
         if s.ndim != 3 or s.shape[2] < 1:
             raise DimensionMismatch(f"expected (H, W, C) scores, got {s.shape}")
         object.__setattr__(self, "scores", _frozen(s))
-
-    @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
 
     @property
     def channels(self) -> int:

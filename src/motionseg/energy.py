@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridAdjacency, LabelMap, MotionMask, RgbImage, ScoreMap
+from .core import (GridAdjacency, LabelMap, MotionMask, PixelGrid, RgbImage,
+                   ScoreMap, _frozen, check_same_shape)
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
 from .gmm import FgBgGmm, nll
 from .maxflow import SOURCE, FlowNetwork, min_cut
@@ -55,25 +56,16 @@ class PairwiseParams:
 
 
 @dataclass(frozen=True)
-class BoundaryBand:
+class BoundaryBand(PixelGrid):
     """Per-pixel flag, 1 inside the band around motion-segment edges."""
 
     band: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.band, dtype=bool))
+        b = np.asarray(self.band, dtype=bool)
         if b.ndim != 2:
             raise DimensionMismatch(f"expected (H, W) band, got {b.shape}")
-        b.setflags(write=False)
-        object.__setattr__(self, "band", b)
-
-    @property
-    def height(self) -> int:
-        return self.band.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.band.shape[1]
+        object.__setattr__(self, "band", _frozen(b))
 
 
 def _window_any(a, r):
@@ -128,10 +120,8 @@ class EnergyModel:
             raise ValueError("unary costs must be finite")
         if w.size and w.min() < 0:
             raise ValueError("pairwise weights must be >= 0")
-        u.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "unary", u)
-        object.__setattr__(self, "pairwise", w)
+        object.__setattr__(self, "unary", _frozen(u))
+        object.__setattr__(self, "pairwise", _frozen(w))
         object.__setattr__(self, "allowed_labels", tuple(self.allowed_labels))
 
 
@@ -149,10 +139,7 @@ def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
         raise LabelNotAllowed("allowed label set must contain background (0)")
     if len(allowed) < 2:
         raise WrongLabelCount("need at least one object label besides background")
-    if scores.height != img.height or scores.width != img.width:
-        raise DimensionMismatch("image and score map disagree in size")
-    if band.height != img.height or band.width != img.width:
-        raise DimensionMismatch("image and boundary band disagree in size")
+    check_same_shape(img, scores, band)
     if allowed[-1] >= scores.channels:
         raise DimensionMismatch(
             f"label {allowed[-1]} needs {allowed[-1] + 1} score channels, "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ScoreMap, check_same_shape
+from .core import LabelMap, ScoreMap, _frozen, check_same_shape
 from .errors import DimensionMismatch, LabelOutOfRange, ZeroCount
 
 # Probabilities are floored here before the log so a confidently wrong
@@ -31,8 +31,7 @@ class ClassWeights:
             raise ValueError("background weight must be 1")
         if np.any(w <= 0.0) or np.any(w > 1.0):
             raise ValueError("weights must lie in (0, 1]")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def num_labels(self) -> int:

@@ -224,36 +224,27 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     while active:
         p = active.popleft()
         in_active[p] = False
-        if tree[p] == _FREE:
+        tp = tree[p]
+        if tp == _FREE:
             continue
+        # an S node grows along arcs a with residual, a T node along arcs
+        # whose reverse a ^ 1 has it: g is 0 in S and 1 in T, and arc
+        # a ^ g points from the S side to the T side either way
+        g = tp - _S
         connecting = -1
         a = first[p]
-        if tree[p] == _S:
-            while a != -1:
-                if rescap[a] > 0.0:
-                    q = head[a]
-                    tq = tree[q]
-                    if tq == _FREE:
-                        tree[q] = _S
-                        parent[q] = a ^ 1
-                        activate(q)
-                    elif tq == _T:
-                        connecting = a
-                        break
-                a = nxt[a]
-        else:
-            while a != -1:
-                if rescap[a ^ 1] > 0.0:
-                    q = head[a]
-                    tq = tree[q]
-                    if tq == _FREE:
-                        tree[q] = _T
-                        parent[q] = a ^ 1
-                        activate(q)
-                    elif tq == _S:
-                        connecting = a ^ 1
-                        break
-                a = nxt[a]
+        while a != -1:
+            if rescap[a ^ g] > 0.0:
+                q = head[a]
+                tq = tree[q]
+                if tq == _FREE:
+                    tree[q] = tp
+                    parent[q] = a ^ 1
+                    activate(q)
+                elif tq != tp:
+                    connecting = a ^ g
+                    break
+            a = nxt[a]
         if connecting != -1:
             activate(p)  # p may have further growth after the augmentation
             augment(connecting)

@@ -73,12 +73,6 @@ def sample_frames(length: int, count: int):
     return tuple(int((2 * k + 1) * length // (2 * count)) for k in range(count))
 
 
-def shot_foreground_fractions(shot, base_dir) -> np.ndarray:
-    """Per-frame foreground fractions of a shot's motion masks."""
-    return np.array([read_mask(base_dir / f.motion_mask_path).foreground_fraction()
-                     for f in shot.frames])
-
-
 def prune_manifest(manifest: DatasetManifest,
                    params: PruneParams = PruneParams()) -> DatasetManifest:
     """Annotate every surviving shot with its kept_range.
@@ -90,8 +84,9 @@ def prune_manifest(manifest: DatasetManifest,
     for v in manifest.videos:
         shots = []
         for s in v.shots:
-            kept = prune_shot(shot_foreground_fractions(s, manifest.base_dir),
-                              params)
+            kept = prune_shot([
+                read_mask(manifest.resolve(f.motion_mask_path))
+                .foreground_fraction() for f in s.frames], params)
             if kept is not None:
                 shots.append(replace(s, kept_range=kept))
         if shots:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RgbImage, ScoreMap, argmax_labels
+from .core import RgbImage, ScoreMap, _frozen, argmax_labels
 from .errors import BadDimensions, NonFiniteValue, ZeroCount
 from .inference import InferenceParams, infer_labels
 from .io import DatasetManifest, read_image, read_mask, read_tensor, write_tensor
@@ -48,8 +48,7 @@ class ToyModel:
                 raise BadDimensions(f"{name} must be (num_labels, {FEATURE_COUNT})")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(a))
         if self.weights.shape != self.velocity.shape:
             raise BadDimensions("weights and velocity disagree in shape")
 

@@ -386,6 +386,33 @@ def test_coloc_then_eval_corloc(ws, tmp_path, capsys):
     assert _stdout_doc(capsys)["corloc"] == 100.0
 
 
+def test_coloc_shot_without_confident_pixels_gets_empty_rows(tmp_path, capsys):
+    # flat scores put no pixel of one video above 0.5: its frames get the
+    # empty row, and the other video keeps the boxes it had before
+    manifest = write_blob_dataset(tmp_path / "data", seed=5, frame_count=4,
+                                  height=12, width=16, with_scores=True)
+    argv = ["coloc", "--manifest", str(manifest), "--superpixels", "20",
+            "--components", "1"]
+
+    def rows(out):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        assert _stdout_doc(capsys)["frames"] == 8
+        lines = (tmp_path / out / "boxes.csv").read_text().splitlines()[1:]
+        return dict(line.split(",", 1) for line in lines)
+
+    before = rows("before")
+    m = read_manifest(manifest)
+    flat = m.videos[0]
+    for f in flat.shots[0].frames:
+        write_scores(ScoreMap(np.full((12, 16, 3), 1 / 3)),
+                     m.resolve(f.score_map_path))
+    after = rows("after")
+    kept = {p: b for p, b in before.items()
+            if not p.startswith(flat.video_id + "/")}
+    assert len(kept) == 4 and set(kept.values()) != {",,,"}
+    assert after == {**dict.fromkeys(before, ",,,"), **kept} != before
+
+
 def test_overlay_skips_missing_label_maps(ws, tmp_path, capsys):
     # without --sampled-only all 52 frames are visited, but label maps
     # exist only for the 20 sampled ones; the rest are skipped

@@ -317,6 +317,18 @@ def test_unary_dominance_all_foreground():
     assert out.labels.all()
 
 
+@pytest.mark.parametrize("fg_wins", [True, False])
+def test_one_superpixel_has_no_edges_and_a_constant_labeling(fg_wins):
+    img = _half_image()
+    sp = slic_superpixels(img, 1)
+    assert len(motionseg.coloc._superpixel_edges(sp)[0]) == 0
+    near, far = _gmm_at(sp.mean_colors[0]), _gmm_at([0.0, 1.0, 0.0])
+    gmms = (FgBgGmm(foreground=near, background=far) if fg_wins
+            else FgBgGmm(foreground=far, background=near))
+    out = coloc_segment(img, sp, gmms)
+    assert (out.labels == int(fg_wins)).all()
+
+
 def test_opposing_unaries_split_without_smoothing():
     px = np.zeros((1, 2, 3))
     px[0, 0] = [0.9, 0.1, 0.1]

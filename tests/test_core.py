@@ -13,6 +13,8 @@ from motionseg.core import (
     check_same_shape,
     validate_score_map,
 )
+from motionseg.coloc import SuperpixelMap
+from motionseg.energy import BoundaryBand
 from motionseg.errors import DimensionMismatch, NegativeScore, NotNormalized
 
 from helpers import random_scores
@@ -155,6 +157,22 @@ def test_grid_adjacency_edge_count_matches_enumeration():
 def test_grid_adjacency_rejects_degenerate():
     with pytest.raises(DimensionMismatch):
         GridAdjacency(0, 3)
+
+
+@pytest.mark.parametrize("item, grid", [
+    (RgbImage(np.zeros((2, 3, 3))), "pixels"),
+    (MotionMask(np.zeros((2, 3), dtype=np.uint8)), "mask"),
+    (LabelMap(np.zeros((2, 3))), "labels"),
+    (ScoreMap(np.zeros((2, 3, 4))), "scores"),
+    (BoundaryBand(np.zeros((2, 3))), "band"),
+    (SuperpixelMap(np.arange(6).reshape(2, 3), np.zeros((6, 3)),
+                   np.zeros((6, 2)), np.ones(6)), "ids"),
+], ids=["RgbImage", "MotionMask", "LabelMap", "ScoreMap", "BoundaryBand",
+        "SuperpixelMap"])
+def test_frame_size_is_the_grid_arrays_first_two_axes(item, grid):
+    # the grid array is each type's first field; no other field of these
+    # instances starts with (2, 3)
+    assert (item.height, item.width) == getattr(item, grid).shape[:2] == (2, 3)
 
 
 def test_check_same_shape():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionseg.cli import _read_boxes_csv
+from motionseg.coloc import BoundingBox
 from motionseg.core import LabelMap, MotionMask, RgbImage, ScoreMap
 from motionseg.errors import (
     BadDimensions,
@@ -486,12 +487,29 @@ _HEADER = b"frame_path,x_min,y_min,x_max,y_max\n"
     ("word.csv", _HEADER + b"a,1,2,x,4\n", _read_boxes_csv, SchemaError),
     ("flipped.csv", _HEADER + b"a,3,2,1,4\n", _read_boxes_csv, SchemaError),
     ("negative.csv", _HEADER + b"a,-5,2,3,3\n", _read_boxes_csv, SchemaError),
+    ("plus.csv", _HEADER + b"a,+1,2,3,4\n", _read_boxes_csv, SchemaError),
+    ("underscore.csv", _HEADER + b"a,1,2,1_0,4\n", _read_boxes_csv,
+     SchemaError),
+    ("space.csv", _HEADER + b"a,1,2,3, 4\n", _read_boxes_csv, SchemaError),
+    ("arabic.csv", _HEADER + "a,1,2,3,\u0664\n".encode(), _read_boxes_csv,
+     SchemaError),
+    ("six.csv", _HEADER + b"a,1,2,3,4,5\n", _read_boxes_csv, SchemaError),
+    ("partial.csv", _HEADER + b"c,,5,6,7\n", _read_boxes_csv, SchemaError),
+    ("reordered.csv", b"frame_path,y_min,x_min,x_max,y_max\na,1,2,3,4\n",
+     _read_boxes_csv, SchemaError),
 ])
 def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
     p = tmp_path / name
     p.write_bytes(data)
     with pytest.raises(err):
         read(p)
+
+
+def test_boxes_csv_reads_boxes_and_all_empty_rows(tmp_path):
+    p = tmp_path / "boxes.csv"
+    p.write_bytes(_HEADER + b"a,1,2,3,4\nb,,,,\n\nc,0,0,0,0\n")
+    assert _read_boxes_csv(p) == {"a": BoundingBox(1, 2, 3, 4), "b": None,
+                                  "c": BoundingBox(0, 0, 0, 0)}
 
 
 # ---------------------------------------------------------------------------
