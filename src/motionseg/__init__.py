@@ -11,7 +11,6 @@ alternating training loop, co-localization, and IoU/CorLoc scoring.
 __version__ = "0.1.0"
 
 from .coloc import (
-    BoundingBox,
     SuperpixelMap,
     coloc_segment,
     largest_component_box,
@@ -20,6 +19,7 @@ from .coloc import (
 )
 from .core import (
     BACKGROUND,
+    BoundingBox,
     GridAdjacency,
     LabelMap,
     LabelSet,

@@ -26,13 +26,13 @@ import numpy as np
 from . import __version__
 from .coloc import (
     DEFAULT_COMPACTNESS,
-    BoundingBox,
     coloc_segment,
     largest_component_box,
     seed_gmms_from_scores,
     slic_superpixels,
 )
 from .core import (
+    BoundingBox,
     RgbImage,
     ScoreMap,
     argmax_labels,
@@ -364,11 +364,10 @@ def _cmd_eval_corloc(args, manifest):
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
         if frame.ground_truth_box is None:
             continue
-        truth = BoundingBox(*frame.ground_truth_box)
-        pred = predicted.get(frame.image_path)
-        pairs.append((pred, truth))
+        pair = (predicted.get(frame.image_path), frame.ground_truth_box)
+        pairs.append(pair)
         for name in video.weak_labels:
-            by_class.setdefault(name, []).append((pred, truth))
+            by_class.setdefault(name, []).append(pair)
     report = {
         "frames": len(pairs),
         "corloc": corloc(pairs),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridAdjacency, LabelMap, PixelGrid, RgbImage, _frozen,
-                   check_same_shape)
+from .core import (BoundingBox, GridAdjacency, LabelMap, PixelGrid, RgbImage,
+                   _frozen, check_same_shape)
 from .energy import PairwiseParams, _solve_binary_columns
 from .errors import DimensionMismatch, EmptyBackground, EmptyForeground
 from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, nll
@@ -51,25 +51,6 @@ class SuperpixelMap(PixelGrid):
     @property
     def n_superpixels(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Inclusive pixel-coordinate box; coordinates are >= 0."""
-
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
-
-    def __post_init__(self):
-        if not (0 <= self.x_min <= self.x_max
-                and 0 <= self.y_min <= self.y_max):
-            raise ValueError(f"negative or flipped box {self}")
-
-    @property
-    def area(self) -> int:
-        return (self.x_max - self.x_min + 1) * (self.y_max - self.y_min + 1)
 
 
 def _grid_shape(height, width, target):

@@ -151,6 +151,25 @@ class ScoreMap(PixelGrid):
 
 
 @dataclass(frozen=True)
+class BoundingBox:
+    """Inclusive pixel-coordinate box; coordinates are >= 0."""
+
+    x_min: int
+    y_min: int
+    x_max: int
+    y_max: int
+
+    def __post_init__(self):
+        if not (0 <= self.x_min <= self.x_max
+                and 0 <= self.y_min <= self.y_max):
+            raise ValueError(f"negative or flipped box {self}")
+
+    @property
+    def area(self) -> int:
+        return (self.x_max - self.x_min + 1) * (self.y_max - self.y_min + 1)
+
+
+@dataclass(frozen=True)
 class GridAdjacency:
     """4-neighborhood adjacency of a width x height pixel grid.
 

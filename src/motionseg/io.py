@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BACKGROUND, LabelMap, LabelSet, MotionMask, RgbImage, ScoreMap
+from .core import (BACKGROUND, BoundingBox, LabelMap, LabelSet, MotionMask,
+                   RgbImage, ScoreMap)
 from .errors import (
     BadDimensions,
     BadMagic,
@@ -205,7 +206,7 @@ class FrameRecord:
     motion_mask_path: str
     score_map_path: str | None = None
     ground_truth_label_path: str | None = None
-    ground_truth_box: tuple | None = None  # (x_min, y_min, x_max, y_max)
+    ground_truth_box: BoundingBox | None = None
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,10 @@ def _parse_frame(obj, where) -> FrameRecord:
     if box is not None:
         _require(_int_list(box) and len(box) == 4,
                  f"{where}: ground_truth_box must have 4 integer coordinates")
-        x_min, y_min, x_max, y_max = box = tuple(int(v) for v in box)
-        _require(0 <= x_min <= x_max and 0 <= y_min <= y_max,
-                 f"{where}: ground_truth_box {list(box)} is negative or flipped")
+        try:
+            box = BoundingBox(*map(int, box))
+        except ValueError as e:
+            raise SchemaError(f"{where}: ground_truth_box: {e}") from e
     return FrameRecord(
         image_path=obj["image_path"],
         motion_mask_path=obj["motion_mask_path"],
@@ -396,8 +398,10 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def _present_fields(items) -> dict:
-    """``asdict`` factory: unset optional fields dropped, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
+    """``asdict`` factory: unset optional fields dropped, tuples and boxes
+    (made dicts by ``asdict``) as lists."""
+    return {k: list(v.values()) if isinstance(v, dict)
+            else list(v) if isinstance(v, tuple) else v
             for k, v in items if v is not None}
 
 

@@ -1,9 +1,9 @@
 """Exact s-t min cut / max flow on sparse graphs.
 
 This is the computational kernel under all the energy minimization in the
-package. The solver is the Boykov-Kolmogorov augmenting-path algorithm:
-two search trees are grown from source and sink, reused between
-augmentations, with orphaned subtrees re-adopted instead of rebuilt.
+package. The solver is Boykov-Kolmogorov with one search tree, grown from
+the source against the sink-excess nodes as fixed roots and reused between
+augmentations; ``min_cut`` says why it ends as the minimal source side.
 
 A network is built once, in one constructor call, from a per-node pair of
 terminal capacity vectors and an edge list with a capacity vector for
@@ -86,11 +86,13 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     """Compute the max flow and a minimum cut of ``net``.
 
     The returned flow equals the capacity of the cut induced by ``side``,
-    and no cut has smaller capacity. SOURCE is the final source search
-    tree: with no node active it is closed under residual arcs, and its
-    nodes reach the source along residual parent arcs, so it is the
-    residual reachable set of the source, the smallest source side of any
-    minimum cut. Free nodes fall on the SINK side.
+    and no cut has smaller capacity. Only the source tree grows, from the
+    source-excess nodes to the sink-excess roots (a saturated root may be
+    re-hung below a sink-tree neighbour). SOURCE is the final source tree:
+    with no node active it is closed under residual arcs and holds no sink
+    excess, so no augmenting path is left, and its nodes reach the source
+    along residual arcs: it is the residual reachable set of the source,
+    the minimal source side of a minimum cut (Picard & Queyranne, 1980).
     """
     # node i's arcs, highest id first: first[i], nxt[first[i]], ... to -1
     tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
@@ -109,11 +111,11 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     tr = excess.tolist()
     flow = float(np.minimum(net.source_cap, net.sink_cap).sum())
 
-    # every node with terminal residual starts active in its own tree
+    # every node with terminal residual is a root; only source roots grow
     tree = np.select([excess > 0.0, excess < 0.0], [_S, _T], _FREE).tolist()
     parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT).tolist()
-    in_active = (excess != 0.0).tolist()
-    active = deque(np.flatnonzero(excess).tolist())
+    in_active = (excess > 0.0).tolist()
+    active = deque(np.flatnonzero(excess > 0.0).tolist())
     orphans = deque()
 
     def activate(i):
@@ -148,13 +150,12 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             if new_parent != -1:
                 parent[x] = new_parent
                 continue
-            # no parent found: x leaves the tree
+            # no parent found: x leaves the tree; S neighbours may regrow
             a = first[x]
             while a != -1:
                 q = head[a]
                 if tree[q] == side_tree:
-                    res = rescap[a ^ 1] if side_tree == _S else rescap[a]
-                    if res > 0.0:
+                    if side_tree == _S and rescap[a ^ 1] > 0.0:
                         activate(q)
                     pq = parent[q]
                     if pq >= 0 and head[pq] == x:
@@ -224,25 +225,20 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     while active:
         p = active.popleft()
         in_active[p] = False
-        tp = tree[p]
-        if tp == _FREE:
+        if tree[p] == _FREE:  # an active node is in the source tree or free
             continue
-        # an S node grows along arcs a with residual, a T node along arcs
-        # whose reverse a ^ 1 has it: g is 0 in S and 1 in T, and arc
-        # a ^ g points from the S side to the T side either way
-        g = tp - _S
         connecting = -1
         a = first[p]
         while a != -1:
-            if rescap[a ^ g] > 0.0:
+            if rescap[a] > 0.0:
                 q = head[a]
                 tq = tree[q]
                 if tq == _FREE:
-                    tree[q] = tp
+                    tree[q] = _S
                     parent[q] = a ^ 1
                     activate(q)
-                elif tq != tp:
-                    connecting = a ^ g
+                elif tq == _T:
+                    connecting = a
                     break
             a = nxt[a]
         if connecting != -1:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelMap, LabelSet, MotionMask, RgbImage, ScoreMap
+from .core import BoundingBox, LabelMap, LabelSet, MotionMask, RgbImage, ScoreMap
 from .io import (
     DatasetManifest,
     FrameRecord,
@@ -264,8 +264,8 @@ def write_blob_dataset(root, seed=0, videos_per_category=1, frame_count=26,
                 box = None
                 if truth.any():
                     rows, cols = np.nonzero(truth)
-                    box = (int(cols.min()), int(rows.min()),
-                           int(cols.max()), int(rows.max()))
+                    box = BoundingBox(int(cols.min()), int(rows.min()),
+                                      int(cols.max()), int(rows.max()))
                 score_path = None
                 if with_scores:
                     scores = _confident_scores(

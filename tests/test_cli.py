@@ -9,6 +9,7 @@ contract, and determinism.
 import argparse
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -609,6 +610,24 @@ def test_overlong_boxes_field_is_one_line_json(ws, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_flipped_manifest_box_is_one_line_json_naming_the_frame(
+        ws, tmp_path, capsys):
+    doc = json.loads(ws.sampled_manifest.read_text())
+    doc["videos"][0]["shots"][0]["frames"][5]["ground_truth_box"] = [9, 2, 3, 4]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["eval-corloc", "--manifest", str(manifest),
+               "--boxes", str(tmp_path / "boxes.csv"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError"
+    assert "videos[0].shots[0].frames[5]: ground_truth_box" in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_stored_scores_are_one_line_json(ws, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(ws.manifest.parent, data)
@@ -629,7 +648,8 @@ def test_negative_stored_scores_are_one_line_json(ws, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def tiny_tree(tmp_path_factory):
     """A 12x16 blob dataset with every stage's artifacts: the inputs the
-    fuzz test damages, and the runs that read them (without ``--out``)."""
+    fuzz test damages, the label map among them, and the runs that read
+    them (without ``--out``)."""
     root = tmp_path_factory.mktemp("tiny")
     data = write_blob_dataset(root / "data", seed=3, height=12, width=16,
                               with_scores=True)
@@ -668,10 +688,11 @@ def tiny_tree(tmp_path_factory):
                       ("infer", labels), ("coloc", root / "boxes")):
         assert main([*runs[name], "--out", str(out)]) == 0, name
     frame = data.parent / "red_00" / "frame_008"  # a sampled frame
+    label_map, = Path(labels).rglob("red_00/frame_008.pgm")
     inputs = {"manifest": Path(m), "frame": frame.with_suffix(".ppm"),
               "mask": Path(f"{frame}_mask.pgm"),
               "scores": Path(f"{frame}_scores.msf"), "model": Path(model),
-              "boxes": root / "boxes" / "boxes.csv"}
+              "boxes": root / "boxes" / "boxes.csv", "labels": label_map}
     return SimpleNamespace(root=root, runs=runs, inputs=inputs)
 
 
@@ -696,7 +717,7 @@ def _damaged(draw, good, others):
                         "select-model", "coloc", "coloc-model", "eval-iou",
                         "eval-corloc", "overlay"]),
        st.sampled_from(["manifest", "frame", "mask", "scores", "model",
-                        "boxes"]), st.data())
+                        "boxes", "labels"]), st.data())
 def test_damaged_input_is_success_or_one_line_json(tiny_tree, run, name, data):
     """ROADMAP item 6: no input makes a run end in a traceback, a warning
     or a run.json beside a failure."""
@@ -740,6 +761,34 @@ def test_module_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "motionseg" in proc.stdout
+
+
+def test_fresh_processes_with_other_hash_seeds_write_the_same_bytes(
+        ws, tmp_path):
+    """``infer`` and ``coloc`` run in two new processes whose string hashes
+    differ write byte-identical outputs; only run.json, which holds the
+    timings, may differ."""
+    src = str(Path(motionseg.cli.__file__).parents[1])
+    stages = {"infer": ws.infer_args,
+              "coloc": ["--manifest", str(ws.sampled_manifest),
+                        "--superpixels", "60", "--components", "2"]}
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / hash_seed
+        for stage, args in stages.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "motionseg.cli", stage, *args,
+                 "--out", str(out / stage)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({k: v for k, v in _snapshot(out).items()
+                        if Path(k).name != "run.json"})
+    assert "coloc/boxes.csv" in outputs[0]
+    assert sum(k.startswith("infer/") for k in outputs[0]) == len(SAMPLED) * 2
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import motionseg
+import motionseg.coloc
 from motionseg.core import (
     BACKGROUND,
+    BoundingBox,
     GridAdjacency,
     LabelMap,
     LabelSet,
@@ -182,3 +185,8 @@ def test_check_same_shape():
     c = MotionMask(np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(DimensionMismatch):
         check_same_shape(a, c)
+
+
+def test_bounding_box_is_one_type_under_every_import_path():
+    # test_coloc checks its validation
+    assert motionseg.BoundingBox is motionseg.coloc.BoundingBox is BoundingBox

@@ -27,7 +27,10 @@ from motionseg.errors import (
     WrongLabelCount,
 )
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
-from motionseg.synthetic import two_object_scene
+from motionseg.inference import InferenceParams, infer_labels
+from motionseg.io import read_image, read_manifest, read_mask, read_scores
+from motionseg.maxflow import SOURCE, FlowNetwork, min_cut
+from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import (binary_masks, cut_capacity_of, fit_fgbg_from_motion,
                      random_model, random_scores, recorded_cuts)
@@ -432,6 +435,28 @@ def test_expansion_label_permutation_symmetry():
 # cut certificates on full-size grids, far beyond brute force: the flow the
 # solver pushed equals the capacity of the cut it returns, so both are optimal
 
+def _mirrored(net):
+    """``net`` with its terminals swapped and every arc reversed."""
+    return FlowNetwork(net.sink_cap, net.source_cap, net.arc_head[1::2],
+                       net.arc_head[::2], net.arc_cap[1::2], net.arc_cap[::2])
+
+
+def _assert_certified_and_mirrored(net, res):
+    """``res`` is certified by its cut, and the mirrored network, whose
+    source side holds the large excess set, gives the same flow and the
+    minimal sink side, which the minimal source side must not overlap."""
+    assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
+                                           rel=1e-9)
+    mirror = _mirrored(net)
+    back = min_cut(mirror)
+    assert back.flow_value == pytest.approx(res.flow_value, rel=1e-9)
+    assert back.flow_value == pytest.approx(
+        cut_capacity_of(mirror, back.side), rel=1e-9)
+    source, mirror_source = res.side == SOURCE, back.side == SOURCE
+    assert mirror_source.sum() > source.sum()
+    assert not (source & mirror_source).any()
+
+
 def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
     m = random_model(np.random.default_rng(71), 112, 144, (0, 1))
     cuts = recorded_cuts(monkeypatch)
@@ -449,5 +474,24 @@ def test_expansion_move_cut_certificates_on_two_object_scene(monkeypatch):
     minimize_expansion(m, sweeps=1)
     assert len(cuts) == 3  # one move per label
     for net, res in cuts:
-        assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
-                                               rel=1e-9)
+        assert net.node_count == 96 * 160
+        _assert_certified_and_mirrored(net, res)
+
+
+def test_infer_cut_certificate_and_mirror_on_blob_frame(tmp_path,
+                                                        monkeypatch):
+    # a 112x144 blob frame read back from disk, as the large-frame
+    # workload writes it and infer reads it
+    manifest = read_manifest(write_blob_dataset(
+        tmp_path, seed=100000, height=112, width=144, with_scores=True))
+    video, shot = manifest.shots()[0]
+    frame = shot.frames[13]
+    batch = [(read_image(manifest.resolve(frame.image_path)),
+              read_mask(manifest.resolve(frame.motion_mask_path)),
+              read_scores(manifest.resolve(frame.score_map_path)))]
+    cuts = recorded_cuts(monkeypatch)
+    infer_labels(batch, manifest.weak_indices(video),
+                 InferenceParams(iterations=1))
+    (net, res), = cuts
+    assert net.node_count == 112 * 144
+    _assert_certified_and_mirrored(net, res)

@@ -375,7 +375,8 @@ def test_manifest_round_trip(tmp_path):
     assert again.base_dir == tmp_path
     assert again.videos[0].shots[0].kept_range == (0, 20)
     assert again.videos[0].shots[0].sampled_indices == (1, 3, 5)
-    assert again.videos[0].shots[0].frames[0].ground_truth_box == (1, 2, 3, 4)
+    assert again.videos[0].shots[0].frames[0].ground_truth_box == \
+        BoundingBox(1, 2, 3, 4)
 
 
 def test_manifest_invalid_json(tmp_path):
