@@ -170,7 +170,8 @@ def read_tensor(path, magic: bytes, ndim: int) -> np.ndarray:
     need = 4 * math.prod(shape)  # Python ints: huge sizes cannot overflow
     if len(payload) != need:
         raise SizeMismatch(f"{path}: payload has {len(payload)} of {need} bytes")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN stays a NaN
+        return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(float)
 
 
 def write_tensor(array: np.ndarray, magic: bytes, path) -> None:

@@ -12,9 +12,9 @@ log-likelihoods, so no integer scaling is applied). Terminal capacities
 are folded into a single per-node residual before the search, which
 shifts the flow by a constant that is added back at the end.
 
-``FlowNetwork`` holds read-only numpy arrays. ``min_cut`` links each
-node's arcs and turns the arrays into Python lists once, at the start of
-the solve, since the search reads them one element at a time.
+``FlowNetwork`` holds read-only numpy arrays. Unless the unaries decide the
+cut, ``min_cut`` links each node's arcs and turns the arrays into Python
+lists, since the search reads them one element at a time.
 """
 
 from collections import deque
@@ -93,7 +93,20 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     excess, so no augmenting path is left, and its nodes reach the source
     along residual arcs: it is the residual reachable set of the source,
     the minimal source side of a minimum cut (Picard & Queyranne, 1980).
+    If no arc of positive capacity leaves the source-excess nodes, the search
+    would grow no node and make no augmentation: its tree would stay that
+    set and its flow the folded terminal sum, so both are returned at once.
     """
+    # fold terminal capacities: excess (tr) > 0 means residual from source,
+    # < 0 residual to sink; min(src, snk) flows immediately
+    excess = net.source_cap - net.sink_cap
+    flow = float(np.minimum(net.source_cap, net.sink_cap).sum())
+    pos = excess > 0.0
+    ends = pos[net.arc_head].reshape(-1, 2)  # pos at edge e's head, tail
+    out_cap = np.where(ends[:, 1], net.arc_cap[::2], net.arc_cap[1::2])
+    if not ((ends[:, 0] != ends[:, 1]) & (out_cap > 0.0)).any():
+        return MinCutResult(flow, np.where(pos, SOURCE, SINK).astype(np.uint8))
+
     # node i's arcs, highest id first: first[i], nxt[first[i]], ... to -1
     tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
     first = np.full(net.node_count, -1)
@@ -102,20 +115,14 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     same = tail[order[1:]] == tail[order[:-1]]
     nxt = np.full(len(tail), -1)
     nxt[order[1:][same]] = order[:-1][same]
-    first, nxt, head, rescap = (
-        a.tolist() for a in (first, nxt, net.arc_head, net.arc_cap))
-
-    # fold terminal capacities: tr > 0 means residual from source,
-    # tr < 0 residual to sink; min(src, snk) flows immediately
-    excess = net.source_cap - net.sink_cap
-    tr = excess.tolist()
-    flow = float(np.minimum(net.source_cap, net.sink_cap).sum())
+    first, nxt, head, rescap, tr = (a.tolist() for a in (
+        first, nxt, net.arc_head, net.arc_cap, excess))
 
     # every node with terminal residual is a root; only source roots grow
-    tree = np.select([excess > 0.0, excess < 0.0], [_S, _T], _FREE).tolist()
+    tree = np.select([pos, excess < 0.0], [_S, _T], _FREE).tolist()
     parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT).tolist()
-    in_active = (excess > 0.0).tolist()
-    active = deque(np.flatnonzero(excess > 0.0).tolist())
+    in_active = pos.tolist()
+    active = deque(np.flatnonzero(pos).tolist())
     orphans = deque()
 
     def activate(i):

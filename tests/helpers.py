@@ -93,6 +93,18 @@ def cut_capacity_of(net, side):
                  + crossing)
 
 
+def unaries_decide(net):
+    """Whether no positive-capacity arc runs from a node with source excess
+    to a node without: then the source-excess nodes are the minimal source
+    side and the flow is the folded terminal sum."""
+    has_excess = net.source_cap > net.sink_cap
+    tails, heads = net.arc_head[1::2], net.arc_head[::2]
+    forward = has_excess[tails] & ~has_excess[heads] & (net.arc_cap[::2] > 0.0)
+    backward = (has_excess[heads] & ~has_excess[tails]
+                & (net.arc_cap[1::2] > 0.0))
+    return not (forward | backward).any()
+
+
 def fit_fgbg_from_motion(frames, target_index, n_components=DEFAULT_COMPONENTS,
                          seed=0):
     """Foreground/background GMMs for one frame of a batch of

@@ -33,7 +33,8 @@ from motionseg.maxflow import SOURCE, FlowNetwork, min_cut
 from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import (binary_masks, cut_capacity_of, fit_fgbg_from_motion,
-                     random_model, random_scores, recorded_cuts)
+                     random_model, random_scores, recorded_cuts,
+                     unaries_decide)
 from oracles import enumerate_minimum, expansion_full_sweeps, potts_weight
 
 
@@ -433,7 +434,10 @@ def test_expansion_label_permutation_symmetry():
 
 # ---------------------------------------------------------------------------
 # cut certificates on full-size grids, far beyond brute force: the flow the
-# solver pushed equals the capacity of the cut it returns, so both are optimal
+# solver pushed equals the capacity of the cut it returns, so both are optimal.
+# min_cut returns before any search when the unaries decide the cut, so each
+# test below also says whether its networks are decided: both paths stay
+# certified.
 
 def _mirrored(net):
     """``net`` with its terminals swapped and every arc reversed."""
@@ -462,6 +466,7 @@ def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
     cuts = recorded_cuts(monkeypatch)
     x = minimize_binary(m)
     (net, res), = cuts
+    assert not unaries_decide(net)
     assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
                                            rel=1e-9)
     base = np.minimum(m.unary[:, 0], m.unary[:, 1]).sum()
@@ -475,6 +480,7 @@ def test_expansion_move_cut_certificates_on_two_object_scene(monkeypatch):
     assert len(cuts) == 3  # one move per label
     for net, res in cuts:
         assert net.node_count == 96 * 160
+        assert not unaries_decide(net)
         _assert_certified_and_mirrored(net, res)
 
 
@@ -494,4 +500,7 @@ def test_infer_cut_certificate_and_mirror_on_blob_frame(tmp_path,
                  InferenceParams(iterations=1))
     (net, res), = cuts
     assert net.node_count == 112 * 144
+    # the boundary band zeroes the pairwise weights where the unaries
+    # change sign, so this network and its mirror are decided
+    assert unaries_decide(net) and unaries_decide(_mirrored(net))
     _assert_certified_and_mirrored(net, res)

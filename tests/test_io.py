@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -504,6 +505,20 @@ def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
     p.write_bytes(data)
     with pytest.raises(err):
         read(p)
+
+
+def test_signaling_nans_read_without_a_warning(tmp_path):
+    # a float32 signaling NaN cast to float64 raises numpy's invalid flag;
+    # the reader keeps it a NaN for the value checks downstream to reject
+    snan = np.array([0x7F800001, 0xFF800001], "<u4").tobytes()
+    scores, model = tmp_path / "snan.msf", tmp_path / "snan.mtm"
+    scores.write_bytes(b"MSF1 1 2 2\n" + 2 * snan)
+    model.write_bytes(b"MTM1 2 %d\n" % FEATURE_COUNT + FEATURE_COUNT * snan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(read_scores(scores).scores).all()
+        with pytest.raises(NonFiniteValue):
+            load_model(model)
 
 
 def test_boxes_csv_reads_boxes_and_all_empty_rows(tmp_path):

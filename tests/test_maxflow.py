@@ -5,7 +5,7 @@ import pytest
 
 from motionseg.maxflow import SINK, SOURCE, FlowNetwork, min_cut
 
-from helpers import flow_network, random_flow_network
+from helpers import flow_network, random_flow_network, unaries_decide
 from oracles import brute_force_min_cut, cut_capacity
 
 
@@ -76,16 +76,57 @@ def test_matches_brute_force_on_random_graphs():
         for terms, arcs in ((terminals, edges), floored):
             net = flow_network(n, terms, arcs)
             assert len(net.arc_head) == len(net.arc_cap) == 2 * len(arcs)
-            res = min_cut(net)
-            want, minimizers = brute_force_min_cut(n, terms, arcs)
-            assert abs(res.flow_value - want) <= 1e-9
-            # the returned side labeling really is a minimum cut
-            got = cut_capacity(res.side, terms, arcs)
-            assert abs(got - want) <= 1e-9
-            # and the smallest one: SOURCE holds exactly the nodes that
-            # every minimum cut puts on the source side
-            assert np.array_equal(res.side == SOURCE,
-                                  (minimizers == 0).all(axis=0))
+            _assert_matches_brute_force(net, n, terms, arcs)
+
+
+def _assert_matches_brute_force(net, n, terms, arcs):
+    res = min_cut(net)
+    want, minimizers = brute_force_min_cut(n, terms, arcs)
+    assert abs(res.flow_value - want) <= 1e-9
+    # the returned side labeling really is a minimum cut
+    got = cut_capacity(res.side, terms, arcs)
+    assert abs(got - want) <= 1e-9
+    # and the smallest one: SOURCE holds exactly the nodes that every
+    # minimum cut puts on the source side
+    assert np.array_equal(res.side == SOURCE, (minimizers == 0).all(axis=0))
+    return res
+
+
+def test_decided_networks_match_brute_force():
+    # zeroing every arc out of the source-excess nodes leaves a network its
+    # unaries decide; one of those arcs made positive again needs the search
+    rng = np.random.default_rng(18)
+    searched = 0
+    for _ in range(60):
+        n, terminals, edges = random_flow_network(rng, max_nodes=8)
+        # about one node in four has exactly zero excess
+        terms = [(s, s) if rng.random() < 0.25 else (s, t)
+                 for s, t in terminals]
+        excess = np.array([s - t for s, t in terms])
+        out = excess > 0.0
+        arcs = [(i, j, 0.0 if out[i] and not out[j] else c,
+                 0.0 if out[j] and not out[i] else r)
+                for i, j, c, r in edges]
+        net = flow_network(n, terms, arcs)
+        assert unaries_decide(net)
+        res = _assert_matches_brute_force(net, n, terms, arcs)
+        folded = float(np.minimum(net.source_cap, net.sink_cap).sum())
+        assert res.flow_value == folded
+        assert np.array_equal(res.side == SOURCE, out)
+        # reopen one zeroed arc into a sink-excess node: it must carry flow
+        # (edge, field of its arc out of `out`: 2 for i -> j, 3 for j -> i)
+        reopen = [(k, 2 if out[i] else 3) for k, (i, j, _, _) in enumerate(arcs)
+                  if out[i] and excess[j] < 0.0 or out[j] and excess[i] < 0.0]
+        if not reopen:
+            continue
+        k, field = reopen[int(rng.integers(len(reopen)))]
+        arcs[k] = arcs[k][:field] + (1.5,) + arcs[k][field + 1:]
+        net = flow_network(n, terms, arcs)
+        assert not unaries_decide(net)
+        res = _assert_matches_brute_force(net, n, terms, arcs)
+        assert res.flow_value > folded
+        searched += 1
+    assert searched >= 20
 
 
 def test_flow_invariant_under_edge_permutation():
@@ -116,7 +157,9 @@ def test_cut_bits_are_pinned():
     # pin the arc order and the search order of the solver, which decide
     # the order the flow is summed in. The sides are pinned apart: they are
     # the minimal source side of a minimum cut, so no search order that
-    # solves the cut exactly may change them.
+    # solves the cut exactly may change them. 19 of the 200 networks are
+    # decided by their unaries and return before the search, so the digests
+    # pin both paths.
     rng = np.random.default_rng(16)
     sides, flows = hashlib.sha256(), hashlib.sha256()
     for _ in range(200):
