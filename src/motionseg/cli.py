@@ -73,6 +73,7 @@ from .pipeline import (
 from .predictor import (
     ToyTrainConfig,
     check_classes,
+    checkpoint_weights,
     load_model,
     predict,
     save_model,
@@ -236,6 +237,7 @@ def _cmd_train_toy(args, manifest):
     cfg = ToyTrainConfig(**{f.name: getattr(args, f.name)
                             for f in fields(ToyTrainConfig)})
     model = train_loop(manifest, _inference_params(args), cfg)
+    checkpoint_weights(model)  # refuse overflowing weights before --out exists
     path = _out_file(args, "model.mtm")
     save_model(model, path)
     return {"classes": model.num_labels, "model": str(path)}

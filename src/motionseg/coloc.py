@@ -101,6 +101,26 @@ def _seed_centers(img, rows, cols):
                     np.column_stack([fy, fx]))
 
 
+def _roots(parent):
+    """Each node's root in the pointer forest ``parent``, by pointer jumping."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
+def _touching(ids, count):
+    """The label pairs ``(i, j)``, ``i < j``, that meet across a 4-neighbour
+    pixel pair of ``ids`` (labels in ``0..count-1``), in ascending order,
+    with the number of such pixel pairs."""
+    grid = GridAdjacency(ids.shape[1], ids.shape[0]).edges()
+    lo, hi = np.sort(ids.astype(np.int64).ravel()[grid.T], axis=0)
+    cross = lo != hi
+    key, length = np.unique(lo[cross] * count + hi[cross], return_counts=True)
+    return np.column_stack(np.divmod(key, count)), length
+
+
 def _flood_label(ids):
     """Number the 4-connected equal-value components of ``ids`` by their
     first pixel in raster order; returns (label map, component count).
@@ -122,11 +142,7 @@ def _flood_label(ids):
     parent = np.arange(run[-1, -1] + 1)
     while len(a):
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
+        parent = _roots(parent)
         a, b = parent[a], parent[b]
         apart = a != b
         a, b = a[apart], b[apart]
@@ -167,14 +183,13 @@ def _merge_bounded(out, count, min_size, lower, upper):
 
     Components below ``min_size`` are merged while more than ``lower``
     remain; any component may be merged while more than ``upper`` remain,
-    so the final count lands inside [lower, upper]. The component
-    adjacency is built once from neighboring pixel pairs."""
+    so the final count lands inside [lower, upper]. The adjacency comes
+    once from :func:`_touching`. A merged component points at its target,
+    always live, so :func:`_roots` resolves the pointers once at the end."""
     sizes = np.bincount(out.ravel(), minlength=count).astype(np.float64)
     sizes[sizes == 0] = np.inf  # dead components: argmin passes them over
-    a = np.concatenate([out[:, :-1].ravel(), out[:-1].ravel()])
-    b = np.concatenate([out[:, 1:].ravel(), out[1:].ravel()])
     adj = [set() for _ in range(count)]
-    for i, j in set(zip(a[a != b].tolist(), b[a != b].tolist())):
+    for i, j in _touching(out, count)[0].tolist():
         adj[i].add(j)
         adj[j].add(i)
     owner = np.arange(count)
@@ -192,11 +207,11 @@ def _merge_bounded(out, count, min_size, lower, upper):
             if n != target:
                 adj[n].add(target)
                 adj[target].add(n)
-        owner[owner == victim] = target
+        owner[victim] = target
         sizes[target] += sizes[victim]
         sizes[victim] = np.inf
         live -= 1
-    vals, inv = np.unique(owner[out], return_inverse=True)
+    vals, inv = np.unique(_roots(owner)[out], return_inverse=True)
     return inv.reshape(out.shape).astype(np.int32), len(vals)
 
 
@@ -321,19 +336,6 @@ def seed_gmms_from_scores(frames, score_maps, category: int,
     return fit_fgbg(fg, None, bg, None, n_components, seed)
 
 
-def _superpixel_edges(sp: SuperpixelMap):
-    """Adjacent superpixel pairs and their shared boundary lengths."""
-    grid = GridAdjacency(sp.width, sp.height).edges()
-    a = sp.ids.ravel()[grid[:, 0]].astype(np.int64)
-    b = sp.ids.ravel()[grid[:, 1]].astype(np.int64)
-    cross = a != b
-    lo = np.minimum(a[cross], b[cross])
-    hi = np.maximum(a[cross], b[cross])
-    key, length = np.unique(lo * sp.n_superpixels + hi, return_counts=True)
-    return np.stack([key // sp.n_superpixels, key % sp.n_superpixels],
-                    axis=1), length.astype(np.float64)
-
-
 def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
                   params: PairwiseParams = PairwiseParams()) -> LabelMap:
     """Binary object/background segmentation at the superpixel level.
@@ -347,7 +349,7 @@ def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
     check_same_shape(frame, sp)
     theta0 = sp.counts * nll(gmms.background, sp.mean_colors)
     theta1 = sp.counts * nll(gmms.foreground, sp.mean_colors)
-    edges, boundary = _superpixel_edges(sp)
+    edges, boundary = _touching(sp.ids, sp.n_superpixels)
     dc = ((sp.mean_colors[edges[:, 0]] - sp.mean_colors[edges[:, 1]]) ** 2
           ).sum(axis=1)
     dist = np.sqrt(((sp.centroids[edges[:, 0]]

@@ -80,17 +80,14 @@ def _window_any(a, r):
 def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
     """Band of all pixels within Chebyshev distance ``half_width`` of a
     mask boundary pixel (a pixel with a 4-neighbor of opposite value)."""
-    m = mask.mask.astype(bool)
+    m = mask.mask.astype(bool).ravel()
+    pairs = GridAdjacency(mask.width, mask.height).edges()
     edge = np.zeros_like(m)
-    diff = m[:, 1:] != m[:, :-1]
-    edge[:, 1:] |= diff
-    edge[:, :-1] |= diff
-    diff = m[1:, :] != m[:-1, :]
-    edge[1:, :] |= diff
-    edge[:-1, :] |= diff
+    edge[pairs[m[pairs[:, 0]] != m[pairs[:, 1]]]] = True
+    edge = edge.reshape(mask.height, mask.width)
     if half_width > 0 and edge.any():
         # a wider band than the frame covers no more of it
-        r = min(half_width, max(m.shape))
+        r = min(half_width, max(edge.shape))
         edge = _window_any(_window_any(edge, r).T, r).T
     return BoundaryBand(edge)
 

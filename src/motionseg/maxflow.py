@@ -25,10 +25,9 @@ import numpy as np
 SOURCE = 0
 SINK = 1
 
-# parent-arc sentinels
+# parent-arc sentinels; free nodes and orphans alike have no parent
 _TERMINAL = -1
 _NO_PARENT = -2
-_ORPHAN = -3
 
 _FREE, _S, _T = 0, 1, 2
 
@@ -131,14 +130,10 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             active.append(i)
 
     def origin_is_terminal(q):
-        # walk to the root; valid parents only (orphans sever the walk)
-        while True:
-            p = parent[q]
-            if p == _TERMINAL:
-                return True
-            if p < 0:  # _NO_PARENT or _ORPHAN
-                return False
+        # walk up to a node without a parent arc: a root or an orphan
+        while (p := parent[q]) >= 0:
             q = head[p]
+        return p == _TERMINAL
 
     def adopt():
         while orphans:
@@ -166,11 +161,10 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
                         activate(q)
                     pq = parent[q]
                     if pq >= 0 and head[pq] == x:
-                        parent[q] = _ORPHAN
+                        parent[q] = _NO_PARENT
                         orphans.append(q)
                 a = nxt[a]
-            tree[x] = _FREE
-            parent[x] = _NO_PARENT
+            tree[x] = _FREE  # its parent is _NO_PARENT since it was orphaned
 
     def augment(ca):
         nonlocal flow
@@ -206,12 +200,12 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             rescap[a ^ 1] -= bottleneck
             rescap[a] += bottleneck
             if rescap[a ^ 1] <= 0.0:
-                parent[x] = _ORPHAN
+                parent[x] = _NO_PARENT
                 orphans.append(x)
             x = head[a]
         tr[s_root] -= bottleneck
         if tr[s_root] <= 0.0:
-            parent[s_root] = _ORPHAN
+            parent[s_root] = _NO_PARENT
             orphans.append(s_root)
         x = t_start
         while parent[x] != _TERMINAL:
@@ -219,12 +213,12 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             rescap[a] -= bottleneck
             rescap[a ^ 1] += bottleneck
             if rescap[a] <= 0.0:
-                parent[x] = _ORPHAN
+                parent[x] = _NO_PARENT
                 orphans.append(x)
             x = head[a]
         tr[t_root] += bottleneck
         if tr[t_root] >= 0.0:
-            parent[t_root] = _ORPHAN
+            parent[t_root] = _NO_PARENT
             orphans.append(t_root)
 
         flow += bottleneck

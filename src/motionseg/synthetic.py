@@ -101,14 +101,13 @@ def _corrupt_mask(truth, rng):
     return cand, iou
 
 
-def _confident_scores(truth, num_labels, label, confidence):
-    """Scores agreeing with the truth at the given confidence; the other
-    labels split the remaining mass evenly, so every pixel sums to 1."""
-    h, w = truth.shape
-    rest = (1.0 - confidence) / (num_labels - 1)
-    scores = np.full((h, w, num_labels), rest)
-    scores[..., 0] = np.where(truth, rest, confidence)
-    scores[..., label] = np.where(truth, confidence, rest)
+def _confident_scores(labels, num_labels, confidence):
+    """Scores putting ``confidence`` at each pixel's label of the integer
+    map ``labels``; the other labels split the remaining mass evenly, so
+    every pixel sums to 1."""
+    scores = np.full(labels.shape + (num_labels,),
+                     (1.0 - confidence) / (num_labels - 1))
+    np.put_along_axis(scores, labels[..., None], confidence, axis=-1)
     return ScoreMap(scores)
 
 
@@ -137,7 +136,7 @@ def corrupted_mask_scene(seed, height=28, width=36, num_labels=2, label=1,
         image=RgbImage(pixels),
         truth=LabelMap(truth.astype(np.int32) * label),
         mask=MotionMask(mask.astype(np.uint8)),
-        scores=_confident_scores(truth, num_labels, label, confidence),
+        scores=_confident_scores(truth * label, num_labels, confidence),
         mask_iou=iou,
     )
 
@@ -168,16 +167,11 @@ def two_object_scene(seed, height=24, width=40, confidence=0.8,
     pixels = np.where(obj2[..., None], col2, pixels)
     pixels = np.clip(pixels + rng.normal(0.0, noise, pixels.shape), 0.0, 1.0)
 
-    rest = (1.0 - confidence) / 2
-    scores = np.full((height, width, 3), rest)
-    scores[truth == 0, 0] = confidence
-    scores[truth == 1, 1] = confidence
-    scores[truth == 2, 2] = confidence
     return Scene(
         image=RgbImage(pixels),
         truth=LabelMap(truth),
         mask=MotionMask((truth > 0).astype(np.uint8)),
-        scores=ScoreMap(scores),
+        scores=_confident_scores(truth, 3, confidence),
         mask_iou=1.0,
     )
 
@@ -269,8 +263,7 @@ def write_blob_dataset(root, seed=0, videos_per_category=1, frame_count=26,
                 score_path = None
                 if with_scores:
                     scores = _confident_scores(
-                        truth, len(BLOB_CATEGORIES) + 1,
-                        label_index[category], 0.9)
+                        label.labels, len(BLOB_CATEGORIES) + 1, 0.9)
                     write_scores(scores, vdir / f"{stem}_scores.msf")
                     score_path = f"{video_id}/{stem}_scores.msf"
                 frames.append(FrameRecord(

@@ -440,6 +440,21 @@ def test_train_toy_cli(ws, tmp_path, capsys):
     assert np.all(np.isfinite(model.weights))
 
 
+def test_train_toy_refuses_weights_beyond_float32(ws, tmp_path, capsys):
+    # the weights stay finite in float64 but overflow the checkpoint's float32
+    out = tmp_path / "toy"
+    rc = main(["train-toy", "--manifest", str(ws.sampled_manifest),
+               "--out", str(out), "--epochs", "3", "--learning-rate", "1e30",
+               "--iterations", "1", "--components", "2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "NonFiniteValue"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_identical_args_give_identical_bytes(ws, tmp_path):
     # the three subcommands that walk shots and write per-shot outputs
     runs = {

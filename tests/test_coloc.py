@@ -16,6 +16,7 @@ from motionseg.coloc import (
     _merge_bounded,
     _seed_centers,
     _split_largest,
+    _touching,
     coloc_segment,
     largest_component_box,
     seed_gmms_from_scores,
@@ -205,6 +206,22 @@ def test_flood_label_matches_bfs_oracle(ids):
 
 
 @settings(max_examples=200, deadline=None)
+@given(_id_maps())
+def test_touching_matches_pixel_pair_count(ids):
+    want = {}
+    h, w = ids.shape
+    for y in range(h):
+        for x in range(w):
+            for ny, nx in ((y, x + 1), (y + 1, x)):
+                if ny < h and nx < w and ids[y, x] != ids[ny, nx]:
+                    key = tuple(sorted((int(ids[y, x]), int(ids[ny, nx]))))
+                    want[key] = want.get(key, 0) + 1
+    pairs, counts = _touching(ids, int(ids.max()) + 1)
+    assert [tuple(p) for p in pairs.tolist()] == sorted(want)
+    assert counts.tolist() == [want[k] for k in sorted(want)]
+
+
+@settings(max_examples=200, deadline=None)
 @given(_id_maps(), st.data())
 def test_merge_bounded_matches_dilation_oracle(ids, data):
     comp, count = flood_label(ids)
@@ -321,7 +338,7 @@ def test_unary_dominance_all_foreground():
 def test_one_superpixel_has_no_edges_and_a_constant_labeling(fg_wins):
     img = _half_image()
     sp = slic_superpixels(img, 1)
-    assert len(motionseg.coloc._superpixel_edges(sp)[0]) == 0
+    assert len(_touching(sp.ids, sp.n_superpixels)[0]) == 0
     near, far = _gmm_at(sp.mean_colors[0]), _gmm_at([0.0, 1.0, 0.0])
     gmms = (FgBgGmm(foreground=near, background=far) if fg_wins
             else FgBgGmm(foreground=far, background=near))

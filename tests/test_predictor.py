@@ -5,6 +5,7 @@ from motionseg.core import LabelMap, LabelSet, RgbImage, validate_score_map
 from motionseg.errors import (
     BadDimensions,
     BadMagic,
+    NonFiniteValue,
     SizeMismatch,
     TruncatedFile,
 )
@@ -169,6 +170,22 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.weights.astype(np.float32), w)
     # velocity is scratch state and does not survive a save
     assert not back.velocity.any()
+
+
+def test_save_model_refuses_weights_beyond_float32(tmp_path):
+    p = tmp_path / "model.mtm"
+
+    def model(w):
+        weights = np.zeros((2, FEATURE_COUNT))
+        weights[1, 3] = w
+        return ToyModel(weights, np.zeros_like(weights))
+
+    with pytest.raises(NonFiniteValue):
+        save_model(model(1e39), p)  # finite in float64, inf in float32
+    assert not p.exists()
+    top = float(np.finfo(np.float32).max)
+    save_model(model(top), p)
+    assert load_model(p).weights[1, 3] == top
 
 
 def test_model_checkpoint_errors(tmp_path):
