@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .coloc import (
     DEFAULT_COMPACTNESS,
+    check_slic_options,
     coloc_segment,
     largest_component_box,
     seed_gmms_from_scores,
@@ -42,7 +43,7 @@ from .core import (
 from .energy import PairwiseParams
 from .errors import (EmptyBackground, EmptyForeground, MotionSegError,
                      SchemaError)
-from .gmm import DEFAULT_COMPONENTS
+from .gmm import DEFAULT_COMPONENTS, check_components
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
     FRAME_PATH_FIELDS,
@@ -268,6 +269,9 @@ def _cmd_select_finetune(args, manifest):
 
 
 def _cmd_coloc(args, manifest):
+    # checked here too: a shot without confident pixels never reaches them
+    check_slic_options(args.superpixels, args.compactness)
+    check_components(args.components)
     model = _manifest_model(args, manifest)
     # the superpixel graph has no motion boundary, so no band
     pairwise = PairwiseParams(smoothness=args.smoothness,

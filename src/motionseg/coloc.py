@@ -54,23 +54,16 @@ class SuperpixelMap(PixelGrid):
 
 
 def _grid_shape(height, width, target):
-    """Rows x cols of initial cluster centers with rows*cols in [S/2, 2S]."""
+    """Rows x cols of initial centers, rows*cols in [S/2, 2S] for S <= H*W."""
     rows = int(np.clip(round(np.sqrt(target * height / width)), 1, height))
     cols = int(np.clip(round(target / rows), 1, width))
-    while rows * cols < (target + 1) // 2:
-        if cols < width:
-            cols += 1
-        elif rows < height:
-            rows += 1
-        else:
-            break
-    while rows * cols > 2 * target and rows * cols > 1:
+    # Rounding gives rows*cols >= (S+1)//2: cols >= S/rows - 1/2 unless
+    # clipped, and a clipped cols = W < S gives rows*W >= S - W/2.
+    while rows * cols > 2 * target:
         if rows >= cols and rows > 1:
             rows -= 1
-        elif cols > 1:
-            cols -= 1
         else:
-            break
+            cols -= 1
     return rows, cols
 
 
@@ -90,8 +83,7 @@ def _seed_centers(img, rows, cols):
     grad = np.pad(grad, 1, constant_values=np.inf)  # off-frame never wins
     fy = np.repeat((np.arange(rows) + 0.5) * h / rows - 0.5, cols)
     fx = np.tile((np.arange(cols) + 0.5) * w / cols - 0.5, rows)
-    iy = np.clip(np.rint(fy), 0, h - 1).astype(np.int64)
-    ix = np.clip(np.rint(fx), 0, w - 1).astype(np.int64)
+    iy, ix = np.rint([fy, fx]).astype(np.int64)  # in frame: rows <= h
     dy, dx = np.divmod(np.arange(9), 3)
     cand = grad[iy[:, None] + dy, ix[:, None] + dx]  # scan order, 4 = center
     best = np.argmin(cand, axis=1)
@@ -151,29 +143,26 @@ def _flood_label(ids):
 
 
 def _split_largest(out, count):
-    """Grow a connected half of the largest component into a new label.
+    """Grow a connected half of the largest component into a new label and
+    re-run :func:`_flood_label`, giving at least ``count + 1`` components.
 
-    The grown half is connected by construction; the remainder may fall
-    apart, so the caller re-runs :func:`_flood_label` afterwards."""
-    sizes = np.bincount(out.ravel(), minlength=count)
-    target = int(np.argmax(sizes))
+    ``out`` is a :func:`_flood_label` map with ``count < (n+1)//2`` for
+    its ``n`` pixels, so the largest component has two or more."""
+    target = int(np.argmax(np.bincount(out.ravel(), minlength=count)))
     ys, xs = np.nonzero(out == target)
     take = len(ys) // 2
-    if take == 0:
-        return out, count
     h, w = out.shape
-    seen = np.zeros((h, w), dtype=bool)
-    seen[ys[0], xs[0]] = True
+    closed = out != target  # other labels, then every pixel already queued
+    closed[ys[0], xs[0]] = True
     queue = [(int(ys[0]), int(xs[0]))]
     head = 0
-    while head < len(queue) and head < take:
+    while head < take:  # connected, so the queue stays ahead of head
         y, x = queue[head]
         head += 1
         out[y, x] = count
         for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if (0 <= ny < h and 0 <= nx < w and not seen[ny, nx]
-                    and out[ny, nx] == target):
-                seen[ny, nx] = True
+            if 0 <= ny < h and 0 <= nx < w and not closed[ny, nx]:
+                closed[ny, nx] = True
                 queue.append((ny, nx))
     return _flood_label(out)
 
@@ -183,22 +172,21 @@ def _merge_bounded(out, count, min_size, lower, upper):
 
     Components below ``min_size`` are merged while more than ``lower``
     remain; any component may be merged while more than ``upper`` remain,
-    so the final count lands inside [lower, upper]. The adjacency comes
-    once from :func:`_touching`. A merged component points at its target,
-    always live, so :func:`_roots` resolves the pointers once at the end."""
+    so the final count lands inside [lower, upper]. ``out`` is a
+    :func:`_flood_label` map (no empty label) on a connected grid, so a
+    live component always has a neighbour. The adjacency comes once from
+    :func:`_touching`; a merged component points at its live target, and
+    :func:`_roots` resolves the pointers once at the end."""
     sizes = np.bincount(out.ravel(), minlength=count).astype(np.float64)
-    sizes[sizes == 0] = np.inf  # dead components: argmin passes them over
     adj = [set() for _ in range(count)]
     for i, j in _touching(out, count)[0].tolist():
         adj[i].add(j)
         adj[j].add(i)
     owner = np.arange(count)
-    live = int(np.isfinite(sizes).sum())
+    live = count
     while live > 1:
         victim = int(np.argmin(sizes))
         if live <= upper and (live <= lower or sizes[victim] >= min_size):
-            break
-        if not adj[victim]:
             break
         neighbors = np.array(sorted(adj[victim]))
         target = int(neighbors[np.argmax(sizes[neighbors])])
@@ -225,6 +213,17 @@ def _cluster_means(ids, count, px, pos_y, pos_x):
     return counts, means[:, :2], means[:, 2:]
 
 
+def check_slic_options(target_count, compactness) -> float:
+    """``compactness`` as a float, once both SLIC options are checked."""
+    if target_count < 1:
+        raise ValueError("target_count must be >= 1")
+    compactness = float(compactness)
+    if not (compactness >= 0 and math.isfinite(compactness * compactness)):
+        raise ValueError(f"compactness must be >= 0 and its square finite, "
+                         f"got {compactness}")
+    return compactness
+
+
 def slic_superpixels(img: RgbImage, target_count: int,
                      compactness: float = DEFAULT_COMPACTNESS) -> SuperpixelMap:
     """SLIC-style clustering of a frame into roughly ``target_count``
@@ -238,12 +237,7 @@ def slic_superpixels(img: RgbImage, target_count: int,
     [target_count/2, 2*target_count] (capped at the pixel count). The
     algorithm is fully deterministic.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
-    compactness = float(compactness)
-    if not (compactness >= 0 and math.isfinite(compactness * compactness)):
-        raise ValueError(f"compactness must be >= 0 and its square finite, "
-                         f"got {compactness}")
+    compactness = check_slic_options(target_count, compactness)
     h, w = img.height, img.width
     n = h * w
     target = min(target_count, n)
@@ -254,9 +248,8 @@ def slic_superpixels(img: RgbImage, target_count: int,
 
     px = img.pixels
     pos_y, pos_x = np.mgrid[:h, :w]
-    c_col = px[np.clip(np.rint(c_pos[:, 0]), 0, h - 1).astype(np.int64),
-               np.clip(np.rint(c_pos[:, 1]), 0, w - 1).astype(np.int64)]
-
+    # centers stay in the frame (grid midpoints, pixels, pixel means)
+    c_col = px[tuple(np.rint(c_pos).astype(np.int64).T)]
     ids = np.zeros((h, w), dtype=np.int32)
     for _ in range(_SLIC_ITERS):
         dist = np.full((h, w), np.inf)
@@ -265,8 +258,6 @@ def slic_superpixels(img: RgbImage, target_count: int,
             cy, cx = c_pos[j]
             y0, y1 = max(0, int(cy) - step), min(h, int(cy) + step + 1)
             x0, x1 = max(0, int(cx) - step), min(w, int(cx) + step + 1)
-            if y0 >= y1 or x0 >= x1:
-                continue
             dc = ((px[y0:y1, x0:x1] - c_col[j]) ** 2).sum(axis=2)
             ds = ((pos_y[y0:y1, x0:x1] - cy) ** 2
                   + (pos_x[y0:y1, x0:x1] - cx) ** 2)
@@ -293,14 +284,11 @@ def slic_superpixels(img: RgbImage, target_count: int,
         if residual < _SLIC_TOL:
             break
 
-    lower = max(1, (target + 1) // 2)
+    lower = (target + 1) // 2
     upper = 2 * target
     final, count = _flood_label(ids)
     while count < lower:
-        final, grown = _split_largest(final, count)
-        if grown == count:
-            break
-        count = grown
+        final, count = _split_largest(final, count)
     final, count = _merge_bounded(final, count, max(1, n // (2 * k)),
                                   lower, upper)
 

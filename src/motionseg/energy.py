@@ -174,8 +174,8 @@ def _labels_to_columns(m: EnergyModel, x: LabelMap) -> np.ndarray:
         lookup[label] = c
     clipped = np.minimum(flat, len(lookup) - 1)
     cols = lookup[clipped]
-    if (cols < 0).any() or (flat >= len(lookup)).any():
-        bad = flat[(cols < 0) | (flat >= len(lookup))][0]
+    if (cols < 0).any():  # labels above the largest clip onto -1
+        bad = flat[cols < 0][0]
         raise LabelNotAllowed(f"label {bad} not in {m.allowed_labels}")
     return cols
 

@@ -108,6 +108,12 @@ def nll(g: Gmm, color) -> float | np.ndarray:
     return float(out[0]) if color.ndim == 1 else out
 
 
+def check_components(n_components) -> None:
+    """Refuse a mixture of fewer than one component."""
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
+
+
 def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
             return_history=False):
     """Fit a weighted GMM to (N, 3) colors with positive sample weights.
@@ -130,8 +136,7 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
         raise ValueError("colors and weights disagree in length")
     if np.any(weights <= 0):
         raise ValueError("sample weights must be positive")
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    check_components(n_components)
     if n < n_components:
         raise TooFewSamples(f"{n} samples for {n_components} components")
 

@@ -136,7 +136,7 @@ def hard_assign(masks, weak_labels) -> list:
     if len(weak) != 1:
         raise MultiLabelVideo(
             f"hard assignment needs exactly one weak label, got {len(weak)}")
-    if not weak or weak[0] < 1:
+    if weak[0] < 1:
         raise ValueError("weak label must be an object label")
     label = weak[0]
     return [LabelMap(mask.mask.astype(np.int32) * label) for mask in masks]

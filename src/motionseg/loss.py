@@ -59,7 +59,6 @@ def class_weights(object_counts, num_labels=None) -> ClassWeights:
         c = counts.get(l, 0)
         if c <= 0:
             raise ZeroCount(f"label {l} has count {c}")
-        counts[l] = c
     rarest = min(counts[l] for l in range(1, num_labels))
     for l in range(1, num_labels):
         w[l] = rarest / counts[l]

@@ -414,6 +414,31 @@ def test_coloc_shot_without_confident_pixels_gets_empty_rows(tmp_path, capsys):
     assert after == {**dict.fromkeys(before, ",,,"), **kept} != before
 
 
+@pytest.fixture(scope="module")
+def bare_manifest(tmp_path_factory):
+    # no score maps: every pixel scores 1/3, so no shot is ever segmented
+    return write_blob_dataset(tmp_path_factory.mktemp("bare") / "data",
+                              seed=7, videos_per_category=1)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--superpixels", "0", "target_count must be >= 1"),
+    ("--compactness", "-5", "compactness must be >= 0"),
+    ("--components", "0", "n_components must be >= 1"),
+])
+def test_coloc_checks_options_without_confident_pixels(
+        bare_manifest, tmp_path, capsys, option, value, message):
+    out = tmp_path / "out"
+    rc = main(["coloc", "--manifest", str(bare_manifest), option, value,
+               "--out", str(out)])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "ValueError" and doc["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_overlay_skips_missing_label_maps(ws, tmp_path, capsys):
     # without --sampled-only all 52 frames are visited, but label maps
     # exist only for the 20 sampled ones; the rest are skipped

@@ -13,6 +13,7 @@ from motionseg.coloc import (
     SuperpixelMap,
     _cluster_means,
     _flood_label,
+    _grid_shape,
     _merge_bounded,
     _seed_centers,
     _split_largest,
@@ -99,6 +100,16 @@ def test_count_stays_within_contract():
         sp = slic_superpixels(img, target)
         count = sp.ids.max() + 1
         assert target / 2 <= count <= 2 * target
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 400), st.data())
+def test_grid_shape_lands_within_half_and_twice_the_target(h, w, data):
+    # the lower bound holds by rounding alone
+    s = data.draw(st.integers(1, h * w))
+    rows, cols = _grid_shape(h, w, s)
+    assert 1 <= rows <= h and 1 <= cols <= w
+    assert (s + 1) // 2 <= rows * cols <= 2 * s
 
 
 def test_every_superpixel_is_four_connected():
@@ -278,6 +289,22 @@ def test_split_largest_of_u_shaped_component():
                   [0, 0, 0, 0, 0],
                   [2, 2, 2, 2, 2]], dtype=np.int32)
     _assert_split(u)
+
+
+def test_flat_frame_at_zero_compactness_splits_once(monkeypatch):
+    # every pixel ties at distance 0, so the first center takes them all;
+    # one component is below the lower bound of 2, and one split ends it
+    calls = []
+    split = motionseg.coloc._split_largest
+
+    def spy(out, count):
+        calls.append(count)
+        return split(out, count)
+
+    monkeypatch.setattr(motionseg.coloc, "_split_largest", spy)
+    sp = slic_superpixels(RgbImage(np.full((4, 6, 3), 0.5)), 3, compactness=0)
+    assert sp.n_superpixels == 2
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
