@@ -125,12 +125,8 @@ def _flood_label(ids):
     start = np.ones((h, w), dtype=bool)
     start[:, 1:] = ids[:, 1:] != ids[:, :-1]
     run = np.cumsum(start).reshape(h, w) - 1
-    # one link per vertical pair of equal pixels, except where the upper
-    # run also holds the equal pair to its left (then so does the lower)
     down = ids[1:] == ids[:-1]
-    link = down.copy()
-    link[:, 1:] &= ~(down[:, :-1] & ~start[:-1, 1:])
-    a, b = run[:-1][link], run[1:][link]
+    a, b = run[:-1][down], run[1:][down]
     parent = np.arange(run[-1, -1] + 1)
     while len(a):
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
@@ -143,27 +139,17 @@ def _flood_label(ids):
 
 
 def _split_largest(out, count):
-    """Grow a connected half of the largest component into a new label and
-    re-run :func:`_flood_label`, giving at least ``count + 1`` components.
+    """Give the first half, in raster order, of the largest component the
+    new label ``count`` and renumber with :func:`_flood_label`.
 
     ``out`` is a :func:`_flood_label` map with ``count < (n+1)//2`` for
-    its ``n`` pixels, so the largest component has two or more."""
-    target = int(np.argmax(np.bincount(out.ravel(), minlength=count)))
-    ys, xs = np.nonzero(out == target)
-    take = len(ys) // 2
-    h, w = out.shape
-    closed = out != target  # other labels, then every pixel already queued
-    closed[ys[0], xs[0]] = True
-    queue = [(int(ys[0]), int(xs[0]))]
-    head = 0
-    while head < take:  # connected, so the queue stays ahead of head
-        y, x = queue[head]
-        head += 1
-        out[y, x] = count
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and not closed[ny, nx]:
-                closed[ny, nx] = True
-                queue.append((ny, nx))
+    its ``n`` pixels, so the largest component has two or more pixels and
+    both halves are non-empty: at least ``count + 1`` components come
+    back. A half need not be connected; the renumbering makes each of its
+    4-connected pieces a label of its own."""
+    target = np.argmax(np.bincount(out.ravel(), minlength=count))
+    pixels = np.flatnonzero(out == target)
+    out.flat[pixels[:len(pixels) // 2]] = count
     return _flood_label(out)
 
 
@@ -244,7 +230,7 @@ def slic_superpixels(img: RgbImage, target_count: int,
     rows, cols = _grid_shape(h, w, target)
     c_pos = _seed_centers(img, rows, cols)
     k = len(c_pos)
-    step = max(1, int(round(np.sqrt(n / k))))
+    step = int(round(np.sqrt(n / k)))  # >= 1: k <= 2n
 
     px = img.pixels
     pos_y, pos_x = np.mgrid[:h, :w]
@@ -289,8 +275,8 @@ def slic_superpixels(img: RgbImage, target_count: int,
     final, count = _flood_label(ids)
     while count < lower:
         final, count = _split_largest(final, count)
-    final, count = _merge_bounded(final, count, max(1, n // (2 * k)),
-                                  lower, upper)
+    # a min_size of 0 merges as 1 does: no label is empty
+    final, count = _merge_bounded(final, count, n // (2 * k), lower, upper)
 
     counts, centroids, mean_colors = _cluster_means(final, count, px,
                                                     pos_y, pos_x)

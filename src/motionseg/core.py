@@ -54,7 +54,7 @@ class RgbImage(PixelGrid):
         p = np.asarray(self.pixels, dtype=np.float64)
         if p.ndim != 3 or p.shape[2] != 3:
             raise DimensionMismatch(f"expected (H, W, 3) pixels, got {p.shape}")
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
             raise ValueError("RGB channels must lie in [0, 1]")
         object.__setattr__(self, "pixels", _frozen(p))
 
@@ -123,9 +123,13 @@ class LabelMap(PixelGrid):
         x = np.asarray(self.labels)
         if x.ndim != 2:
             raise DimensionMismatch(f"expected (H, W) labels, got {x.shape}")
-        if x.size and x.min() < 0:
+        with np.errstate(invalid="ignore"):
+            y = x.astype(np.int32)
+        if not np.array_equal(y, x):  # NaN, fractions, out of int32 range
+            raise ValueError("label indices must be int32 integers")
+        if y.size and y.min() < 0:
             raise ValueError("label indices must be nonnegative")
-        object.__setattr__(self, "labels", _frozen(x.astype(np.int32)))
+        object.__setattr__(self, "labels", _frozen(y))
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ class EnergyModel:
             raise DimensionMismatch("pairwise shape disagrees with grid edges")
         if not np.isfinite(u).all():
             raise ValueError("unary costs must be finite")
-        if w.size and w.min() < 0:
+        if w.size and not (w.min() >= 0):  # NaN fails
             raise ValueError("pairwise weights must be >= 0")
         object.__setattr__(self, "unary", _frozen(u))
         object.__setattr__(self, "pairwise", _frozen(w))

@@ -73,9 +73,7 @@ def _log_terms(g: Gmm, colors: np.ndarray) -> np.ndarray:
           - chol[:, 2, 1, None] * y1) / chol[:, 2, 2, None]
     maha = y0 * y0 + y1 * y1 + y2 * y2
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    terms = logw[:, None] - 0.5 * (3.0 * _LOG_2PI + logdet[:, None] + maha)
-    terms[np.isneginf(logw)] = -np.inf
-    return terms
+    return logw[:, None] - 0.5 * (3.0 * _LOG_2PI + logdet[:, None] + maha)
 
 
 def _logsumexp(terms: np.ndarray) -> np.ndarray:
@@ -233,18 +231,16 @@ def motion_color_samples(frames, target_index):
         w = frame_distance_weight(target_index, t)
         flat = img.pixels.reshape(-1, 3)
         fg = mask.mask.reshape(-1) == 1
-        if fg.any():
-            fg_colors.append(flat[fg])
-            fg_w.append(np.full(int(fg.sum()), w))
-        if (~fg).any():
-            bg_colors.append(flat[~fg])
-            bg_w.append(np.full(int((~fg).sum()), w))
-    if not fg_colors:
+        fg_colors.append(flat[fg])
+        fg_w.append(np.full(int(fg.sum()), w))
+        bg_colors.append(flat[~fg])
+        bg_w.append(np.full(int((~fg).sum()), w))
+    fg_colors, bg_colors = np.concatenate(fg_colors), np.concatenate(bg_colors)
+    if not len(fg_colors):
         raise EmptyForeground("no foreground pixel in any frame of the batch")
-    if not bg_colors:
+    if not len(bg_colors):
         raise EmptyBackground("no background pixel in any frame of the batch")
-    return (np.concatenate(fg_colors), np.concatenate(fg_w),
-            np.concatenate(bg_colors), np.concatenate(bg_w))
+    return fg_colors, np.concatenate(fg_w), bg_colors, np.concatenate(bg_w)
 
 
 def fit_fgbg(fg_colors, fg_weights, bg_colors, bg_weights,

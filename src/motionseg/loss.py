@@ -29,7 +29,7 @@ class ClassWeights:
             raise DimensionMismatch("need weights for background and >= 1 object label")
         if w[0] != 1.0:
             raise ValueError("background weight must be 1")
-        if np.any(w <= 0.0) or np.any(w > 1.0):
+        if not ((w > 0.0) & (w <= 1.0)).all():  # NaN fails
             raise ValueError("weights must lie in (0, 1]")
         object.__setattr__(self, "weights", _frozen(w))
 

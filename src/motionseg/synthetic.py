@@ -72,9 +72,9 @@ def _erode(mask):
 def _corrupt_mask(truth, rng):
     """Degrade a binary mask into the target IoU band against itself.
 
-    Even draws shift the mask, odd draws erode it first; the smallest
-    corruption landing inside the band wins, falling back to the
-    candidate closest to the band's center.
+    Even draws shift the mask, odd draws erode it first; among the
+    candidates inside the band (all of them if none is), the one closest
+    to the band's center wins, the first tried on a tie.
     """
     erode_first = bool(rng.integers(2))
     direction = rng.integers(4)
@@ -111,13 +111,12 @@ def _confident_scores(labels, num_labels, confidence):
     return ScoreMap(scores)
 
 
-def corrupted_mask_scene(seed, height=28, width=36, num_labels=2, label=1,
-                         confidence=0.9, noise=0.02) -> Scene:
+def corrupted_mask_scene(seed, height=28, width=36) -> Scene:
     """A two-color frame whose motion mask is deliberately degraded.
 
     The object is an ellipse of a bright color on a dark background, the
-    truth marks it with ``label``, the scores agree with the truth at
-    ``confidence``, and the mask is shifted/eroded into roughly half
+    truth marks it with label 1, the two-label scores agree with the truth
+    at 0.9 confidence, and the mask is shifted/eroded into roughly half
     overlap with the truth (see ``MASK_IOU_RANGE``).
     """
     rng = np.random.default_rng(seed)
@@ -130,13 +129,14 @@ def corrupted_mask_scene(seed, height=28, width=36, num_labels=2, label=1,
     truth = _ellipse(height, width, cy, cx, ry, rx)
 
     pixels = np.where(truth[..., None], fg, bg)
-    pixels = np.clip(pixels + rng.normal(0.0, noise, pixels.shape), 0.0, 1.0)
+    pixels = np.clip(pixels + rng.normal(0.0, 0.02, pixels.shape), 0.0, 1.0)
     mask, iou = _corrupt_mask(truth, rng)
+    labels = truth.astype(np.int32)
     return Scene(
         image=RgbImage(pixels),
-        truth=LabelMap(truth.astype(np.int32) * label),
+        truth=LabelMap(labels),
         mask=MotionMask(mask.astype(np.uint8)),
-        scores=_confident_scores(truth * label, num_labels, confidence),
+        scores=_confident_scores(labels, 2, 0.9),
         mask_iou=iou,
     )
 
@@ -191,15 +191,15 @@ def _category_color(name, rng):
     return np.array([rng.uniform(*_CATEGORY_RANGES[name][c]) for c in range(3)])
 
 
-def blob_video_frames(seed, category, frame_count=26, height=24, width=30,
-                      empty_head=3, noise=0.015):
+def blob_video_frames(seed, category, frame_count=26, height=24, width=30):
     """Frames of one blob video: (images, truths, masks) lists.
 
     A colored disk crosses a static mottled background left to right; the
-    first ``empty_head`` frames have an empty motion mask (the object has
-    not entered yet), which exercises shot pruning. Motion masks on odd
-    frames are eroded by one pixel to look imperfect.
+    first three frames have an empty motion mask (the object has not
+    entered yet), which exercises shot pruning. Motion masks on odd frames
+    are eroded by one pixel to look imperfect.
     """
+    empty_head = 3
     rng = np.random.default_rng(seed)
     bg_base = rng.uniform(0.35, 0.55, 3)
     bg = np.clip(bg_base + rng.normal(0.0, 0.04, (height, width, 3)), 0.0, 1.0)
@@ -214,7 +214,7 @@ def blob_video_frames(seed, category, frame_count=26, height=24, width=30,
             cx = r + u * (width - 1 - 2 * r)
             disk = _ellipse(height, width, height / 2, cx, r, r)
         pixels = np.where(disk[..., None], color, bg)
-        pixels = np.clip(pixels + rng.normal(0.0, noise, pixels.shape), 0.0, 1.0)
+        pixels = np.clip(pixels + rng.normal(0.0, 0.015, pixels.shape), 0.0, 1.0)
         mask = disk
         if disk.any() and t % 2 == 1:
             eroded = _erode(disk)

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,14 +282,16 @@ def test_split_largest_of_single_component():
 
 
 def test_split_largest_of_u_shaped_component():
-    # label 0 is a U around label 1; the growth starts at the U's top-left
-    # pixel, so the new label is cut from the left arm and the bottom
+    # label 0 is a U around label 1; its first 5 of 11 pixels in raster
+    # order are the tops of both arms, which the renumbering makes two
+    # labels, and the rest of the U stays one: 3 components become 5
     u = np.array([[0, 1, 1, 1, 0],
                   [0, 1, 1, 1, 0],
                   [0, 1, 1, 1, 0],
                   [0, 0, 0, 0, 0],
                   [2, 2, 2, 2, 2]], dtype=np.int32)
     _assert_split(u)
+    assert _split_largest(u.copy(), 3)[1] == 5
 
 
 def test_flat_frame_at_zero_compactness_splits_once(monkeypatch):
@@ -305,6 +308,31 @@ def test_flat_frame_at_zero_compactness_splits_once(monkeypatch):
     sp = slic_superpixels(RgbImage(np.full((4, 6, 3), 0.5)), 3, compactness=0)
     assert sp.n_superpixels == 2
     assert calls == [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 32), st.booleans(),
+       st.integers(0, 2**32 - 1),
+       st.one_of(st.just(0.0), st.floats(0, 10)), st.data())
+def test_degenerate_frames_keep_the_count_and_connectivity(
+        h, w, two_level, seed, compactness, data):
+    # flat and two-level frames, a few rows high, are where the split runs,
+    # mostly at compactness 0, where color ties hand whole runs of pixels
+    # to one center
+    rng = np.random.default_rng(seed)
+    levels = rng.random((2, 3))
+    img = RgbImage(levels[rng.integers(0, 1 + two_level, size=(h, w))])
+    target = data.draw(st.integers(1, 2 * h * w + 1))
+    with mock.patch.object(motionseg.coloc, "_split_largest",
+                           wraps=motionseg.coloc._split_largest) as spy:
+        sp = slic_superpixels(img, target, compactness)
+    capped = min(target, h * w)
+    assert (capped + 1) // 2 <= sp.n_superpixels <= 2 * capped
+    for j in range(sp.n_superpixels):
+        _, pieces = ndimage.label(sp.ids == j, structure=FOUR)
+        assert pieces == 1
+    if spy.called:
+        event("_split_largest ran")
 
 
 # ---------------------------------------------------------------------------

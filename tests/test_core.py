@@ -34,6 +34,14 @@ def test_rgb_image_shape_and_range():
         RgbImage(np.full((1, 1, 3), -0.1))
 
 
+def test_rgb_image_refuses_nan_beside_an_out_of_range_channel():
+    # a NaN minimum must not switch the range check off
+    with pytest.raises(ValueError):
+        RgbImage(np.array([[[np.nan, 2.0, -1.0]]]))
+    with pytest.raises(ValueError):
+        RgbImage(np.array([[[np.nan, 0.5, 0.5]]]))
+
+
 def test_rgb_image_from_bytes_normalizes():
     img = RgbImage.from_bytes(np.array([[[255, 0, 128]]], dtype=np.uint8))
     assert np.allclose(img.pixels[0, 0], [1.0, 0.0, 128 / 255])
@@ -80,6 +88,19 @@ def test_label_map_validation():
         LabelMap(np.array([[-1, 0]]))
     with pytest.raises(DimensionMismatch):
         LabelMap(np.zeros((2,)))
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([[np.nan]]), np.array([[np.inf]]), np.array([[1.5]]),
+    np.array([[2**32 + 3]])])
+def test_label_map_refuses_values_its_int32_cast_changes(labels):
+    with pytest.raises(ValueError):
+        LabelMap(labels)
+
+
+def test_label_map_keeps_integral_floats_and_bools():
+    assert LabelMap(np.array([[2.0, 0.0]])).labels.tolist() == [[2, 0]]
+    assert LabelMap(np.array([[True, False]])).labels.tolist() == [[1, 0]]
 
 
 def test_score_map_shape_only():

@@ -245,6 +245,15 @@ def test_energy_model_validation():
         EnergyModel((0, 1), np.zeros((3, 2)), np.zeros(1), adj)
 
 
+def test_energy_model_refuses_a_nan_pairwise_weight():
+    # the cut would drop a NaN edge without a word
+    adj = GridAdjacency(3, 1)
+    with pytest.raises(ValueError):
+        EnergyModel((0, 1), np.zeros((3, 2)), np.array([np.nan, 1.0]), adj)
+    with pytest.raises(ValueError):
+        EnergyModel((0, 1), np.zeros((3, 2)), np.array([1.0, np.nan]), adj)
+
+
 def test_total_energy_constant_labeling_has_no_pairwise_cost():
     rng = np.random.default_rng(22)
     m = random_model(rng, 3, 3, (0, 1, 2))

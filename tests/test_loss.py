@@ -48,6 +48,13 @@ def test_class_weights_type_invariants():
         ClassWeights(np.array([1.0, 1.5]))  # above 1
 
 
+def test_class_weights_refuse_nan():
+    with pytest.raises(ValueError):
+        ClassWeights(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        ClassWeights(np.array([1.0, 0.5, np.nan]))
+
+
 def test_loss_zero_on_perfect_prediction():
     scores = ScoreMap(np.dstack([np.ones((2, 2)), np.zeros((2, 2))]))
     labels = LabelMap(np.zeros((2, 2), dtype=np.int32))
