@@ -131,6 +131,31 @@ def seed_centers(img, rows, cols):
     return centers
 
 
+def slic_assign(px, c_pos, c_col, step, compactness):
+    """SLIC's assignment step as a loop over the centers: center ``j``
+    takes each pixel of its (2*step+1)-square window, clipped to the frame,
+    that it is strictly nearer than every earlier center; -1 where no
+    window reaches. The distance is 100**2 times the color SSD plus
+    compactness**2 times the squared pixel distance over step**2."""
+    h, w = px.shape[:2]
+    pos_y, pos_x = np.mgrid[:h, :w]
+    dist = np.full((h, w), np.inf)
+    ids = np.full((h, w), -1, dtype=np.int32)
+    for j in range(len(c_pos)):
+        cy, cx = c_pos[j]
+        y0, y1 = max(0, int(cy) - step), min(h, int(cy) + step + 1)
+        x0, x1 = max(0, int(cx) - step), min(w, int(cx) + step + 1)
+        dc = ((px[y0:y1, x0:x1] - c_col[j]) ** 2).sum(axis=2)
+        ds = ((pos_y[y0:y1, x0:x1] - cy) ** 2
+              + (pos_x[y0:y1, x0:x1] - cx) ** 2)
+        d = 100.0 ** 2 * dc + compactness ** 2 * ds / step ** 2
+        win = dist[y0:y1, x0:x1]
+        better = d < win
+        win[better] = d[better]
+        ids[y0:y1, x0:x1][better] = j
+    return ids
+
+
 def brute_force_min_cut(node_count, terminals, edges):
     """Minimum s-t cut capacity by enumerating all 2^n side assignments.
 

@@ -9,9 +9,11 @@ from scipy import ndimage
 
 import motionseg.coloc
 from motionseg.coloc import (
+    _MIN_CENTROID_DIST,
     _SLIC_ITERS,
     BoundingBox,
     SuperpixelMap,
+    _assign,
     _cluster_means,
     _flood_label,
     _grid_shape,
@@ -38,7 +40,7 @@ from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import cut_capacity_of, random_image, recorded_cuts
 from oracles import (all_labelings, cluster_means, flood_label, merge_bounded,
-                     potts_energies, potts_weight, seed_centers)
+                     potts_energies, potts_weight, seed_centers, slic_assign)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -178,25 +180,59 @@ def test_slic_stops_on_its_residual_before_the_cap(tmp_path, monkeypatch):
     assert 1 <= iterations < _SLIC_ITERS
 
 
+def _frame(h, w, kind, rng):
+    if kind == "random":
+        return RgbImage(rng.random((h, w, 3)))
+    if kind == "flat":  # every gradient and color distance ties
+        return RgbImage(np.full((h, w, 3), rng.random()))
+    if kind == "tenths":  # color sums that round differently in each order
+        return RgbImage(rng.integers(0, 4, size=(h, w, 3)) / 10.0)
+    # few distinct values: many ties, some strict minima
+    return RgbImage(rng.integers(0, 3, size=(h, w, 3)) / 2.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from(
     ["random", "flat", "levels"]), st.integers(0, 2**32 - 1), st.data())
 def test_seed_centers_match_loop_oracle(h, w, kind, seed, data):
-    rng = np.random.default_rng(seed)
-    if kind == "random":
-        px = rng.random((h, w, 3))
-    elif kind == "flat":  # every gradient ties
-        px = np.full((h, w, 3), rng.random())
-    else:  # few distinct values: many ties, some strict minima
-        px = rng.integers(0, 3, size=(h, w, 3)) / 2.0
+    img = _frame(h, w, kind, np.random.default_rng(seed))
     rows, cols = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
-    img = RgbImage(px)
     got = _seed_centers(img, rows, cols)
     want = np.array(seed_centers(img, rows, cols), dtype=np.float64)
     assert got.shape == (rows * cols, 2)
     assert np.array_equal(got, want)
     if min(h, w) <= 2:
         event("a side of at most 2 pixels")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20),
+       st.sampled_from(["random", "flat", "levels", "tenths"]),
+       st.sampled_from([0.0, 10.0, 40.0, 1e154]),
+       st.sampled_from(["seeded", "uniform", "half-pixel"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_assign_matches_loop_oracle(h, w, kind, compactness, centers, seed,
+                                    data):
+    rng = np.random.default_rng(seed)
+    img = _frame(h, w, kind, rng)
+    n = h * w
+    if centers == "seeded":
+        target = min(data.draw(st.integers(1, 2 * n)), n)
+        c_pos = _seed_centers(img, *_grid_shape(h, w, target))
+    else:  # anywhere in the frame, so that windows clip at every border
+        k = data.draw(st.integers(1, 2 * n))
+        c_pos = rng.random((k, 2)) * [h - 1, w - 1]
+        if centers == "half-pixel":  # equal pixel distances tie
+            c_pos = np.round(c_pos * 2) / 2
+    c_col = img.pixels[tuple(np.rint(c_pos).astype(np.int64).T)]
+    step = int(round(np.sqrt(n / len(c_pos))))
+    # at 1e154 the square is finite, but some distances overflow to inf
+    with np.errstate(over="ignore"):
+        want = slic_assign(img.pixels, c_pos, c_col, step, compactness)
+        got = _assign(img.pixels, c_pos, c_col, step, compactness)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if (want < 0).any():
+        event("a pixel outside every window")
 
 
 @st.composite
@@ -475,7 +511,8 @@ def test_coloc_output_beats_constant_labelings():
         for (a, b), length in edges.items():
             if labels_per_sp[a] != labels_per_sp[b]:
                 d2 = ((sp.mean_colors[a] - sp.mean_colors[b]) ** 2).sum()
-                dist = np.hypot(*(sp.centroids[a] - sp.centroids[b]))
+                dist = max(np.hypot(*(sp.centroids[a] - sp.centroids[b])),
+                           _MIN_CENTROID_DIST)
                 total += (params.smoothness * length
                           * np.exp(-params.contrast_scale * d2) / dist)
         return total
@@ -495,6 +532,35 @@ def test_coloc_cut_certificate_on_superpixel_graph(monkeypatch):
     assert net.node_count == sp.n_superpixels and len(net.arc_head) > 0
     assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
                                            rel=1e-9)
+
+
+def test_superpixel_enclosing_another_gets_a_finite_edge_weight(tmp_path):
+    # at 1000 superpixels this frame has a one-pixel superpixel inside an
+    # 8-pixel ring, and the two centroids are the same point
+    write_blob_dataset(tmp_path, seed=7, videos_per_category=1, height=48,
+                       width=64, with_scores=True)
+    img = read_image(tmp_path / "blue_00" / "frame_008.ppm")
+    sp = slic_superpixels(img, 1000)
+    edges, _ = _touching(sp.ids, sp.n_superpixels)
+    gap = sp.centroids[edges[:, 0]] - sp.centroids[edges[:, 1]]
+    assert not np.abs(gap).sum(axis=1).all()
+    gmms = FgBgGmm(foreground=_gmm_at([0.2, 0.2, 0.8], spread=0.1),
+                   background=_gmm_at([0.5, 0.5, 0.5], spread=0.1))
+    assert coloc_segment(img, sp, gmms).labels.shape == (48, 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_coloc_segment_returns_on_any_slic_map(h, w, flat, seed, data):
+    # the flow network refuses a non-finite capacity, so returning shows
+    # that every edge weight is finite
+    rng = np.random.default_rng(seed)
+    img = _frame(h, w, "flat" if flat else "random", rng)
+    sp = slic_superpixels(img, data.draw(st.integers(1, h * w)))
+    gmms = FgBgGmm(foreground=_gmm_at(rng.random(3), spread=0.1),
+                   background=_gmm_at(rng.random(3), spread=0.1))
+    assert coloc_segment(img, sp, gmms).labels.shape == (h, w)
 
 
 # ---------------------------------------------------------------------------
