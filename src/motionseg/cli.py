@@ -43,7 +43,7 @@ from .core import (
 from .energy import PairwiseParams
 from .errors import (EmptyBackground, EmptyForeground, MotionSegError,
                      SchemaError)
-from .gmm import DEFAULT_COMPONENTS, check_components
+from .gmm import DEFAULT_COMPONENTS, check_components, check_seed
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
     FRAME_PATH_FIELDS,
@@ -272,6 +272,7 @@ def _cmd_coloc(args, manifest):
     # checked here too: a shot without confident pixels never reaches them
     check_slic_options(args.superpixels, args.compactness)
     check_components(args.components)
+    check_seed(args.seed)
     model = _manifest_model(args, manifest)
     # the superpixel graph has no motion boundary, so no band
     pairwise = PairwiseParams(smoothness=args.smoothness,

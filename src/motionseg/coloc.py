@@ -214,6 +214,11 @@ def _cluster_means(ids, count, px, pos_y, pos_x):
     return counts, means[:, :2], means[:, 2:]
 
 
+def _slic_distance(dc, ds, step, compactness):
+    """SLIC's joint distance from squared color and position distances."""
+    return _SLIC_COLOR_SCALE ** 2 * dc + compactness ** 2 * ds / step ** 2
+
+
 def _assign(px, c_pos, c_col, step, compactness):
     """Each pixel's nearest center among those whose ``(2*step+1)``-square
     window holds it, the lowest center index on a tie; -1 where no window
@@ -233,8 +238,7 @@ def _assign(px, c_pos, c_col, step, compactness):
     ds = (((rows - c_pos[:, :1]) ** 2)[:, :, None]
           + ((cols - c_pos[:, 1:]) ** 2)[:, None, :]).reshape(k, -1)
     # (c0 + c1) + c2 is the elementwise order of ``.sum(axis=2)``
-    d = (_SLIC_COLOR_SCALE ** 2 * ((c0 + c1) + c2)
-         + compactness ** 2 * ds / step ** 2).ravel()
+    d = _slic_distance((c0 + c1) + c2, ds, step, compactness).ravel()
     flat = flat.ravel()  # 1-d operands take ``ufunc.at``'s fast path
     best = np.full(h * w, np.inf)
     np.minimum.at(best, flat, d)
@@ -295,11 +299,10 @@ def slic_superpixels(img: RgbImage, target_count: int,
         if orphan.any():
             # pixels outside every search window: assign to nearest center
             oy, ox = np.nonzero(orphan)
-            d = (_SLIC_COLOR_SCALE ** 2
-                 * ((px[oy, ox][:, None] - c_col[None]) ** 2).sum(axis=2)
-                 + compactness ** 2
-                 * ((oy[:, None] - c_pos[None, :, 0]) ** 2
-                    + (ox[:, None] - c_pos[None, :, 1]) ** 2) / step ** 2)
+            d = _slic_distance(
+                ((px[oy, ox][:, None] - c_col[None]) ** 2).sum(axis=2),
+                (oy[:, None] - c_pos[None, :, 0]) ** 2
+                + (ox[:, None] - c_pos[None, :, 1]) ** 2, step, compactness)
             ids[oy, ox] = np.argmin(d, axis=1)
         size, pos, col = _cluster_means(ids, k, px, pos_y, pos_x)
         live = size > 0

@@ -112,6 +112,12 @@ def check_components(n_components) -> None:
         raise ValueError("n_components must be >= 1")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that ``np.random.default_rng`` would refuse."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
             return_history=False):
     """Fit a weighted GMM to (N, 3) colors with positive sample weights.

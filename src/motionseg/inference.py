@@ -20,7 +20,8 @@ from .energy import (
     minimize_expansion,
 )
 from .errors import MultiLabelVideo
-from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, motion_color_samples
+from .gmm import (DEFAULT_COMPONENTS, FgBgGmm, check_components, check_seed,
+                  fit_fgbg, motion_color_samples)
 from .gmm import fit_gmm  # noqa: F401 -- perfbench's tracer test reads it
 
 # Weight at which the original motion-derived samples are retained when the
@@ -50,6 +51,9 @@ class InferenceParams:
             raise ValueError("prediction_weight must be finite and >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        # checked here too: a run without a shot never reaches a GMM fit
+        check_components(self.gmm_components)
+        check_seed(self.seed)
 
 
 def _refit_from_labeling(img, labeling, motion, n_components, seed) -> FgBgGmm:

@@ -425,6 +425,7 @@ def bare_manifest(tmp_path_factory):
     ("--superpixels", "0", "target_count must be >= 1"),
     ("--compactness", "-5", "compactness must be >= 0"),
     ("--components", "0", "n_components must be >= 1"),
+    ("--seed", "-1", "seed must be >= 0"),
 ])
 def test_coloc_checks_options_without_confident_pixels(
         bare_manifest, tmp_path, capsys, option, value, message):
@@ -436,6 +437,36 @@ def test_coloc_checks_options_without_confident_pixels(
     assert len(err_lines) == 1
     doc = json.loads(err_lines[0])
     assert doc["error"] == "ValueError" and doc["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def shotless_manifest(bare_manifest, tmp_path_factory):
+    # no shot keeps 90% foreground, so no GMM is ever fitted
+    out = tmp_path_factory.mktemp("shotless") / "pruned"
+    assert main(["prune", "--manifest", str(bare_manifest), "--out", str(out),
+                 "--min-foreground", "0.9", "--max-foreground", "1.0"]) == 0
+    assert read_manifest(out / "manifest.json").shots() == []
+    return out / "manifest.json"
+
+
+@pytest.mark.parametrize("sub, option, value, message", [
+    ("infer", "--components", "0", "n_components must be >= 1"),
+    ("infer", "--seed", "-1", "seed must be >= 0"),
+    ("train-toy", "--components", "0", "n_components must be >= 1"),
+    ("train-toy", "--seed", "-1", "seed must be >= 0"),
+    ("coloc", "--seed", "-1", "seed must be >= 0"),
+])
+def test_bad_gmm_option_is_refused_without_a_shot(
+        shotless_manifest, tmp_path, capsys, sub, option, value, message):
+    out = tmp_path / "out"
+    rc = main([sub, "--manifest", str(shotless_manifest), option, value,
+               "--out", str(out)])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {"error": "ValueError",
+                                        "message": message}
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-import motionseg
 import motionseg.coloc
 from motionseg.core import (
     BACKGROUND,
@@ -210,4 +212,16 @@ def test_check_same_shape():
 
 def test_bounding_box_is_one_type_under_every_import_path():
     # test_coloc checks its validation
-    assert motionseg.BoundingBox is motionseg.coloc.BoundingBox is BoundingBox
+    assert motionseg.coloc.BoundingBox is BoundingBox
+
+
+def test_package_holds_only_its_version():
+    # every other name is imported from its module; the package loads none
+    code = ("import sys, motionseg; "
+            "print([m for m in sys.modules if m.startswith('motionseg.')], "
+            "[k for k in vars(motionseg) if not k.startswith('__')], "
+            "motionseg.__version__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]", "0.1.0"]

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def test_params_validation():
         InferenceParams(prediction_weight=-0.5)
     with pytest.raises(ValueError):
         InferenceParams(iterations=0)
+    with pytest.raises(ValueError, match="n_components"):
+        InferenceParams(gmm_components=0)
+    with pytest.raises(ValueError, match="seed"):
+        InferenceParams(seed=-1)
+
+
+def test_readme_quick_start_runs():
+    # the README's only python block, with its import paths
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("Quick start:", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["agreement"] > 0.95
 
 
 def test_perfect_mask_recovers_itself_and_matches_enumeration():
