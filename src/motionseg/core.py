@@ -74,7 +74,7 @@ class MotionMask(PixelGrid):
         m = np.asarray(self.mask)
         if m.ndim != 2:
             raise DimensionMismatch(f"expected (H, W) mask, got {m.shape}")
-        if m.size and not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ValueError("mask values must be exactly 0 or 1")
         object.__setattr__(self, "mask", _frozen(m.astype(np.uint8)))
 

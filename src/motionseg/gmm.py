@@ -11,10 +11,11 @@ the weighted NLL per unit of sample weight moves by less than ``EM_TOL``
 nats in one step (scikit-learn's default tolerance), or after
 ``EM_MAX_ITER`` steps. Initialization is k-means++ with the caller's seed,
 run on samples sorted lexicographically by color so the fit does not
-depend on sample order. Covariances are floored so flat color regions
-cannot produce singular matrices. The log-sum-exp over components, in the
-E-step and in :func:`nll`, is a plain numpy reduction that gives the same
-bits as scipy's on these inputs.
+depend on sample order (on radix-sorted uint8 keys when every color is
+an 8-bit ``q / 255``); one component takes a single M-step. Covariances
+are floored so flat color regions cannot produce singular matrices. The
+log-sum-exp over components, in the E-step and in :func:`nll`, is a
+plain numpy reduction that gives the same bits as scipy's on these inputs.
 """
 
 from dataclasses import dataclass
@@ -120,13 +121,17 @@ def check_seed(seed) -> None:
 
 def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
             return_history=False):
-    """Fit a weighted GMM to (N, 3) colors with positive sample weights.
+    """Fit a weighted GMM to finite (N, 3) colors with positive weights.
 
     Runs EM until the weighted NLL per unit of sample weight changes by
     less than ``EM_TOL`` nats in one step, or for ``EM_MAX_ITER`` steps,
     so scaling all weights alike does not change when it stops. The
     weighted NLL is non-increasing across iterations (up to the covariance
     floor, which only activates on degenerate clusters).
+
+    With one component every responsibility is exactly 1, the hard
+    assignment, so the first M-step is EM's fixed point and is returned;
+    its history repeats that NLL as EM's loop would.
 
     With ``return_history`` also returns the per-iteration weighted NLL,
     evaluated on the parameters entering each iteration.
@@ -138,16 +143,35 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     if len(weights) != n:
         raise ValueError("colors and weights disagree in length")
-    if np.any(weights <= 0):
-        raise ValueError("sample weights must be positive")
+    if not np.isfinite(colors).all():
+        raise ValueError("colors must be finite")
+    # NaN fails > 0; an inf weight or an overflowing sum fails isfinite
+    with np.errstate(over="ignore"):
+        positive = (weights > 0).all() and np.isfinite(weights.sum())
+    if not positive:
+        raise ValueError("sample weights must be positive, with a finite sum")
     check_components(n_components)
     if n < n_components:
         raise TooFewSamples(f"{n} samples for {n_components} components")
 
-    # order-independent init: sort by color, then seed k-means++
-    order = np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0]))
-    colors = colors[order]
-    weights = weights[order]
+    # order-independent fit: sort by color. q -> q / 255 is increasing, so
+    # on the 8-bit lattice the stable sort of q gives the same permutation
+    q = np.rint(np.clip(colors, 0.0, 1.0) * 255.0)
+    keys = q.astype(np.uint8) if (q / 255.0 == colors).all() else colors
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    colors, weights = colors[order], weights[order]
+    tol = EM_TOL * weights.sum()
+
+    if n_components == 1:
+        g = _m_step(colors, weights, np.ones((n, 1)))
+        if not return_history:
+            return g
+        # EM's loop stops at its second step, where the NLL repeats, unless
+        # tol underflows to 0 or the NLL is not finite
+        cur_nll = _e_step(g, colors, weights)[1]
+        steps = 2 if abs(cur_nll - cur_nll) < tol else EM_MAX_ITER
+        return g, [cur_nll] * steps
+
     centers = _kmeanspp_centers(colors, weights, n_components,
                                 np.random.default_rng(seed))
 
@@ -157,7 +181,6 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
     resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
     g = _m_step(colors, weights, resp)
 
-    tol = EM_TOL * weights.sum()
     history = []
     prev = None
     for _ in range(EM_MAX_ITER):
@@ -178,8 +201,6 @@ def _kmeanspp_centers(colors, weights, k, rng):
     probs = weights / weights.sum()
     centers = np.empty((k, 3))
     centers[0] = colors[rng.choice(n, p=probs)]
-    if k == 1:
-        return centers
     d2 = ((colors - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         scores = weights * d2

@@ -116,7 +116,7 @@ def write_image(img: RgbImage, path) -> None:
 def read_mask(path) -> MotionMask:
     """Read a binary PGM mask; pixels must be exactly 0 or 255."""
     raw = _read_pnm(path, b"P5", 1)
-    bad = ~np.isin(raw, (0, 255))
+    bad = (raw != 0) & (raw != 255)
     if bad.any():
         r, c = np.unravel_index(int(np.argmax(bad)), raw.shape)
         raise NonBinaryMask(f"{path}: value {raw[r, c]} at (row={r}, col={c})")

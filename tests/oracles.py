@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration, explicit
 loops, textbook formulas. No code is shared with the package beyond its
-public data types, so agreement is meaningful evidence; the one exception,
-``expansion_full_sweeps``, says why.
+public data types, so agreement is meaningful evidence; the two
+exceptions, ``expansion_full_sweeps`` and ``reference_fit_gmm``, say why.
 """
 
 import numpy as np
@@ -286,6 +286,49 @@ def weighted_gaussians(colors, weights, resp, floor):
         vals, vecs = np.linalg.eigh(cov / mass)
         covs[j] = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
     return mix, means, covs
+
+
+def reference_fit_gmm(colors, weights, n_components, seed,
+                      return_history=False):
+    """``fit_gmm`` as EM in full: a float lexsort of the colors, k-means++
+    even for one component, and E- and M-steps until the weighted NLL
+    moves by less than ``EM_TOL`` per unit weight or ``EM_MAX_ITER``
+    steps. It takes the package's E- and M-step, which the tests check on
+    their own against ``weighted_gaussians`` and scipy's log-sum-exp, so a
+    byte comparison tests only what the package's fit skips or reorders
+    around them.
+    """
+    from motionseg.gmm import EM_MAX_ITER, EM_TOL, _e_step, _m_step
+    colors = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    n = len(colors)
+    order = np.lexsort((colors[:, 2], colors[:, 1], colors[:, 0]))
+    colors, weights = colors[order], weights[order]
+    rng = np.random.default_rng(seed)
+    probs = weights / weights.sum()
+    centers = np.empty((n_components, 3))
+    centers[0] = colors[rng.choice(n, p=probs)]
+    d2 = ((colors - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, n_components):
+        scores = weights * d2
+        total = scores.sum()
+        p = probs if total <= 0.0 else scores / total
+        centers[j] = colors[rng.choice(n, p=p)]
+        d2 = np.minimum(d2, ((colors - centers[j]) ** 2).sum(axis=1))
+    d2 = ((colors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    resp = np.zeros((n, n_components))
+    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
+    g = _m_step(colors, weights, resp)
+    tol = EM_TOL * weights.sum()
+    history, prev = [], None
+    for _ in range(EM_MAX_ITER):
+        resp, cur = _e_step(g, colors, weights)
+        history.append(cur)
+        if prev is not None and abs(prev - cur) < tol:
+            break
+        prev = cur
+        g = _m_step(colors, weights, resp)
+    return (g, history) if return_history else g
 
 
 def label_iou(predicted, truth, label):

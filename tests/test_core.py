@@ -62,6 +62,10 @@ def test_motion_mask_binary_only():
     MotionMask(np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         MotionMask(np.array([[0, 2]]))
+    with pytest.raises(ValueError, match="exactly 0 or 1"):
+        MotionMask(np.array([[0.0, 0.5]]))
+    mask = MotionMask(np.array([[True, False]]))
+    assert mask.mask.dtype == np.uint8 and mask.mask.tolist() == [[1, 0]]
     with pytest.raises(DimensionMismatch):
         MotionMask(np.zeros((2, 2, 1)))
 

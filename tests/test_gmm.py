@@ -24,7 +24,8 @@ from motionseg.gmm import (
 from motionseg.synthetic import blob_video_frames
 
 from helpers import fit_fgbg_from_motion
-from oracles import gaussian_mixture_nll, weighted_gaussians
+from oracles import (gaussian_mixture_nll, reference_fit_gmm,
+                     weighted_gaussians)
 
 
 def _random_gmm(rng, k=3):
@@ -100,6 +101,29 @@ def test_two_blobs_recover_their_centroids():
 def test_too_few_samples():
     with pytest.raises(TooFewSamples):
         fit_gmm(np.zeros((3, 3)), n_components=5)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bad", ["nan weight", "inf weight",
+                                 "overflowing weights", "nan color",
+                                 "inf color"])
+def test_non_finite_input_is_refused_by_name(k, bad):
+    rng = np.random.default_rng(3)
+    colors, weights = rng.random((12, 3)), np.ones(12)
+    if bad == "nan weight":
+        weights[4] = np.nan
+    elif bad == "inf weight":
+        weights[4] = np.inf
+    elif bad == "overflowing weights":
+        weights[:] = 1e308  # each finite, the sum is not
+    elif bad == "nan color":
+        colors[4, 1] = np.nan
+    else:
+        colors[4, 1] = -np.inf
+    match = ("colors must be finite" if bad.endswith("color") else
+             "sample weights must be positive, with a finite sum")
+    with pytest.raises(ValueError, match=match):
+        fit_gmm(colors, weights, n_components=k)
 
 
 def test_component_count_must_be_positive():
@@ -232,6 +256,54 @@ def test_blob_video_fits_stop_well_before_the_cap():
                              return_history=True)
         # a total-NLL relative tolerance of 1e-6 ran both to the cap of 100
         assert len(history) < 30
+
+
+def _lattice_or_not(rng, n, kind):
+    """(n, 3) colors from a small 8-bit palette, so equal colors repeat,
+    with 0 as -0.0 at random; off the lattice by one ulp or above 1."""
+    palette = rng.integers(0, 256, (int(rng.integers(1, 8)), 3))
+    palette[rng.random(palette.shape) < 0.2] = 0
+    palette[rng.random(palette.shape) < 0.2] = 255
+    colors = palette[rng.integers(0, len(palette), n)] / 255.0
+    colors[(colors == 0.0) & (rng.random(colors.shape) < 0.5)] = -0.0
+    i, c = int(rng.integers(n)), int(rng.integers(3))
+    if kind == "one ulp off":
+        colors[i, c] = np.nextafter(colors[i, c], 2.0)
+    elif kind == "above 1":
+        colors[i, c] += 1.0
+    return colors
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 5]), st.integers(0, 60),
+       st.sampled_from(["lattice", "one ulp off", "above 1"]),
+       st.integers(0, 2**32 - 1))
+def test_fit_matches_full_em_byte_for_byte(k, extra, kind, seed):
+    rng = np.random.default_rng(seed)
+    colors = _lattice_or_not(rng, k + extra, kind)
+    weights = rng.uniform(0.05, 2.0, len(colors))
+    perm = rng.permutation(len(colors))
+    for c, w in ((colors, weights), (colors[perm], weights[perm])):
+        g, history = fit_gmm(c, w, k, seed, return_history=True)
+        ref, ref_history = reference_fit_gmm(c, w, k, seed,
+                                             return_history=True)
+        assert history == ref_history
+        for name in ("weights", "means", "covariances"):
+            assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
+        # the one-component fit returns early without a history
+        assert fit_gmm(c, w, k, seed).means.tobytes() == g.means.tobytes()
+
+
+def test_one_component_history_runs_to_the_cap_when_tol_underflows():
+    # EM_TOL times a subnormal weight sum is 0, so no step can stop EM
+    rng = np.random.default_rng(0)
+    colors = rng.integers(0, 256, (12, 3)) / 255.0
+    weights = np.full(12, 5e-324)
+    g, history = fit_gmm(colors, weights, 1, return_history=True)
+    ref, ref_history = reference_fit_gmm(colors, weights, 1, 0,
+                                         return_history=True)
+    assert len(history) == EM_MAX_ITER and history == ref_history
+    assert g.means.tobytes() == ref.means.tobytes()
 
 
 def test_fit_is_sample_order_independent():

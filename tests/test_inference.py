@@ -132,6 +132,31 @@ def test_infer_labels_bytes_are_pinned():
     ]
 
 
+def test_infer_labels_bytes_are_pinned_on_8bit_colors_with_one_component():
+    # the same scenes read back from 8-bit pixels with one component, as
+    # the CLI fits them: fit_gmm's byte-keyed sort and its one-step fit
+    def as_read(img):
+        return RgbImage.from_bytes(np.rint(img.pixels * 255).astype(np.uint8))
+
+    def digests(batch, weak):
+        params = InferenceParams(gmm_components=1)
+        return [hashlib.sha256(np.ascontiguousarray(out.labels).tobytes())
+                .hexdigest() for out in infer_labels(batch, weak, params)]
+
+    scenes = [corrupted_mask_scene(seed) for seed in range(3)]
+    batch = [(as_read(s.image), s.mask, s.scores) for s in scenes]
+    assert digests(batch, (1,)) == [
+        "a80d0372ec59c2867719870340a33d0e3772115fbdb170c43475f4a6ffe181c2",
+        "8fc222faba4f328a01c898726b3d35a99c619f52f0e154fe4bdeb034445a20e5",
+        "5af62d9a364c53ade1dc4c3d0f9c79f0c8deb082c158bfec9073216f00d10e4e",
+    ]
+    scene = two_object_scene(0, height=96, width=160)
+    batch = [(as_read(scene.image), scene.mask, scene.scores)]
+    assert digests(batch, (1, 2)) == [
+        "a4ab614e844bade89662320424756c5a7048522be00f51b7df5dbf574f7f2acd",
+    ]
+
+
 def test_batch_frames_share_a_mixture_fit():
     # two frames, same object in both; output masks should both be sane
     scenes = [corrupted_mask_scene(s) for s in (5, 6)]

@@ -134,8 +134,9 @@ def test_mask_all_foreground(tmp_path):
 
 def test_mask_rejects_gray(tmp_path):
     p = tmp_path / "m.pgm"
-    p.write_bytes(b"P5\n2 1\n255\n\x00\x80")
-    with pytest.raises(NonBinaryMask):
+    p.write_bytes(b"P5\n3 1\n255\n\x00\x80\x01")
+    # the first bad pixel in raster order is named
+    with pytest.raises(NonBinaryMask, match=r"value 128 at \(row=0, col=1\)"):
         read_mask(p)
 
 
