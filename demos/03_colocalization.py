@@ -12,12 +12,12 @@ fraction of frames whose box overlaps the truth above 0.5 IoU.
 import numpy as np
 
 from motionseg.coloc import (
-    BoundingBox,
     largest_component_box,
     coloc_segment,
     seed_gmms_from_scores,
     slic_superpixels,
 )
+from motionseg.core import BoundingBox
 from motionseg.metrics import box_iou, corloc
 from motionseg.synthetic import corrupted_mask_scene
 
@@ -41,9 +41,7 @@ for i, scene in enumerate(scenes):
     sp = slic_superpixels(scene.image, 80)
     seg = coloc_segment(scene.image, sp, gmms)
     box = largest_component_box(seg)
-    ys, xs = np.nonzero(scene.truth.labels > 0)
-    truth_box = BoundingBox(int(xs.min()), int(ys.min()),
-                            int(xs.max()), int(ys.max()))
+    truth_box = BoundingBox.around(scene.truth.labels > 0)
     pairs.append((box, truth_box))
     iou = box_iou(box, truth_box) if box else 0.0
     print(f"frame {i}: predicted {box}, IoU {iou:.3f}")

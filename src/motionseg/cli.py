@@ -13,12 +13,10 @@ run.json.
 """
 
 import argparse
-import csv
 import functools
 import json
-import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,6 @@ from .coloc import (
     slic_superpixels,
 )
 from .core import (
-    BoundingBox,
     RgbImage,
     ScoreMap,
     argmax_labels,
@@ -46,12 +43,14 @@ from .errors import (EmptyBackground, EmptyForeground, MotionSegError,
 from .gmm import DEFAULT_COMPONENTS, check_components, check_seed
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
-    FRAME_PATH_FIELDS,
+    read_boxes,
     read_image,
     read_labels,
     read_manifest,
     read_mask,
     read_scores,
+    rebase,
+    write_boxes,
     write_image,
     write_labels,
     write_manifest,
@@ -87,9 +86,6 @@ _PALETTE = np.array([
     (0.60, 0.31, 0.64), (1.00, 0.50, 0.00), (1.00, 1.00, 0.20),
     (0.65, 0.34, 0.16), (0.97, 0.51, 0.75),
 ])
-
-# boxes.csv header; BoundingBox's fields in order, after the frame path
-_BOX_COLUMNS = ["frame_path", "x_min", "y_min", "x_max", "y_max"]
 
 
 def _out_file(args, name) -> Path:
@@ -152,27 +148,8 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
 
 
 def _write_rebased(args, manifest) -> None:
-    """Write ``manifest`` as ``--out``/manifest.json, its frame paths
-    rewritten relative to ``--out`` so they keep resolving to the original
-    dataset files."""
-    path = _out_file(args, "manifest.json")
-    out = path.parent
-
-    def reb(rel):
-        if rel is None:
-            return None
-        return os.path.relpath(manifest.resolve(rel), out)
-
-    videos = []
-    for v in manifest.videos:
-        shots = []
-        for s in v.shots:
-            frames = tuple(
-                replace(f, **{k: reb(getattr(f, k)) for k in FRAME_PATH_FIELDS})
-                for f in s.frames)
-            shots.append(replace(s, frames=frames))
-        videos.append(replace(v, shots=tuple(shots)))
-    write_manifest(replace(manifest, videos=tuple(videos), base_dir=out), path)
+    """Write ``manifest``, rebased onto ``--out``, as ``--out``/manifest.json."""
+    write_manifest(rebase(manifest, args.out), _out_file(args, "manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +273,9 @@ def _cmd_coloc(args, manifest):
                 sp = slic_superpixels(img, args.superpixels, args.compactness)
                 box = largest_component_box(
                     coloc_segment(img, sp, gmms, pairwise))
-            rows.append((frame.image_path,
-                         *(astuple(box) if box else ("",) * 4)))
+            rows.append((frame.image_path, box))
     path = _out_file(args, "boxes.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_BOX_COLUMNS)
-        writer.writerows(rows)
+    write_boxes(rows, path)
     return {"frames": len(rows), "boxes": str(path)}
 
 
@@ -334,38 +307,8 @@ def _cmd_eval_iou(args, manifest):
     return {"frames": frames, "mean_iou": report["mean_iou"]}
 
 
-def _read_boxes_csv(path):
-    """``boxes.csv`` as frame path -> box, or None for a row whose four
-    coordinates are all empty. The header must be exactly the five column
-    names, every row must have five fields, and coordinates are ASCII
-    digits; anything else is a SchemaError naming the file and line."""
-    boxes = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != _BOX_COLUMNS:
-                raise SchemaError(f"{path}: boxes CSV needs the header "
-                                  f"{','.join(_BOX_COLUMNS)}")
-            for row in filter(None, reader):  # blank lines are no rows
-                if len(row) != len(_BOX_COLUMNS):
-                    raise ValueError(f"boxes CSV rows need 5 fields, got "
-                                     f"{len(row)}")
-                frame, *box = row
-                if box == [""] * 4:
-                    boxes[frame] = None
-                elif all(c.isascii() and c.isdigit() for c in box):
-                    boxes[frame] = BoundingBox(*map(int, box))
-                else:
-                    raise ValueError(f"coordinates {box} must be ASCII "
-                                     "digits, or all four empty")
-        except (csv.Error, ValueError) as e:
-            # a field over csv's size limit, bad UTF-8, a bad row or box
-            raise SchemaError(f"{path}, line {reader.line_num}: {e}") from e
-    return boxes
-
-
 def _cmd_eval_corloc(args, manifest):
-    predicted = _read_boxes_csv(args.boxes)
+    predicted = read_boxes(args.boxes)
     pairs = []
     by_class = {}
     for video, frame in _frames_for_eval(manifest, args.sampled_only):

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (BoundingBox, GridAdjacency, LabelMap, PixelGrid, RgbImage,
                    _frozen, check_same_shape)
 from .energy import PairwiseParams, _solve_binary_columns
-from .errors import DimensionMismatch, EmptyBackground, EmptyForeground
+from .errors import DimensionMismatch
 from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, nll
 from .gmm import fit_gmm  # noqa: F401 -- perfbench's tracer test reads it
 
@@ -333,7 +333,8 @@ def seed_gmms_from_scores(frames, score_maps, category: int,
     Foreground samples are pixels with the category's score strictly above
     0.5, background samples those with the background score strictly above
     0.5; ambiguous pixels (no score above 0.5) enter neither side. The fit
-    is unweighted over all given frames.
+    is unweighted over all given frames; :func:`fit_fgbg` refuses a side
+    without samples.
     """
     if not frames:
         raise ValueError("need at least one frame")
@@ -344,12 +345,8 @@ def seed_gmms_from_scores(frames, score_maps, category: int,
         p = scores.scores.reshape(-1, scores.channels)
         fg.append(flat[p[:, category] > 0.5])
         bg.append(flat[p[:, 0] > 0.5])
-    fg, bg = np.concatenate(fg), np.concatenate(bg)
-    if len(fg) == 0:
-        raise EmptyForeground(f"no pixel predicts category {category} above 0.5")
-    if len(bg) == 0:
-        raise EmptyBackground("no pixel predicts background above 0.5")
-    return fit_fgbg(fg, None, bg, None, n_components, seed)
+    return fit_fgbg(np.concatenate(fg), None, np.concatenate(bg), None,
+                    n_components, seed)
 
 
 def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
@@ -366,12 +363,9 @@ def coloc_segment(frame: RgbImage, sp: SuperpixelMap, gmms: FgBgGmm,
     theta0 = sp.counts * nll(gmms.background, sp.mean_colors)
     theta1 = sp.counts * nll(gmms.foreground, sp.mean_colors)
     edges, boundary = _touching(sp.ids, sp.n_superpixels)
-    dc = ((sp.mean_colors[edges[:, 0]] - sp.mean_colors[edges[:, 1]]) ** 2
-          ).sum(axis=1)
     gap = sp.centroids[edges[:, 0]] - sp.centroids[edges[:, 1]]
     dist = np.maximum(np.sqrt((gap ** 2).sum(axis=1)), _MIN_CENTROID_DIST)
-    weights = (params.smoothness * np.exp(-params.contrast_scale * dc)
-               / dist * boundary)
+    weights = params.contrast_weights(sp.mean_colors, edges) / dist * boundary
     y = _solve_binary_columns(theta0, theta1, edges, weights, weights)
     return LabelMap(y[sp.ids].astype(np.int32))
 
@@ -387,6 +381,4 @@ def largest_component_box(x: LabelMap):
         return None
     comp, count = _flood_label(fg)
     best = int(np.argmax(np.bincount(comp[fg], minlength=count)))
-    rows, cols = np.nonzero(comp == best)
-    return BoundingBox(int(cols.min()), int(rows.min()),
-                       int(cols.max()), int(rows.max()))
+    return BoundingBox.around(comp == best)

@@ -172,6 +172,13 @@ class BoundingBox:
     def area(self) -> int:
         return (self.x_max - self.x_min + 1) * (self.y_max - self.y_min + 1)
 
+    @classmethod
+    def around(cls, mask) -> "BoundingBox | None":
+        """The tight box around an (H, W) mask's true pixels, or None."""
+        rows, cols = np.nonzero(mask)
+        return cls(int(cols.min()), int(rows.min()), int(cols.max()),
+                   int(rows.max())) if len(rows) else None
+
 
 @dataclass(frozen=True)
 class GridAdjacency:

@@ -54,6 +54,11 @@ class PairwiseParams:
         if self.boundary_band < 0:
             raise ValueError("boundary_band must be >= 0")
 
+    def contrast_weights(self, colors, edges) -> np.ndarray:
+        """``smoothness * exp(-contrast_scale * |z_i - z_j|^2)`` per edge."""
+        d2 = ((colors[edges[:, 0]] - colors[edges[:, 1]]) ** 2).sum(axis=1)
+        return self.smoothness * np.exp(-self.contrast_scale * d2)
+
 
 @dataclass(frozen=True)
 class BoundaryBand(PixelGrid):
@@ -155,8 +160,7 @@ def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
 
     adjacency = GridAdjacency(img.width, img.height)
     edges = adjacency.edges()
-    d2 = ((colors[edges[:, 0]] - colors[edges[:, 1]]) ** 2).sum(axis=1)
-    pairwise = params.smoothness * np.exp(-params.contrast_scale * d2)
+    pairwise = params.contrast_weights(colors, edges)
     flat_band = band.band.reshape(-1)
     pairwise[flat_band[edges[:, 0]] & flat_band[edges[:, 1]]] = 0.0
 

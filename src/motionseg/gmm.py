@@ -18,6 +18,7 @@ log-sum-exp over components, in the E-step and in :func:`nll`, is a
 plain numpy reduction that gives the same bits as scipy's on these inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
         # EM's loop stops at its second step, where the NLL repeats, unless
         # tol underflows to 0 or the NLL is not finite
         cur_nll = _e_step(g, colors, weights)[1]
-        steps = 2 if abs(cur_nll - cur_nll) < tol else EM_MAX_ITER
+        steps = 2 if math.isfinite(cur_nll) and tol > 0 else EM_MAX_ITER
         return g, [cur_nll] * steps
 
     centers = _kmeanspp_centers(colors, weights, n_components,
@@ -249,32 +250,28 @@ def motion_color_samples(frames, target_index):
 
     ``frames`` is a list of (RgbImage, MotionMask) pairs; colors of frame
     t' carry weight 1/(1+|t-t'|) relative to the target frame. Returns
-    (fg_colors, fg_weights, bg_colors, bg_weights).
+    (fg_colors, fg_weights, bg_colors, bg_weights), each side in frame
+    order, then pixel order; a side may be empty.
     """
     if not 0 <= target_index < len(frames):
         raise IndexError(f"target_index {target_index} out of range")
-    fg_colors, fg_w, bg_colors, bg_w = [], [], [], []
-    for t, (img, mask) in enumerate(frames):
-        w = frame_distance_weight(target_index, t)
-        flat = img.pixels.reshape(-1, 3)
-        fg = mask.mask.reshape(-1) == 1
-        fg_colors.append(flat[fg])
-        fg_w.append(np.full(int(fg.sum()), w))
-        bg_colors.append(flat[~fg])
-        bg_w.append(np.full(int((~fg).sum()), w))
-    fg_colors, bg_colors = np.concatenate(fg_colors), np.concatenate(bg_colors)
-    if not len(fg_colors):
-        raise EmptyForeground("no foreground pixel in any frame of the batch")
-    if not len(bg_colors):
-        raise EmptyBackground("no background pixel in any frame of the batch")
-    return fg_colors, np.concatenate(fg_w), bg_colors, np.concatenate(bg_w)
+    colors = np.concatenate([img.pixels.reshape(-1, 3) for img, _ in frames])
+    fg = np.concatenate([mask.mask.reshape(-1) == 1 for _, mask in frames])
+    t_prime = np.repeat(np.arange(len(frames)), [m.mask.size for _, m in frames])
+    weights = frame_distance_weight(target_index, t_prime)
+    return colors[fg], weights[fg], colors[~fg], weights[~fg]
 
 
 def fit_fgbg(fg_colors, fg_weights, bg_colors, bg_weights,
              n_components=DEFAULT_COMPONENTS, seed=0) -> FgBgGmm:
     """Foreground/background GMMs, each with the same component count:
     ``n_components`` capped at the smaller side's sample count, so tiny
-    frames remain fittable. ``None`` weights are all ones."""
+    frames remain fittable. ``None`` weights are all ones. A side without
+    a sample raises EmptyForeground or EmptyBackground."""
+    if not len(fg_colors):
+        raise EmptyForeground("no foreground color sample to fit")
+    if not len(bg_colors):
+        raise EmptyBackground("no background color sample to fit")
     k = min(n_components, len(fg_colors), len(bg_colors))
     return FgBgGmm(foreground=fit_gmm(fg_colors, fg_weights, k, seed),
                    background=fit_gmm(bg_colors, bg_weights, k, seed))

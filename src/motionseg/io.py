@@ -13,15 +13,19 @@ examples):
 * Checkpoints:  ``MTM1`` - the same layout (:func:`read_tensor`), header
   ``"MTM1 <classes> <features>\\n"``; see :mod:`motionseg.predictor`.
 * Manifests:    JSON, schema documented on :func:`read_manifest`.
+* Boxes:        ``boxes.csv``, one row per frame after its header; the
+  schema is documented on :func:`read_boxes`.
 
 Writers emit canonical headers so that write(read(f)) is byte-identical to f
 for canonical files.
 """
 
+import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -274,13 +278,8 @@ def _parse_frame(obj, where) -> FrameRecord:
             box = BoundingBox(*map(int, box))
         except ValueError as e:
             raise SchemaError(f"{where}: ground_truth_box: {e}") from e
-    return FrameRecord(
-        image_path=obj["image_path"],
-        motion_mask_path=obj["motion_mask_path"],
-        score_map_path=obj.get("score_map_path"),
-        ground_truth_label_path=obj.get("ground_truth_label_path"),
-        ground_truth_box=box,
-    )
+    return FrameRecord(**{k: obj.get(k) for k in FRAME_PATH_FIELDS},
+                       ground_truth_box=box)
 
 
 def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
@@ -291,12 +290,15 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
 
     weak = []
     videos = []
+    video_at = {}  # id -> index of its first video
     for vi, vobj in enumerate(doc["videos"]):
         where = f"videos[{vi}]"
         _require(isinstance(vobj, dict), f"{where}: must be an object")
         _require("video_id" in vobj, f"{where}: missing video_id")
         _require(isinstance(vobj["video_id"], str),
                  f"{where}: video_id must be a string")
+        first = video_at.setdefault(vobj["video_id"], vi)
+        _require(first == vi, f"{where}: video_id repeats videos[{first}]")
         labels = vobj.get("weak_labels")
         _require(isinstance(labels, list) and _str_list(labels),
                  f"{where}: weak_labels must be a list of strings")
@@ -306,12 +308,16 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
             raise UnknownLabel(f"{where}: background cannot be a weak label")
         _require(isinstance(vobj.get("shots"), list), f"{where}: shots must be a list")
         shots = []
+        shot_at = {}
         for si, sobj in enumerate(vobj["shots"]):
             swhere = f"{where}.shots[{si}]"
             _require(isinstance(sobj, dict), f"{swhere}: must be an object")
             _require("shot_id" in sobj, f"{swhere}: missing shot_id")
             _require(isinstance(sobj["shot_id"], str),
                      f"{swhere}: shot_id must be a string")
+            first = shot_at.setdefault(sobj["shot_id"], si)
+            _require(first == si,
+                     f"{swhere}: shot_id repeats {where}.shots[{first}]")
             frames = sobj.get("frames")
             _require(isinstance(frames, list), f"{swhere}: frames must be a list")
             if not frames:
@@ -372,10 +378,10 @@ def read_manifest(path) -> DatasetManifest:
         {
           "categories": ["car", ...],            # optional, fixes label order
           "videos": [
-            {"video_id": str,
+            {"video_id": str,                    # unique
              "weak_labels": [category, ...],     # nonempty, no background
              "shots": [
-               {"shot_id": str,
+               {"shot_id": str,                  # unique within its video
                 "frames": [
                   {"image_path": str,
                    "motion_mask_path": str,
@@ -415,3 +421,59 @@ def manifest_to_dict(m: DatasetManifest) -> dict:
 
 def write_manifest(m: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(manifest_to_dict(m), indent=2) + "\n")
+
+
+def rebase(m: DatasetManifest, base_dir) -> DatasetManifest:
+    """``m`` with frame paths relative to ``base_dir``, naming the same files."""
+    doc = manifest_to_dict(m)
+    frames = [f for v in doc["videos"] for s in v["shots"] for f in s["frames"]]
+    for frame in frames:
+        for key in FRAME_PATH_FIELDS & frame.keys():
+            frame[key] = os.path.relpath(m.resolve(frame[key]), base_dir)
+    return parse_manifest(doc, base_dir)
+
+
+# ---------------------------------------------------------------------------
+# boxes.csv, whose header is the frame path, then BoundingBox's fields
+
+_BOX_COLUMNS = ["frame_path", "x_min", "y_min", "x_max", "y_max"]
+
+
+def write_boxes(rows, path) -> None:
+    """Write ``(frame path, BoundingBox or None)`` pairs as ``boxes.csv``;
+    a None box leaves its four coordinates empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_BOX_COLUMNS)
+        writer.writerows((frame, *(astuple(box) if box else ("",) * 4))
+                         for frame, box in rows)
+
+
+def read_boxes(path) -> dict:
+    """``boxes.csv`` as frame path -> box, or None for a row whose four
+    coordinates are all empty. The header must be exactly the five column
+    names, every row must have five fields, and coordinates are ASCII
+    digits; anything else is a SchemaError naming the file and line."""
+    boxes = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != _BOX_COLUMNS:
+                raise SchemaError(f"{path}: boxes CSV needs the header "
+                                  f"{','.join(_BOX_COLUMNS)}")
+            for row in filter(None, reader):  # blank lines are no rows
+                if len(row) != len(_BOX_COLUMNS):
+                    raise ValueError(f"boxes CSV rows need 5 fields, got "
+                                     f"{len(row)}")
+                frame, *box = row
+                if box == [""] * 4:
+                    boxes[frame] = None
+                elif all(c.isascii() and c.isdigit() for c in box):
+                    boxes[frame] = BoundingBox(*map(int, box))
+                else:
+                    raise ValueError(f"coordinates {box} must be ASCII "
+                                     "digits, or all four empty")
+        except (csv.Error, ValueError) as e:
+            # a field over csv's size limit, bad UTF-8, a bad row or box
+            raise SchemaError(f"{path}, line {reader.line_num}: {e}") from e
+    return boxes

@@ -255,11 +255,6 @@ def write_blob_dataset(root, seed=0, videos_per_category=1, frame_count=26,
                 write_mask(mask, vdir / f"{stem}_mask.pgm")
                 label = LabelMap(truth.astype(np.int32) * label_index[category])
                 write_labels(label, vdir / f"{stem}_truth.pgm")
-                box = None
-                if truth.any():
-                    rows, cols = np.nonzero(truth)
-                    box = BoundingBox(int(cols.min()), int(rows.min()),
-                                      int(cols.max()), int(rows.max()))
                 score_path = None
                 if with_scores:
                     scores = _confident_scores(
@@ -271,7 +266,7 @@ def write_blob_dataset(root, seed=0, videos_per_category=1, frame_count=26,
                     motion_mask_path=f"{video_id}/{stem}_mask.pgm",
                     score_map_path=score_path,
                     ground_truth_label_path=f"{video_id}/{stem}_truth.pgm",
-                    ground_truth_box=box,
+                    ground_truth_box=BoundingBox.around(truth),
                 ))
             videos.append(VideoRecord(
                 video_id=video_id,

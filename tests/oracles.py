@@ -331,6 +331,20 @@ def reference_fit_gmm(colors, weights, n_components, seed,
     return (g, history) if return_history else g
 
 
+def motion_samples(frames, target_index):
+    """(fg_colors, fg_weights, bg_colors, bg_weights) of (RgbImage,
+    MotionMask) pairs, one frame at a time: a frame t' adds its masked
+    colors, then its unmasked ones, each of weight 1/(1+|t-t'|)."""
+    fg_c, fg_w, bg_c, bg_w = [], [], [], []
+    for t, (img, mask) in enumerate(frames):
+        w = 1.0 / (1.0 + abs(target_index - t))
+        for pixel, m in zip(img.pixels.reshape(-1, 3), mask.mask.ravel()):
+            (fg_c if m else bg_c).append(pixel)
+            (fg_w if m else bg_w).append(w)
+    return (np.array(fg_c).reshape(-1, 3), np.array(fg_w, dtype=float),
+            np.array(bg_c).reshape(-1, 3), np.array(bg_w, dtype=float))
+
+
 def label_iou(predicted, truth, label):
     """Plain intersection-over-union of one label between two maps."""
     p = predicted == label

@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from motionseg.coloc import BoundingBox, SuperpixelMap, coloc_segment
-from motionseg.core import GridAdjacency, LabelMap, MotionMask, RgbImage, \
-    ScoreMap, argmax_labels
+from motionseg.coloc import SuperpixelMap, coloc_segment
+from motionseg.core import BoundingBox, GridAdjacency, LabelMap, MotionMask, \
+    RgbImage, ScoreMap, argmax_labels
 from motionseg.energy import BoundaryBand, EnergyModel, PairwiseParams, \
     minimize_binary, minimize_expansion, total_energy
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll

@@ -154,6 +154,52 @@ def test_mixed_type_weak_labels_are_one_line_json(tmp_path, capsys):
     assert json.loads(err_lines[0])["error"] == "SchemaError"
 
 
+@pytest.fixture(scope="module")
+def repeated_ids(tmp_path_factory):
+    """The seed-7 blob tree with both videos renamed ``v`` and both shots
+    ``s``, at each stage: stage -> manifest, plus hard-assign labels of the
+    sampled frames."""
+    root = tmp_path_factory.mktemp("repeated_ids")
+    manifests = {"data": write_blob_dataset(root / "data", seed=7),
+                 "pruned": root / "pruned" / "manifest.json",
+                 "sampled": root / "sampled" / "manifest.json"}
+    for sub, src, out in (("prune", "data", "pruned"),
+                          ("sample", "pruned", "sampled"),
+                          ("hard-assign", "sampled", "labels")):
+        assert main([sub, "--manifest", str(manifests[src]),
+                     "--out", str(root / out)]) == 0
+    for stage in manifests:
+        doc = json.loads(manifests[stage].read_text())
+        for video in doc["videos"]:
+            video["video_id"] = "v"
+            for shot in video["shots"]:
+                shot["shot_id"] = "s"
+        manifests[stage] = manifests[stage].with_name("repeated.json")
+        manifests[stage].write_text(json.dumps(doc))
+    return SimpleNamespace(labels=root / "labels", **manifests)
+
+
+@pytest.mark.parametrize("sub, stage, extra", [
+    ("prune", "data", ()),
+    ("sample", "pruned", ()),
+    ("hard-assign", "sampled", ()),
+    ("select-finetune", "sampled", ("--labels",)),
+])
+def test_repeated_video_id_is_one_line_json(repeated_ids, tmp_path, capsys,
+                                            sub, stage, extra):
+    extra = [*extra, str(repeated_ids.labels)] if extra else []
+    out = tmp_path / "out"
+    rc = main([sub, "--manifest", str(getattr(repeated_ids, stage)),
+               *extra, "--out", str(out)])
+    assert rc == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError"
+    assert doc["message"] == "videos[1]: video_id repeats videos[0]"
+    assert not out.exists()
+
+
 def test_prune_run_json_contract(ws):
     doc = json.loads((ws.prune_out / "run.json").read_text())
     assert doc["tool"] == "motionseg"

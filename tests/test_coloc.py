@@ -11,7 +11,6 @@ import motionseg.coloc
 from motionseg.coloc import (
     _MIN_CENTROID_DIST,
     _SLIC_ITERS,
-    BoundingBox,
     SuperpixelMap,
     _assign,
     _cluster_means,
@@ -26,7 +25,8 @@ from motionseg.coloc import (
     seed_gmms_from_scores,
     slic_superpixels,
 )
-from motionseg.core import GridAdjacency, LabelMap, RgbImage, ScoreMap
+from motionseg.core import (BoundingBox, GridAdjacency, LabelMap, RgbImage,
+                            ScoreMap)
 from motionseg.energy import (
     BoundaryBand,
     EnergyModel,

@@ -219,6 +219,16 @@ def test_bounding_box_is_one_type_under_every_import_path():
     assert motionseg.coloc.BoundingBox is BoundingBox
 
 
+def test_bounding_box_around_a_mask_is_tight_or_none():
+    mask = np.zeros((5, 7), dtype=bool)
+    mask[1, 4] = mask[3, 2] = True
+    for m in (mask, mask.astype(np.uint8)):
+        box = BoundingBox.around(m)
+        assert box == BoundingBox(x_min=2, y_min=1, x_max=4, y_max=3)
+        assert {type(v) for v in vars(box).values()} == {int}
+    assert BoundingBox.around(np.zeros((2, 3), dtype=bool)) is None
+
+
 def test_package_holds_only_its_version():
     # every other name is imported from its module; the package loads none
     code = ("import sys, motionseg; "

@@ -87,6 +87,21 @@ def test_potts_band_needs_both_pixels_inside():
     assert w == 1.0
 
 
+@pytest.mark.parametrize("smoothness, contrast_scale", [
+    (10.0, 0.5), (0.25, 3.0), (7.5, 1e-3),
+])
+def test_contrast_weights_match_the_potts_oracle(smoothness, contrast_scale):
+    h, w = 3, 4
+    colors = np.random.default_rng(21).random((h * w, 3))
+    p = PairwiseParams(smoothness=smoothness, contrast_scale=contrast_scale)
+    edges = GridAdjacency(w, h).edges()
+    got = p.contrast_weights(colors, edges)
+    want = [potts_weight(colors[i], colors[j], divmod(i, w), divmod(j, w),
+                         _no_band(h, w), p) for i, j in edges]
+    assert got.shape == (len(edges),)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
 def test_pairwise_params_validation():
     with pytest.raises(ValueError):
         PairwiseParams(smoothness=0.0)

@@ -24,7 +24,7 @@ from motionseg.gmm import (
 from motionseg.synthetic import blob_video_frames
 
 from helpers import fit_fgbg_from_motion
-from oracles import (gaussian_mixture_nll, reference_fit_gmm,
+from oracles import (gaussian_mixture_nll, motion_samples, reference_fit_gmm,
                      weighted_gaussians)
 
 
@@ -361,13 +361,40 @@ def test_foreground_restricted_to_masked_frames():
     assert np.allclose(fg_c, [[0.25] * 3])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                          st.integers(0, 2 ** 9 - 1)), min_size=1, max_size=3),
+       st.data())
+def test_samples_follow_the_per_frame_loop(shapes, data):
+    # frames of several sizes, some with an empty side, all of one side
+    rng = np.random.default_rng(len(shapes))
+    frames = [_frame(rng.random((h, w, 3)),
+                     (bits >> np.arange(h * w) & 1).reshape(h, w))
+              for h, w, bits in shapes]
+    target = data.draw(st.integers(0, len(frames) - 1))
+    got = motion_color_samples(frames, target)
+    want = motion_samples(frames, target)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and np.array_equal(g, w)
+
+
 def test_empty_sides_raise():
     all_bg = _frame([[[0.5] * 3]], [[0]])
     with pytest.raises(EmptyForeground):
-        motion_color_samples([all_bg], 0)
+        fit_fgbg_from_motion([all_bg], 0)
     all_fg = _frame([[[0.5] * 3]], [[1]])
     with pytest.raises(EmptyBackground):
-        motion_color_samples([all_fg], 0)
+        fit_fgbg_from_motion([all_fg], 0)
+
+
+@pytest.mark.parametrize("n_fg, n_bg, err", [
+    (0, 4, EmptyForeground), (4, 0, EmptyBackground), (0, 0, EmptyForeground),
+])
+def test_fit_fgbg_refuses_an_empty_side(n_fg, n_bg, err):
+    rng = np.random.default_rng(6)
+    with pytest.raises(err):
+        fit_fgbg(rng.random((n_fg, 3)), None, rng.random((n_bg, 3)), None,
+                 n_components=2)
 
 
 def test_fit_fgbg_from_motion_single_frame_reduces_to_fit_gmm():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionseg.cli import _read_boxes_csv
-from motionseg.coloc import BoundingBox
-from motionseg.core import LabelMap, MotionMask, RgbImage, ScoreMap
+from motionseg.core import (BoundingBox, LabelMap, MotionMask, RgbImage,
+                            ScoreMap)
 from motionseg.errors import (
     BadDimensions,
     BadMagic,
@@ -28,12 +28,15 @@ from motionseg.errors import (
 from motionseg.io import (
     manifest_to_dict,
     parse_manifest,
+    read_boxes,
     read_image,
     read_labels,
     read_manifest,
     read_mask,
     read_scores,
     read_tensor,
+    rebase,
+    write_boxes,
     write_image,
     write_labels,
     write_manifest,
@@ -381,6 +384,61 @@ def test_manifest_round_trip(tmp_path):
         BoundingBox(1, 2, 3, 4)
 
 
+def test_manifest_refuses_repeated_ids_naming_both_positions():
+    doc = _minimal_doc(frame_count=1)
+    video = doc["videos"][0]
+    doc["videos"].append(dict(video, video_id="v1"))
+    doc["videos"].append(dict(video, video_id="v0"))
+    with pytest.raises(SchemaError,
+                       match=r"^videos\[2\]: video_id repeats videos\[0\]$"):
+        parse_manifest(doc)
+    doc["videos"].pop()
+    doc["videos"][1]["shots"] = [video["shots"][0], dict(video["shots"][0])]
+    with pytest.raises(SchemaError, match=r"^videos\[1\]\.shots\[1\]: shot_id "
+                                          r"repeats videos\[1\]\.shots\[0\]$"):
+        parse_manifest(doc)
+    # a shot id is only unique within its video
+    doc["videos"][1]["shots"].pop()
+    assert [v.shots[0].shot_id for v in parse_manifest(doc).videos] == \
+        ["s0", "s0"]
+
+
+_PATH_PARTS = st.lists(st.sampled_from(["a", "b", ".", ".."]), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=_PATH_PARTS, new_base=_PATH_PARTS, frame=_PATH_PARTS,
+       absolute=st.booleans())
+def test_rebase_keeps_every_frame_path_on_its_file(
+        tmp_path_factory, base, new_base, frame, absolute):
+    # deep enough that no ".." leaves the temporary tree
+    root = tmp_path_factory.getbasetemp().joinpath("rebase", *"cdefghijkl")
+    root.mkdir(parents=True, exist_ok=True)
+    old_dir = os.path.join(root, *base)
+    new_dir = os.path.join(root, *new_base)
+    path = os.path.join(*frame, "f.ppm")
+    if absolute:
+        path = os.path.join(root, path)
+    doc = _minimal_doc(frame_count=2)
+    doc["videos"][0]["shots"][0]["frames"][1].update(
+        image_path=path, motion_mask_path=os.path.join(path, "..", "m.pgm"),
+        score_map_path="s.msf", ground_truth_label_path=f"../{path}")
+    m = parse_manifest(doc, base_dir=old_dir)
+    rebased = rebase(m, new_dir)
+    assert rebased.base_dir == Path(new_dir)
+    assert rebased.label_set == m.label_set
+    for before, after in zip(m.videos[0].shots[0].frames,
+                             rebased.videos[0].shots[0].frames):
+        for key in ("image_path", "motion_mask_path", "score_map_path",
+                    "ground_truth_label_path"):
+            old, new = getattr(before, key), getattr(after, key)
+            assert (old is None) == (new is None)
+            if old is not None:
+                assert os.path.realpath(rebased.resolve(new)) == \
+                    os.path.realpath(m.resolve(old))
+        assert after.ground_truth_box == before.ground_truth_box
+
+
 def test_manifest_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
     # the second is nested past the JSON decoder's recursion limit
@@ -409,8 +467,7 @@ def valid_files(tmp_path_factory):
     doc["videos"][0]["shots"][0].update(kept_range=[0, 3], sampled_indices=[1])
     doc["videos"][0]["shots"][0]["frames"][1]["ground_truth_box"] = [0, 1, 2, 3]
     boxes = root / "boxes.csv"
-    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\n"
-                     "v/f0.ppm,1,2,13,20\nv/f1.ppm,,,,\n")
+    write_boxes(_BOX_ROWS, boxes)
     cases = {
         "image": (write_image, RgbImage.from_bytes(raw), read_image),
         "mask": (write_mask, MotionMask(raw[..., 0] % 2), read_mask),
@@ -424,7 +481,7 @@ def valid_files(tmp_path_factory):
         "model": (save_model, model, load_model),
         "manifest": (write_manifest, parse_manifest(doc), read_manifest),
     }
-    files = {"boxes": (boxes, _read_boxes_csv, False)}
+    files = {"boxes": (boxes, read_boxes, False)}
     for name, (write, value, read) in cases.items():
         write(value, root / name)
         files[name] = (root / name, read, True)
@@ -475,6 +532,9 @@ def test_damaged_files_raise_only_package_errors(valid_files, tmp_path_factory,
 
 
 _HEADER = b"frame_path,x_min,y_min,x_max,y_max\n"
+# a box, a missing box, and a one-pixel box on a path the writer must quote
+_BOX_ROWS = [("v/f0.ppm", BoundingBox(1, 2, 13, 20)), ("v/f1.ppm", None),
+             ('v/a,"b".ppm', BoundingBox(0, 0, 0, 0))]
 
 
 @pytest.mark.parametrize("name, data, read, err", [
@@ -486,20 +546,19 @@ _HEADER = b"frame_path,x_min,y_min,x_max,y_max\n"
     ("dup.json", b'{"categories": ["a", "a"], "videos": []}', read_manifest,
      SchemaError),
     ("utf8.json", b'{"videos": [], "x": "\xff"}', read_manifest, SchemaError),
-    ("utf8.csv", _HEADER + b"\xff,1,2,3,4\n", _read_boxes_csv, SchemaError),
-    ("word.csv", _HEADER + b"a,1,2,x,4\n", _read_boxes_csv, SchemaError),
-    ("flipped.csv", _HEADER + b"a,3,2,1,4\n", _read_boxes_csv, SchemaError),
-    ("negative.csv", _HEADER + b"a,-5,2,3,3\n", _read_boxes_csv, SchemaError),
-    ("plus.csv", _HEADER + b"a,+1,2,3,4\n", _read_boxes_csv, SchemaError),
-    ("underscore.csv", _HEADER + b"a,1,2,1_0,4\n", _read_boxes_csv,
+    ("utf8.csv", _HEADER + b"\xff,1,2,3,4\n", read_boxes, SchemaError),
+    ("word.csv", _HEADER + b"a,1,2,x,4\n", read_boxes, SchemaError),
+    ("flipped.csv", _HEADER + b"a,3,2,1,4\n", read_boxes, SchemaError),
+    ("negative.csv", _HEADER + b"a,-5,2,3,3\n", read_boxes, SchemaError),
+    ("plus.csv", _HEADER + b"a,+1,2,3,4\n", read_boxes, SchemaError),
+    ("underscore.csv", _HEADER + b"a,1,2,1_0,4\n", read_boxes, SchemaError),
+    ("space.csv", _HEADER + b"a,1,2,3, 4\n", read_boxes, SchemaError),
+    ("arabic.csv", _HEADER + "a,1,2,3,\u0664\n".encode(), read_boxes,
      SchemaError),
-    ("space.csv", _HEADER + b"a,1,2,3, 4\n", _read_boxes_csv, SchemaError),
-    ("arabic.csv", _HEADER + "a,1,2,3,\u0664\n".encode(), _read_boxes_csv,
-     SchemaError),
-    ("six.csv", _HEADER + b"a,1,2,3,4,5\n", _read_boxes_csv, SchemaError),
-    ("partial.csv", _HEADER + b"c,,5,6,7\n", _read_boxes_csv, SchemaError),
+    ("six.csv", _HEADER + b"a,1,2,3,4,5\n", read_boxes, SchemaError),
+    ("partial.csv", _HEADER + b"c,,5,6,7\n", read_boxes, SchemaError),
     ("reordered.csv", b"frame_path,y_min,x_min,x_max,y_max\na,1,2,3,4\n",
-     _read_boxes_csv, SchemaError),
+     read_boxes, SchemaError),
 ])
 def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
     p = tmp_path / name
@@ -525,8 +584,17 @@ def test_signaling_nans_read_without_a_warning(tmp_path):
 def test_boxes_csv_reads_boxes_and_all_empty_rows(tmp_path):
     p = tmp_path / "boxes.csv"
     p.write_bytes(_HEADER + b"a,1,2,3,4\nb,,,,\n\nc,0,0,0,0\n")
-    assert _read_boxes_csv(p) == {"a": BoundingBox(1, 2, 3, 4), "b": None,
-                                  "c": BoundingBox(0, 0, 0, 0)}
+    assert read_boxes(p) == {"a": BoundingBox(1, 2, 3, 4), "b": None,
+                             "c": BoundingBox(0, 0, 0, 0)}
+
+
+def test_boxes_csv_round_trip(tmp_path):
+    p = tmp_path / "boxes.csv"
+    write_boxes(_BOX_ROWS, p)
+    assert read_boxes(p) == dict(_BOX_ROWS)
+    again = tmp_path / "again.csv"
+    write_boxes(read_boxes(p).items(), again)
+    assert again.read_bytes() == p.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +622,7 @@ def test_writer_bytes_are_pinned(tmp_path):
         (save_model, ToyModel(rng.standard_normal((3, FEATURE_COUNT)),
                               np.zeros((3, FEATURE_COUNT))), "model.mtm"),
         (write_manifest, parse_manifest(doc), "manifest.json"),
+        (write_boxes, _BOX_ROWS, "boxes.csv"),
     ]
     digests = {}
     for write, value, name in cases:
@@ -572,4 +641,6 @@ def test_writer_bytes_are_pinned(tmp_path):
             "1ca0c3432f823da5fde4581f13969b9ee80cbaa1d0144337b9f8ec98043958a0",
         "manifest.json":
             "4d1a25ca5de037ea2f31301c825e27fd41c608b3d004a037666015707869db5d",
+        "boxes.csv":
+            "0ecdb8a877227e444b78aa02ddeab1f027facd08bbf8ee6d02b4eea6502c8e1c",
     }

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from motionseg.coloc import BoundingBox
-from motionseg.core import LabelMap
+from motionseg.core import BoundingBox, LabelMap
 from motionseg.errors import (
     DimensionMismatch,
     EmptyList,
