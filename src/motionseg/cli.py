@@ -147,11 +147,6 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
     return Path(root) / Path(*parts).with_suffix(suffix)
 
 
-def _write_rebased(args, manifest) -> None:
-    """Write ``manifest``, rebased onto ``--out``, as ``--out``/manifest.json."""
-    write_manifest(rebase(manifest, args.out), _out_file(args, "manifest.json"))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -163,14 +158,14 @@ def _cmd_prune(args, manifest):
                          min_run=args.min_run)
     before = len(manifest.shots())
     pruned = prune_manifest(manifest, params)
-    _write_rebased(args, pruned)
+    write_manifest(rebase(pruned, args.out), _out_file(args, "manifest.json"))
     return {"shots_in": before, "shots_kept": len(pruned.shots())}
 
 
 def _cmd_sample(args, manifest):
     params = PruneParams(samples_per_shot=args.samples)
     sampled = sample_manifest(manifest, params)
-    _write_rebased(args, sampled)
+    write_manifest(rebase(sampled, args.out), _out_file(args, "manifest.json"))
     return {"shots": len(sampled.shots()), "samples_per_shot": args.samples}
 
 
@@ -314,7 +309,9 @@ def _cmd_eval_corloc(args, manifest):
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
         if frame.ground_truth_box is None:
             continue
-        pair = (predicted.get(frame.image_path), frame.ground_truth_box)
+        if frame.image_path not in predicted:
+            raise SchemaError(f"{args.boxes}: no row for {frame.image_path}")
+        pair = (predicted[frame.image_path], frame.ground_truth_box)
         pairs.append(pair)
         for name in video.weak_labels:
             by_class.setdefault(name, []).append(pair)

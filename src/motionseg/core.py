@@ -21,6 +21,10 @@ from .errors import DimensionMismatch, NegativeScore, NotNormalized
 # Tolerance on per-pixel score sums (softmax output rounded to float32).
 SCORE_SUM_TOL = 1e-5
 
+# Floor on a probability before its log: float32 softmax outputs can round
+# to zero, and a confident miss then costs a finite -log(PROB_FLOOR).
+PROB_FLOOR = 1e-10
+
 BACKGROUND = "background"
 
 

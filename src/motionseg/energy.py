@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridAdjacency, LabelMap, MotionMask, PixelGrid, RgbImage,
-                   ScoreMap, _frozen, check_same_shape)
+from .core import (PROB_FLOOR, GridAdjacency, LabelMap, MotionMask,
+                   PixelGrid, RgbImage, ScoreMap, _frozen, check_same_shape)
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
 from .gmm import FgBgGmm, nll
 from .maxflow import SOURCE, FlowNetwork, min_cut
-
-# Prediction scores are clamped here before taking logs; softmax outputs
-# stored as float32 can round to exact zero.
-SCORE_CLAMP = 1e-10
 
 DEFAULT_EXPANSION_SWEEPS = 5
 
@@ -151,7 +147,7 @@ def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
     nll_bg = nll(gmms.background, colors)
     nll_fg = nll(gmms.foreground, colors)
     neglogp = -np.log(np.maximum(scores.scores.reshape(-1, scores.channels),
-                                 SCORE_CLAMP))
+                                 PROB_FLOOR))
 
     unary = np.empty((len(colors), len(allowed)))
     for c, label in enumerate(allowed):

@@ -304,6 +304,8 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
                  f"{where}: weak_labels must be a list of strings")
         if not labels:
             raise UnknownLabel(f"{where}: weak_labels must be nonempty")
+        _require(len(set(labels)) == len(labels),
+                 f"{where}: weak_labels must be unique")
         if BACKGROUND in labels:
             raise UnknownLabel(f"{where}: background cannot be a weak label")
         _require(isinstance(vobj.get("shots"), list), f"{where}: shots must be a list")
@@ -353,9 +355,8 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
     if categories is None:
         categories = sorted(set(weak))
     else:
-        _require(isinstance(categories, list) and categories
-                 and _str_list(categories),
-                 "categories must be a nonempty list of strings")
+        _require(isinstance(categories, list) and _str_list(categories),
+                 "categories must be a list of strings")
         _require(len(set(categories)) == len(categories),
                  "categories must be unique")
         unknown = set(weak) - set(categories)
@@ -379,7 +380,7 @@ def read_manifest(path) -> DatasetManifest:
           "categories": ["car", ...],            # optional, fixes label order
           "videos": [
             {"video_id": str,                    # unique
-             "weak_labels": [category, ...],     # nonempty, no background
+             "weak_labels": [category, ...],     # nonempty, unique, no background
              "shots": [
                {"shot_id": str,                  # unique within its video
                 "frames": [

@@ -9,12 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMap, ScoreMap, _frozen, check_same_shape
+from .core import PROB_FLOOR, LabelMap, ScoreMap, _frozen, check_same_shape
 from .errors import DimensionMismatch, LabelOutOfRange, ZeroCount
-
-# Probabilities are floored here before the log so a confidently wrong
-# prediction yields a large finite loss instead of an infinite one.
-PROB_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class ClassWeights:
         return len(self.weights)
 
 
-def class_weights(object_counts, num_labels=None) -> ClassWeights:
+def class_weights(object_counts, num_labels) -> ClassWeights:
     """Weights from per-label sample counts, w_l = min_j(num_j) / num_l.
 
     ``object_counts`` maps each object label index (>= 1) to its positive
@@ -47,10 +43,6 @@ def class_weights(object_counts, num_labels=None) -> ClassWeights:
     less, background always 1.
     """
     counts = {int(l): c for l, c in dict(object_counts).items()}
-    if num_labels is None:
-        if not counts:
-            raise ZeroCount("no object label counts given")
-        num_labels = max(counts) + 1
     for l in counts:
         if not 1 <= l < num_labels:
             raise LabelOutOfRange(f"label {l} outside 1..{num_labels - 1}")
@@ -70,7 +62,7 @@ def weighted_nll_loss(scores: ScoreMap, labeling: LabelMap,
     """Loss and its gradient with respect to the pre-softmax logits.
 
     The loss is -sum_i w(x_i) log p_i(x_i) over all pixels, probabilities
-    floored at 1e-10. Because the scores are a softmax of logits, the
+    floored at ``PROB_FLOOR``. As the scores are a softmax of logits, the
     logit gradient has the closed form w(x_i) * (p_i(l) - [l == x_i]);
     that array, shaped like the scores, is returned alongside the loss.
 

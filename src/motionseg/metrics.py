@@ -75,23 +75,12 @@ def accumulate_iou(acc: ConfusionAccumulator, predicted: LabelMap,
     return acc
 
 
-def mean_iou(acc: ConfusionAccumulator, class_subset=None) -> float:
-    """Mean per-class IoU over the subset (default: all classes).
-
-    Classes with zero union contribute nothing; if every class in the
-    subset has zero union there is nothing to average and NoClasses is
-    raised.
-    """
-    subset = (range(acc.num_labels) if class_subset is None
-              else sorted(set(int(c) for c in class_subset)))
-    ious = []
-    for cls in subset:
-        if not 0 <= cls < acc.num_labels:
-            raise LabelOutOfRange(f"class {cls} with only {acc.num_labels}")
-        if acc.union[cls] > 0:
-            ious.append(acc.intersection[cls] / acc.union[cls])
-    if not ious:
-        raise NoClasses("no class in the subset has nonzero union")
+def mean_iou(acc: ConfusionAccumulator) -> float:
+    """Mean of :meth:`~ConfusionAccumulator.iou_by_class` over the classes
+    with nonzero union; NoClasses if there are none."""
+    ious = acc.iou_by_class()[acc.union > 0]
+    if not len(ious):
+        raise NoClasses("no class has nonzero union")
     return float(np.mean(ious))
 
 

@@ -10,6 +10,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import logsumexp
 
+from motionseg.errors import NoClasses
+
 
 def all_labelings(site_count, label_count):
     """Every labeling of `site_count` sites as a (label_count**n, n) array."""
@@ -343,6 +345,18 @@ def motion_samples(frames, target_index):
             (fg_w if m else bg_w).append(w)
     return (np.array(fg_c).reshape(-1, 3), np.array(fg_w, dtype=float),
             np.array(bg_c).reshape(-1, 3), np.array(bg_w, dtype=float))
+
+
+def mean_iou_loop(acc):
+    """Mean IoU as a per-class loop: each class with nonzero union adds its
+    intersection / union, in class order; NoClasses if none has one."""
+    ious = []
+    for cls in range(len(acc.union)):
+        if acc.union[cls] > 0:
+            ious.append(acc.intersection[cls] / acc.union[cls])
+    if not ious:
+        raise NoClasses("no class has nonzero union")
+    return float(np.mean(ious))
 
 
 def label_iou(predicted, truth, label):

@@ -29,7 +29,7 @@ from motionseg.cli import main
 from motionseg.core import LabelMap, ScoreMap
 from motionseg.inference import hard_assign
 from motionseg.io import read_image, read_labels, read_manifest, read_mask, \
-    write_labels, write_scores
+    write_boxes, write_labels, write_scores
 from motionseg.pipeline import shot_frames
 from motionseg.predictor import ToyModel, load_model, save_model
 from motionseg.synthetic import write_blob_dataset
@@ -152,6 +152,38 @@ def test_mixed_type_weak_labels_are_one_line_json(tmp_path, capsys):
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "SchemaError"
+
+
+def test_repeated_weak_label_is_one_line_json(ws, tmp_path, capsys):
+    doc = json.loads(ws.sampled_manifest.read_text())
+    doc["videos"][0]["weak_labels"] *= 2
+    # next to the sampled manifest, so that its frame paths resolve
+    bad = ws.sampled_manifest.with_name("repeated-label.json")
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for sub in ("hard-assign", "train-toy"):
+        assert main([sub, "--manifest", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1 and captured.out == ""
+        doc = json.loads(err_lines[0])
+        assert doc == {"error": "SchemaError",
+                       "message": "videos[0]: weak_labels must be unique"}
+        assert not out.exists()
+
+
+def test_manifest_without_categories_goes_through_prune_and_sample(
+        tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"videos": []}\n')
+    pruned, sampled = tmp_path / "pruned", tmp_path / "sampled"
+    assert main(["prune", "--manifest", str(empty),
+                 "--out", str(pruned)]) == 0
+    assert main(["sample", "--manifest", str(pruned / "manifest.json"),
+                 "--out", str(sampled)]) == 0
+    m = read_manifest(sampled / "manifest.json")
+    assert m.videos == () and m.label_set.categories == ("background",)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
@@ -658,10 +690,13 @@ def test_failed_artifact_write_leaves_no_run_json(ws, tmp_path, capsys, sub,
                                                   artifact, extra):
     # the artifact's path is taken by a directory, so its write fails;
     # run.json is written only after every artifact, so there is none
-    boxes = tmp_path / "boxes.csv"
-    boxes.write_text("frame_path,x_min,y_min,x_max,y_max\n")
-    inputs = {"hard": str(ws.hard_out), "boxes": str(boxes)}
     manifest = ws.manifest if sub == "prune" else ws.sampled_manifest
+    # eval-corloc needs a row for each frame it scores: an empty one
+    boxes = tmp_path / "boxes.csv"
+    write_boxes([(f.image_path, None) for _, shot
+                 in read_manifest(manifest).shots() for f in shot.frames],
+                boxes)
+    inputs = {"hard": str(ws.hard_out), "boxes": str(boxes)}
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)
     rc = main([sub, "--manifest", str(manifest), "--out", str(out),
@@ -683,6 +718,36 @@ def test_band_wider_than_the_frame_runs(ws, tmp_path):
     maps = [{k: v for k, v in _snapshot(tmp_path / band).items()
              if k.endswith(".pgm")} for band in ("100000", "30")]
     assert maps[0] and maps[0] == maps[1]
+
+
+@pytest.mark.parametrize("stage, sampled_only", [
+    ("manifest", True),           # the rows name sampled/'s frame paths
+    ("sampled_manifest", False),  # frames outside the sample have no row
+])
+def test_scored_frame_without_a_boxes_row_is_one_line_json(
+        ws, tmp_path, capsys, stage, sampled_only):
+    sampled = read_manifest(ws.sampled_manifest)
+    rows = [(f.image_path, f.ground_truth_box) for _, shot
+            in sampled.shots() for f in shot_frames(shot)]
+    rows[0] = (rows[0][0], None)  # an empty row is a miss, not an error
+    boxes = tmp_path / "boxes.csv"
+    write_boxes(rows, boxes)
+    out = tmp_path / "out"
+    argv = ["eval-corloc", "--boxes", str(boxes), "--out", str(out)]
+    assert main([*argv, "--manifest", str(ws.sampled_manifest),
+                 "--sampled-only"]) == 0
+    assert _stdout_doc(capsys) == {"frames": 20, "corloc": 95.0}
+    shutil.rmtree(out)
+    rc = main([*argv, "--manifest", str(getattr(ws, stage)),
+               *(["--sampled-only"] if sampled_only else [])])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1 and captured.out == ""
+    doc = json.loads(err_lines[0])
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith(f"{boxes}: no row for ")
+    assert not out.exists()
 
 
 def test_short_boxes_row_is_one_line_json(ws, tmp_path, capsys):

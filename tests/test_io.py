@@ -289,6 +289,24 @@ def test_manifest_rejects_empty_weak_labels():
         parse_manifest(doc)
 
 
+def test_manifest_refuses_a_repeated_weak_label():
+    # a repeated label would count its video's frames twice in training
+    doc = _minimal_doc()
+    doc["videos"][0]["weak_labels"] = ["car", "car"]
+    with pytest.raises(SchemaError,
+                       match=r"^videos\[0\]: weak_labels must be unique$"):
+        parse_manifest(doc)
+
+
+def test_background_only_manifest_round_trips():
+    # no video names a category: what write_manifest writes reads back
+    m = parse_manifest({"videos": []})
+    assert m.label_set.categories == ("background",)
+    doc = manifest_to_dict(m)
+    assert doc == {"categories": [], "videos": []}
+    assert parse_manifest(doc).label_set == m.label_set
+
+
 def test_manifest_rejects_background_weak_label():
     doc = _minimal_doc()
     doc["videos"][0]["weak_labels"] = ["background"]

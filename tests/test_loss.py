@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from motionseg.core import LabelMap, ScoreMap
+from motionseg.core import PROB_FLOOR, LabelMap, RgbImage, ScoreMap
+from motionseg.energy import BoundaryBand, PairwiseParams, build_energy
 from motionseg.errors import DimensionMismatch, LabelOutOfRange, ZeroCount
+from motionseg.gmm import FgBgGmm, fit_gmm, nll
 from motionseg.loss import ClassWeights, class_weights, weighted_nll_loss
 
 from oracles import fd_loss_gradient, weighted_ce_loss
@@ -14,31 +16,31 @@ def _softmax(logits):
 
 
 def test_class_weights_formula():
-    cw = class_weights({1: 100, 2: 50})
+    cw = class_weights({1: 100, 2: 50}, 3)
     assert cw.weights.tolist() == [1.0, 0.5, 1.0]
 
 
 def test_class_weights_single_class():
-    assert class_weights({1: 17}).weights.tolist() == [1.0, 1.0]
+    assert class_weights({1: 17}, 2).weights.tolist() == [1.0, 1.0]
 
 
 def test_class_weights_equal_counts():
-    assert class_weights({1: 5, 2: 5, 3: 5}).weights.tolist() == [1.0] * 4
+    assert class_weights({1: 5, 2: 5, 3: 5}, 4).weights.tolist() == [1.0] * 4
 
 
 def test_class_weights_scale_invariance():
-    a = class_weights({1: 3, 2: 9, 3: 6})
-    b = class_weights({1: 300, 2: 900, 3: 600})
+    a = class_weights({1: 3, 2: 9, 3: 6}, 4)
+    b = class_weights({1: 300, 2: 900, 3: 600}, 4)
     assert np.allclose(a.weights, b.weights)
 
 
 def test_class_weights_errors():
     with pytest.raises(ZeroCount):
-        class_weights({1: 10, 2: 0})
+        class_weights({1: 10, 2: 0}, 3)
     with pytest.raises(ZeroCount):
-        class_weights({1: 10}, num_labels=3)  # label 2 has no count
+        class_weights({1: 10}, 3)  # label 2 has no count
     with pytest.raises(LabelOutOfRange):
-        class_weights({0: 5, 1: 5})  # background is not counted
+        class_weights({0: 5, 1: 5}, 2)  # background is not counted
 
 
 def test_class_weights_type_invariants():
@@ -62,6 +64,23 @@ def test_loss_zero_on_perfect_prediction():
     loss, grad = weighted_nll_loss(scores, labels, cw)
     assert loss == 0.0
     assert np.allclose(grad, 0.0)
+
+
+def test_zero_score_costs_minus_log_prob_floor():
+    # one floor for both users of a probability's log: the training loss
+    # and the prediction unary of the inference energy
+    zero_bg = ScoreMap(np.array([[[0.0, 1.0]]]))
+    loss, _ = weighted_nll_loss(zero_bg, LabelMap(np.array([[0]])),
+                                ClassWeights(np.array([1.0, 1.0])))
+    assert loss == -np.log(PROB_FLOOR)
+    rng = np.random.default_rng(38)
+    gmms = FgBgGmm(foreground=fit_gmm(rng.random((10, 3)), n_components=1),
+                   background=fit_gmm(rng.random((10, 3)), n_components=1))
+    img = RgbImage(rng.random((1, 1, 3)))
+    m = build_energy(img, gmms, zero_bg, (0, 1), 1.0, PairwiseParams(),
+                     BoundaryBand(np.zeros((1, 1), dtype=np.uint8)))
+    gmm_cost = nll(gmms.background, img.pixels.reshape(-1, 3))[0]
+    assert m.unary[0, 0] == gmm_cost - np.log(PROB_FLOOR)
 
 
 def test_loss_single_pixel_analytic():
