@@ -58,7 +58,7 @@ def held_out_iou(model):
 
 
 params = InferenceParams(iterations=1, gmm_components=2, seed=0)
-cfg = ToyTrainConfig(learning_rate=0.2, epochs=24, seed=0)
+cfg = ToyTrainConfig(learning_rate=0.2, epochs=24)
 
 before = held_out_iou(ToyModel.zeros(3))
 start = time.time()

@@ -111,11 +111,11 @@ def _write_run(args) -> None:
 
 def _inference_params(args) -> InferenceParams:
     pairwise = PairwiseParams(smoothness=args.smoothness,
-                              contrast_scale=args.contrast_scale,
-                              boundary_band=args.band)
+                              contrast_scale=args.contrast_scale)
     return InferenceParams(prediction_weight=args.prediction_weight,
                            iterations=args.iterations,
                            pairwise=pairwise,
+                           boundary_band=args.band,
                            gmm_components=args.components,
                            seed=args.seed)
 
@@ -246,7 +246,6 @@ def _cmd_coloc(args, manifest):
     check_components(args.components)
     check_seed(args.seed)
     model = _manifest_model(args, manifest)
-    # the superpixel graph has no motion boundary, so no band
     pairwise = PairwiseParams(smoothness=args.smoothness,
                               contrast_scale=args.contrast_scale)
     rows = []
@@ -366,7 +365,7 @@ def _add_energy(p):
 
 def _add_inference(p):
     _add_energy(p)
-    p.add_argument("--band", type=int, default=PairwiseParams.boundary_band,
+    p.add_argument("--band", type=int, default=InferenceParams.boundary_band,
                    help="motion-boundary band half-width")
     p.add_argument("--prediction-weight", type=float,
                    default=InferenceParams.prediction_weight,
@@ -415,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-toy", _cmd_train_toy, "run the alternating training loop")
     _add_inference(p)
     for f in fields(ToyTrainConfig):
-        if f.name != "seed":  # --seed comes with the energy options
-            p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
-                           default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                       default=f.default)
 
     p = add("select-finetune", _cmd_select_finetune,
             "pick the best-overlapping shot per video")

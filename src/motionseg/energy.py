@@ -32,23 +32,19 @@ DEFAULT_EXPANSION_SWEEPS = 5
 class PairwiseParams:
     """Contrast-sensitive Potts parameters.
 
-    ``smoothness`` scales the pairwise term against the unaries,
+    ``smoothness`` scales the pairwise term against the unaries and
     ``contrast_scale`` is the exponential color-contrast coefficient
-    (0.5 with colors in [0, 1]), and ``boundary_band`` is the Chebyshev
-    half-width of the discount band around motion boundaries.
+    (0.5 with colors in [0, 1]).
     """
 
     smoothness: float = 10.0
     contrast_scale: float = 0.5
-    boundary_band: int = 2
 
     def __post_init__(self):
         if not all(np.isfinite(x) and x > 0
                    for x in (self.smoothness, self.contrast_scale)):
             raise ValueError(
                 "smoothness and contrast_scale must be finite and positive")
-        if self.boundary_band < 0:
-            raise ValueError("boundary_band must be >= 0")
 
     def contrast_weights(self, colors, edges) -> np.ndarray:
         """``smoothness * exp(-contrast_scale * |z_i - z_j|^2)`` per edge."""

@@ -37,11 +37,13 @@ class InferenceParams:
     ``prediction_weight`` balances the prediction unary against the GMM
     unary: 1.0 during normal training, ``finetune_prediction_weight`` of
     ``ToyTrainConfig`` in fine-tune epochs, where predictions are better.
+    ``boundary_band`` is the half-width of the Potts-free band at motion edges.
     """
 
     prediction_weight: float = 1.0
     iterations: int = 4
     pairwise: PairwiseParams = field(default_factory=PairwiseParams)
+    boundary_band: int = 2
     gmm_components: int = DEFAULT_COMPONENTS
     seed: int = 0
 
@@ -51,6 +53,8 @@ class InferenceParams:
             raise ValueError("prediction_weight must be finite and >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.boundary_band < 0:
+            raise ValueError("boundary_band must be >= 0")
         # checked here too: a run without a shot never reaches a GMM fit
         check_components(self.gmm_components)
         check_seed(self.seed)
@@ -104,7 +108,7 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
     for t, (img, mask, scores) in enumerate(batch):
         motion = motion_color_samples(frames, t)
         gmms = fit_fgbg(*motion, params.gmm_components, params.seed)
-        band = boundary_band_from_mask(mask, params.pairwise.boundary_band)
+        band = boundary_band_from_mask(mask, params.boundary_band)
 
         labeling = None
         for it in range(params.iterations):

@@ -335,8 +335,11 @@ def parse_manifest(doc: dict, base_dir=".") -> DatasetManifest:
                 _require(_int_list(sampled),
                          f"{swhere}: sampled_indices must be a list of ints")
                 sampled = tuple(int(i) for i in sampled)
-                _require(all(0 <= i < len(frames) for i in sampled),
-                         f"{swhere}: sampled index out of range")
+                lo, hi = kept or (0, len(frames))
+                _require(all(lo <= i < hi for i in sampled),
+                         f"{swhere}: sampled index outside [{lo}, {hi})")
+                _require(all(a < b for a, b in zip(sampled, sampled[1:])),
+                         f"{swhere}: sampled_indices must be strictly increasing")
             shots.append(ShotRecord(
                 shot_id=sobj["shot_id"],
                 frames=tuple(_parse_frame(f, f"{swhere}.frames[{fi}]")
@@ -391,7 +394,8 @@ def read_manifest(path) -> DatasetManifest:
                    "ground_truth_box": [x_min, y_min, x_max, y_max]?},
                   ...],                          # nonempty, ordered by time
                 "kept_range": [start, stop]?,    # written by `prune`
-                "sampled_indices": [int, ...]?   # written by `sample`
+                "sampled_indices": [int, ...]?   # written by `sample`;
+                                                 # increasing, in kept_range
                }, ...]}, ...]
         }
 

@@ -83,7 +83,6 @@ class ToyTrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     epochs: int = 5
-    seed: int = 0
     decay_every: int = 0
     decay_factor: float = 0.1
     finetune_epochs: int = 0
@@ -108,16 +107,15 @@ class ToyTrainConfig:
 
 
 def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,
-             learning_rate: float | None = None) -> ToyModel:
+             learning_rate: float) -> ToyModel:
     """One momentum-SGD update of the model on a batch of labeled frames.
 
     ``batch`` is a list of (RgbImage, LabelMap) pairs. The gradient is the
     mean over all pixels of the batch of the weighted loss pulled back
     through the feature map, plus L2 weight decay. The update follows the
-    classic momentum form v <- mu v - lr (grad + wd w); w <- w + v, so with
-    momentum and decay zero it is exactly w - lr grad.
+    classic momentum form v <- mu v - lr (grad + wd w); w <- w + v, with lr
+    the given ``learning_rate``; at zero momentum and decay it is w - lr grad.
     """
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
     grad = np.zeros_like(model.weights)
     pixels = 0
     for img, labeling in batch:
@@ -128,8 +126,8 @@ def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,
     if pixels == 0:
         return model
     grad /= pixels
-    velocity = cfg.momentum * model.velocity - lr * (grad + cfg.weight_decay
-                                                     * model.weights)
+    velocity = cfg.momentum * model.velocity - learning_rate * (
+        grad + cfg.weight_decay * model.weights)
     return ToyModel(model.weights + velocity, velocity)
 
 
@@ -196,7 +194,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
 
     Per epoch, per shot: predict score maps with the current model, infer
     latent labels from motion and predictions, then take one SGD step on
-    the shot. Shot order is reshuffled each epoch from ``cfg.seed``. Loss
+    the shot. Shot order is reshuffled each epoch from ``params.seed``. Loss
     weights come from per-label frame counts over the sampled frames, so
     every category of the manifest must appear in at least one video.
 
@@ -205,8 +203,10 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
     selected and training continues on those shots only, with the
     prediction weight raised to ``cfg.finetune_prediction_weight``.
 
-    An empty manifest returns the model unchanged.
+    A manifest without shots returns the model unchanged.
     """
+    if len(manifest.label_set) < 2:
+        raise ZeroCount("the manifest lists no object category")
     if model is None:
         model = ToyModel.zeros(len(manifest.label_set))
     check_classes(model, manifest)
@@ -221,7 +221,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
     cw = class_weights(counts, num_labels=len(manifest.label_set))
 
     cache = {id(s): _load_shot(manifest, s) for _, s in shots}
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(params.seed)
 
     def run_epochs(epochs, shot_list, infer_params):
         nonlocal model

@@ -243,7 +243,7 @@ def test_08_training_improves_held_out_iou(blob_manifest_path):
     manifest = sample_manifest(prune_manifest(read_manifest(
         blob_manifest_path)))
     params = InferenceParams(iterations=1, gmm_components=2, seed=0)
-    cfg = ToyTrainConfig(learning_rate=0.2, epochs=24, seed=0)
+    cfg = ToyTrainConfig(learning_rate=0.2, epochs=24)
     baseline, held_out = _held_out_mean_iou(manifest, ToyModel.zeros(3))
     trained_model = train_loop(manifest, params, cfg)
     trained, _ = _held_out_mean_iou(manifest, trained_model)
@@ -270,7 +270,7 @@ def test_08_training_lowers_held_out_nll(blob_manifest_path):
                        truth.labels.size for _, truth in frames)
 
     params = InferenceParams(iterations=1, gmm_components=2, seed=0)
-    cfg = ToyTrainConfig(learning_rate=0.2, epochs=8, seed=0)
+    cfg = ToyTrainConfig(learning_rate=0.2, epochs=8)
     model = ToyModel.zeros(3)
     nlls = [mean_nll(model)]
     for _ in range(3):

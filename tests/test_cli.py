@@ -27,7 +27,7 @@ import motionseg.cli
 from motionseg import __version__
 from motionseg.cli import main
 from motionseg.core import LabelMap, ScoreMap
-from motionseg.inference import hard_assign
+from motionseg.inference import InferenceParams, hard_assign, infer_labels
 from motionseg.io import read_image, read_labels, read_manifest, read_mask, \
     write_boxes, write_labels, write_scores
 from motionseg.pipeline import shot_frames
@@ -184,6 +184,72 @@ def test_manifest_without_categories_goes_through_prune_and_sample(
     m = read_manifest(sampled / "manifest.json")
     assert m.videos == () and m.label_set.categories == ("background",)
     assert capsys.readouterr().err == ""
+
+
+def _one_json_line(capsys):
+    """The error document of a failed stage, which printed nothing else."""
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1 and captured.out == ""
+    return json.loads(err_lines[0])
+
+
+@pytest.mark.parametrize("sampled, kept, message", [
+    ([0, 0, 9], [2, 6], "sampled index outside [2, 6)"),
+    ([2, 2, 5], [2, 6], "sampled_indices must be strictly increasing"),
+])
+def test_hand_written_sampled_indices_are_one_line_json(
+        ws, tmp_path, capsys, sampled, kept, message):
+    # both shots used to run with exit 0 and write fewer label maps than
+    # the frames they reported
+    doc = json.loads(ws.sampled_manifest.read_text())
+    for video in doc["videos"]:
+        for shot in video["shots"]:
+            shot.update(kept_range=kept, sampled_indices=sampled)
+    bad = ws.sampled_manifest.with_name("hand-sampled.json")
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for sub in ("infer", "hard-assign"):
+        assert main([sub, "--manifest", str(bad), "--out", str(out)]) == 1
+        assert _one_json_line(capsys) == {
+            "error": "SchemaError",
+            "message": f"videos[0].shots[0]: {message}"}
+        assert not out.exists()
+
+
+def test_train_toy_without_object_category_is_one_line_json(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"videos": []}\n')
+    out = tmp_path / "toy"
+    assert main(["train-toy", "--manifest", str(empty),
+                 "--out", str(out)]) == 1
+    assert _one_json_line(capsys) == {
+        "error": "ZeroCount",
+        "message": "the manifest lists no object category"}
+    assert not out.exists()
+
+
+def test_infer_without_model_or_score_maps_uses_uniform_scores(
+        tmp_path, capsys):
+    root = tmp_path / "bare"
+    manifest = write_blob_dataset(root / "data", seed=7, frame_count=8)
+    assert main(["infer", "--manifest", str(manifest), "--iterations", "1",
+                 "--components", "2", "--out", str(root / "labels")]) == 0
+    assert _stdout_doc(capsys) == {"frames": 16, "shots": 2}
+    m = read_manifest(manifest)
+    params = InferenceParams(iterations=1, gmm_components=2)
+    for video, shot in m.shots():
+        assert all(f.score_map_path is None for f in shot.frames)
+        imgs = [read_image(m.resolve(f.image_path)) for f in shot.frames]
+        masks = [read_mask(m.resolve(f.motion_mask_path)) for f in shot.frames]
+        uniform = [ScoreMap(np.full((img.height, img.width, 3), 1 / 3))
+                   for img in imgs]
+        want = infer_labels(list(zip(imgs, masks, uniform)),
+                            m.weak_indices(video), params)
+        for frame, lab in zip(shot.frames, want):
+            got = read_labels(root / "labels" / _layout(frame.image_path)
+                              .with_suffix(".pgm"), 3)
+            assert np.array_equal(got.labels, lab.labels), frame.image_path
 
 
 @pytest.fixture(scope="module")

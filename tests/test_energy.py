@@ -107,8 +107,6 @@ def test_pairwise_params_validation():
         PairwiseParams(smoothness=0.0)
     with pytest.raises(ValueError):
         PairwiseParams(contrast_scale=-1.0)
-    with pytest.raises(ValueError):
-        PairwiseParams(boundary_band=-1)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             PairwiseParams(smoothness=bad)
@@ -392,10 +390,9 @@ def _two_object_model():
     scene = two_object_scene(5, height=96, width=160, confidence=0.45,
                              noise=0.15)
     gmms = fit_fgbg_from_motion([(scene.image, scene.mask)], 0, n_components=1)
-    params = PairwiseParams()
-    band = boundary_band_from_mask(scene.mask, params.boundary_band)
+    band = boundary_band_from_mask(scene.mask, InferenceParams.boundary_band)
     return build_energy(scene.image, gmms, scene.scores, (0, 1, 2), 1.0,
-                        params, band)
+                        PairwiseParams(), band)
 
 
 def test_expansion_skips_moves_that_cannot_change_the_labels(monkeypatch):

@@ -10,6 +10,7 @@ from motionseg.energy import (
     PairwiseParams,
     boundary_band_from_mask,
     build_energy,
+    minimize_binary,
     total_energy,
 )
 from motionseg.errors import DimensionMismatch, EmptyForeground, MultiLabelVideo
@@ -40,6 +41,8 @@ def test_params_validation():
         InferenceParams(gmm_components=0)
     with pytest.raises(ValueError, match="seed"):
         InferenceParams(seed=-1)
+    with pytest.raises(ValueError, match="boundary_band"):
+        InferenceParams(boundary_band=-1)
 
 
 def test_readme_quick_start_runs():
@@ -62,7 +65,7 @@ def test_perfect_mask_recovers_itself_and_matches_enumeration():
     fg_c, fg_w, bg_c, bg_w = motion_color_samples([(img, mask)], 0)
     gmms = FgBgGmm(foreground=fit_gmm(fg_c, fg_w, 1, 0),
                    background=fit_gmm(bg_c, bg_w, 1, 0))
-    band = boundary_band_from_mask(mask, params.pairwise.boundary_band)
+    band = boundary_band_from_mask(mask, params.boundary_band)
     model = build_energy(img, gmms, scores, (0, 1),
                          params.prediction_weight, params.pairwise, band)
     labelings = all_labelings(12, 2)
@@ -192,6 +195,43 @@ def test_mixed_frame_sizes_rejected():
         infer_labels([(img, mask, scores),
                       (small, small_mask, small_scores)], (1,),
                      InferenceParams())
+
+
+def test_all_background_round_keeps_the_previous_labeling(monkeypatch):
+    # round 1 finds the object; round 2, after the refit, is made to come
+    # out all background, which must neither replace round 1's labeling
+    # nor start a round 3
+    scene = corrupted_mask_scene(3)
+    batch = [(scene.image, scene.mask, scene.scores)]
+    first = infer_labels(batch, (1,), InferenceParams(iterations=1))[0]
+    assert (first.labels > 0).any()
+    rounds = []
+
+    def cut(model):
+        rounds.append(model)
+        if len(rounds) == 1:
+            return minimize_binary(model)
+        return LabelMap(np.zeros_like(first.labels))
+
+    monkeypatch.setattr("motionseg.inference.minimize_binary", cut)
+    out = infer_labels(batch, (1,), InferenceParams(iterations=4))[0]
+    assert len(rounds) == 2
+    assert np.array_equal(out.labels, first.labels)
+
+
+def test_band_half_width_comes_from_the_params(monkeypatch):
+    widths = []
+
+    def recording(mask, half_width):
+        widths.append(half_width)
+        return boundary_band_from_mask(mask, half_width)
+
+    monkeypatch.setattr("motionseg.inference.boundary_band_from_mask",
+                        recording)
+    scene = corrupted_mask_scene(3)
+    batch = [(scene.image, scene.mask, scene.scores)] * 2
+    infer_labels(batch, (1,), InferenceParams(iterations=1, boundary_band=5))
+    assert widths == [5, 5]
 
 
 def test_empty_batch_returns_empty():

@@ -385,6 +385,33 @@ def test_manifest_schema_errors():
         parse_manifest(doc)
 
 
+def test_manifest_refuses_repeated_or_stray_sampled_indices():
+    # `sample` writes strictly increasing indices inside the kept range; a
+    # repeat would enter one frame twice into the GMM batch and write its
+    # label map twice
+    def parse(sampled, kept=None):
+        doc = _minimal_doc(frame_count=10)
+        shot = doc["videos"][0]["shots"][0]
+        shot["sampled_indices"] = sampled
+        if kept is not None:
+            shot["kept_range"] = kept
+        return parse_manifest(doc).videos[0].shots[0]
+
+    where = r"^videos\[0\]\.shots\[0\]: "
+    for sampled, kept, why in (
+            ([0, 0, 9], [2, 6], r"sampled index outside \[2, 6\)$"),
+            ([2, 6], [2, 6], r"sampled index outside \[2, 6\)$"),
+            ([1, 10], None, r"sampled index outside \[0, 10\)$"),
+            ([-1], None, r"sampled index outside \[0, 10\)$"),
+            ([3, 3], [2, 6], "sampled_indices must be strictly increasing$"),
+            ([5, 4], None, "sampled_indices must be strictly increasing$")):
+        with pytest.raises(SchemaError, match=where + why):
+            parse(sampled, kept)
+    assert parse([2, 5], [2, 6]).sampled_indices == (2, 5)
+    assert parse([0, 9]).sampled_indices == (0, 9)
+    assert parse([], [2, 6]).sampled_indices == ()
+
+
 def test_manifest_round_trip(tmp_path):
     doc = _minimal_doc()
     doc["videos"][0]["shots"][0]["kept_range"] = [0, 20]

@@ -5,7 +5,7 @@ import pytest
 
 from motionseg.core import LabelMap, MotionMask
 from motionseg.errors import RangeTooShort
-from motionseg.io import read_manifest
+from motionseg.io import FrameRecord, ShotRecord, read_manifest
 from motionseg.pipeline import (
     PruneParams,
     overlap_fraction,
@@ -166,6 +166,15 @@ def test_prune_and_sample_manifest(blob_manifest_path):
             frames = shot_frames(shot)
             assert len(frames) == 10
             assert frames == tuple(shot.frames[i] for i in shot.sampled_indices)
+
+
+def test_shot_frames_of_a_pruned_unsampled_shot_is_its_kept_range():
+    frames = tuple(FrameRecord(f"f{i}.ppm", f"f{i}.pgm") for i in range(6))
+    assert shot_frames(ShotRecord("s", frames)) == frames
+    pruned = ShotRecord("s", frames, kept_range=(1, 4))
+    assert shot_frames(pruned) == frames[1:4]
+    sampled = replace(pruned, sampled_indices=(1, 3))
+    assert shot_frames(sampled) == (frames[1], frames[3])
 
 
 def test_sample_manifest_requires_pruning(blob_manifest_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from motionseg.errors import (
     NonFiniteValue,
     SizeMismatch,
     TruncatedFile,
+    ZeroCount,
 )
-from motionseg.inference import InferenceParams
+from motionseg.inference import InferenceParams, infer_labels
 from motionseg.io import DatasetManifest, read_manifest
 from motionseg.loss import ClassWeights
 from motionseg.pipeline import prune_manifest, sample_manifest
@@ -83,9 +86,9 @@ def test_vanilla_step_is_exactly_minus_rate_times_gradient():
     model = ToyModel(w, np.zeros_like(w))
     img = random_image(rng, 3, 4)
     labels = LabelMap(rng.integers(0, 2, size=(3, 4)))
-    cfg = ToyTrainConfig(learning_rate=0.01, momentum=0.0, weight_decay=0.0)
+    cfg = ToyTrainConfig(momentum=0.0, weight_decay=0.0)
 
-    stepped = sgd_step(model, [(img, labels)], _weights(), cfg)
+    stepped = sgd_step(model, [(img, labels)], _weights(), cfg, 0.01)
 
     # independent gradient: chain rule through the feature map by hand
     p = predict(model, img).scores
@@ -104,8 +107,8 @@ def test_confident_correct_model_changes_only_by_weight_decay():
     model = ToyModel(w, np.zeros_like(w))
     img = random_image(np.random.default_rng(46), 2, 3)
     labels = LabelMap(np.zeros((2, 3), dtype=np.int32))
-    cfg = ToyTrainConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
-    stepped = sgd_step(model, [(img, labels)], _weights(), cfg)
+    cfg = ToyTrainConfig(momentum=0.9, weight_decay=0.01)
+    stepped = sgd_step(model, [(img, labels)], _weights(), cfg, 0.1)
     assert np.allclose(stepped.weights, w - 0.1 * 0.01 * w, atol=1e-12)
 
 
@@ -113,9 +116,9 @@ def test_one_step_raises_true_class_score():
     img = RgbImage(np.full((1, 1, 3), 0.8))
     labels = LabelMap(np.array([[1]], dtype=np.int32))
     model = ToyModel.zeros(2)
-    cfg = ToyTrainConfig(learning_rate=0.05, momentum=0.0, weight_decay=0.0)
+    cfg = ToyTrainConfig(momentum=0.0, weight_decay=0.0)
     before = predict(model, img).scores[0, 0, 1]
-    after = predict(sgd_step(model, [(img, labels)], _weights(), cfg),
+    after = predict(sgd_step(model, [(img, labels)], _weights(), cfg, 0.05),
                     img).scores[0, 0, 1]
     assert after > before
 
@@ -127,10 +130,10 @@ def test_loss_decreases_monotonically_without_momentum():
     batch = [(random_image(rng, 4, 4),
               LabelMap(rng.integers(0, 3, size=(4, 4)))) for _ in range(3)]
     cw = _weights((1.0, 0.5, 1.0))
-    cfg = ToyTrainConfig(learning_rate=0.001, momentum=0.0, weight_decay=0.0)
+    cfg = ToyTrainConfig(momentum=0.0, weight_decay=0.0)
     losses = [batch_loss(model, batch, cw)]
     for _ in range(20):
-        model = sgd_step(model, batch, cw, cfg)
+        model = sgd_step(model, batch, cw, cfg, 0.001)
         losses.append(batch_loss(model, batch, cw))
     assert (np.diff(losses) <= 1e-12).all(), losses
 
@@ -144,7 +147,7 @@ def test_fifty_default_steps_reduce_loss():
     cfg = ToyTrainConfig()  # rate 1e-3, momentum 0.9, decay 5e-4
     initial = batch_loss(model, batch, cw)
     for _ in range(50):
-        model = sgd_step(model, batch, cw, cfg)
+        model = sgd_step(model, batch, cw, cfg, cfg.learning_rate)
     assert batch_loss(model, batch, cw) < initial
 
 
@@ -153,10 +156,16 @@ def test_explicit_rate_overrides_config():
     model = ToyModel.zeros(2)
     img = random_image(rng, 2, 2)
     labels = LabelMap(rng.integers(0, 2, size=(2, 2)))
+    # the step scales with the rate it is given; the config's own rate,
+    # which train_loop schedules from, plays no part in it
     cfg = ToyTrainConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0)
-    a = sgd_step(model, [(img, labels)], _weights(), cfg)
+    a = sgd_step(model, [(img, labels)], _weights(), cfg, 0.5)
     b = sgd_step(model, [(img, labels)], _weights(), cfg, learning_rate=0.25)
+    assert np.abs(b.weights).max() > 0
     assert np.allclose(a.weights, model.weights + 2 * (b.weights - model.weights))
+    other = replace(cfg, learning_rate=0.125)
+    c = sgd_step(model, [(img, labels)], _weights(), other, 0.25)
+    assert c.weights.tobytes() == b.weights.tobytes()
 
 
 def test_model_checkpoint_round_trip(tmp_path):
@@ -241,7 +250,6 @@ def prepared_manifest(blob_manifest_path):
 def _quick_cfg(**kw):
     kw.setdefault("learning_rate", 0.05)
     kw.setdefault("epochs", 1)
-    kw.setdefault("seed", 0)
     return ToyTrainConfig(**kw)
 
 
@@ -269,6 +277,60 @@ def test_train_loop_runs_and_changes_weights(prepared_manifest):
     out = train_loop(prepared_manifest, _quick_params(), _quick_cfg())
     assert out.num_labels == 3
     assert np.abs(out.weights).max() > 0
+
+
+def test_train_loop_finetunes_every_chosen_shot(prepared_manifest,
+                                               monkeypatch):
+    # at threshold 0 every video's best shot is chosen; each fine-tune
+    # epoch infers labels once per chosen shot at the raised weight
+    weights = []
+
+    def recording(batch, weak, params):
+        weights.append(params.prediction_weight)
+        return infer_labels(batch, weak, params)
+
+    monkeypatch.setattr("motionseg.predictor.infer_labels", recording)
+    cfg = _quick_cfg(finetune_epochs=2, overlap_threshold=0.0,
+                     finetune_prediction_weight=3.0)
+    tuned = train_loop(prepared_manifest, _quick_params(), cfg)
+    videos = len(prepared_manifest.videos)
+    shots = len(prepared_manifest.shots())
+    assert videos == 2
+    assert weights == [1.0] * shots + [3.0] * (cfg.finetune_epochs * videos)
+    plain = train_loop(prepared_manifest, _quick_params(),
+                       replace(cfg, finetune_epochs=0))
+    assert plain.weights.tobytes() != tuned.weights.tobytes()
+
+
+def test_train_loop_shuffles_shots_from_the_inference_seed(prepared_manifest,
+                                                          monkeypatch):
+    seen = []
+
+    def recording(batch, weak, params):
+        seen.append(weak)
+        return infer_labels(batch, weak, params)
+
+    monkeypatch.setattr("motionseg.predictor.infer_labels", recording)
+    params = replace(_quick_params(), seed=3)
+    train_loop(prepared_manifest, params, _quick_cfg(epochs=4))
+    weak = [prepared_manifest.weak_indices(v)
+            for v, _ in prepared_manifest.shots()]
+    rng = np.random.default_rng(3)
+    assert seen == [weak[i] for _ in range(4) for i in rng.permutation(2)]
+
+
+def test_train_loop_names_categories_without_frames(prepared_manifest):
+    manifest = replace(prepared_manifest, label_set=LabelSet.from_objects(
+        prepared_manifest.label_set.categories[1:] + ("green",)))
+    with pytest.raises(ZeroCount, match=r"^categories without any frame: "
+                                        r"\['green'\]$"):
+        train_loop(manifest, _quick_params(), _quick_cfg())
+
+
+def test_train_loop_refuses_a_manifest_without_object_category():
+    manifest = DatasetManifest(videos=(), label_set=LabelSet.from_objects(()))
+    with pytest.raises(ZeroCount, match="no object category"):
+        train_loop(manifest, InferenceParams(), ToyTrainConfig())
 
 
 def test_lr_step_schedule(prepared_manifest):
