@@ -147,6 +147,19 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
     return Path(root) / Path(*parts).with_suffix(suffix)
 
 
+def _check_frame_files(video_frames) -> None:
+    """Refuse (video, frame) pairs of which two map to one ``_frame_file``:
+    their outputs, or the label maps read for them, would be one file."""
+    seen = {}
+    for video, frame in video_frames:
+        name = f"{video.video_id}: {frame.image_path}"
+        path = _frame_file("", frame.image_path)
+        if path in seen:
+            raise SchemaError(
+                f"frames {seen[path]} and {name} map to one file, {path}")
+        seen[path] = name
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -174,6 +187,8 @@ def _write_label_maps(args, manifest, label_shot):
     frames under ``--out``, one label map per frame."""
     out = Path(args.out)
     shots = manifest.shots()
+    _check_frame_files((video, f) for video, shot in shots
+                       for f in shot_frames(shot))
     done = 0
     for video, shot in shots:
         frames = shot_frames(shot)
@@ -220,6 +235,9 @@ def _cmd_select_finetune(args, manifest):
     if (args.model is None) == (args.labels is None):
         raise SchemaError("give exactly one of --model or --labels")
     model = _manifest_model(args, manifest)
+    if args.labels is not None:
+        _check_frame_files((video, f) for video, shot in manifest.shots()
+                           for f in shot_frames(shot))
     overlaps = {}
     for video, shot in manifest.shots():
         frames = shot_frames(shot)
@@ -282,6 +300,7 @@ def _frames_for_eval(manifest, sampled_only):
 
 def _cmd_eval_iou(args, manifest):
     acc = ConfusionAccumulator.zeros(len(manifest.label_set))
+    _check_frame_files(_frames_for_eval(manifest, args.sampled_only))
     frames = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):
         if frame.ground_truth_label_path is None:
@@ -327,6 +346,7 @@ def _cmd_eval_corloc(args, manifest):
 def _cmd_overlay(args, manifest):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
+    _check_frame_files(_frames_for_eval(manifest, args.sampled_only))
     out = Path(args.out)
     done = 0
     for video, frame in _frames_for_eval(manifest, args.sampled_only):

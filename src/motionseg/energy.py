@@ -11,8 +11,13 @@ balances the two unaries, and w_ij is a contrast-sensitive Potts weight
 that is switched off inside a band around motion-segment boundaries (so
 the minimizer may cheaply relabel across imprecise motion edges).
 
-Binary problems are solved exactly with one graph cut; multi-label
-problems with expansion moves (each move is one exact binary cut).
+Binary problems are solved exactly with one graph cut. Multi-label
+problems are first reduced (Kovtun, DAGM 2003; the "Reduce" step of
+Alahari, Kohli & Torr, CVPR 2008): one exact binary cut per label fixes
+pixels to that label, such that setting the fixed pixels of any labeling
+never raises its energy (an improving map), so some global minimizer
+agrees with every fixed pixel. Expansion moves (each one exact binary cut)
+then run on the free pixels alone.
 """
 
 from dataclasses import dataclass
@@ -176,16 +181,17 @@ def _labels_to_columns(m: EnergyModel, x: LabelMap) -> np.ndarray:
     return cols
 
 
-def _energy_of_columns(m: EnergyModel, cols: np.ndarray) -> float:
-    edges = m.adjacency.edges()
-    unary = m.unary[np.arange(len(cols)), cols].sum()
-    pairwise = (m.pairwise * (cols[edges[:, 0]] != cols[edges[:, 1]])).sum()
-    return float(unary + pairwise)
+def _energy_of_columns(unary, edges, weights, cols) -> float:
+    """Potts energy of column labeling ``cols`` of ``unary`` (N, L) with
+    weight ``weights[e]`` on edge ``edges[e]``."""
+    pair = (weights * (cols[edges[:, 0]] != cols[edges[:, 1]])).sum()
+    return float(unary[np.arange(len(cols)), cols].sum() + pair)
 
 
 def total_energy(m: EnergyModel, x: LabelMap) -> float:
     """Energy of a labeling: unaries plus Potts costs on disagreeing edges."""
-    return _energy_of_columns(m, _labels_to_columns(m, x))
+    return _energy_of_columns(m.unary, m.adjacency.edges(), m.pairwise,
+                              _labels_to_columns(m, x))
 
 
 def _columns_to_labelmap(m: EnergyModel, cols: np.ndarray) -> LabelMap:
@@ -219,20 +225,118 @@ def minimize_binary(m: EnergyModel) -> LabelMap:
     return _columns_to_labelmap(m, y)
 
 
+def _free_subgraph(fixed, edges):
+    """The free pixels (``fixed`` < 0), which edges join two of them, and
+    those edges' ends renumbered in the free pixels' order."""
+    free = np.flatnonzero(fixed < 0)
+    index = np.full(len(fixed), -1)
+    index[free] = np.arange(len(free))
+    inner = (fixed[edges[:, 0]] < 0) & (fixed[edges[:, 1]] < 0)
+    return free, inner, index[edges[inner]]
+
+
+def _fix_optimal_pixels(unary, edges, weights):
+    """Kovtun's partial optimality reduction, one label at a time.
+
+    For each label a, one binary cut over the free pixels prices y_i = 1 at
+    the unary of a and y_i = 0 at the least unary of any other label, and
+    each free edge at its weight when its ends differ. Every pixel on the
+    cut's minimal source side (y_i = 1; on a tie a pixel stays free) is
+    fixed to a, and folded into its free neighbours' unaries: w_ij on every
+    column but a. Returns ``fixed`` (the column, or -1 for a free pixel)
+    and the folded unaries, whose free rows price the fixed pixels in.
+    """
+    n, labels = unary.shape
+    folded = unary.copy()
+    fixed = np.full(n, -1)
+    e0, e1 = edges[:, 0], edges[:, 1]
+    for a in range(labels):
+        free, inner, free_edges = _free_subgraph(fixed, edges)
+        if not len(free):
+            break
+        others = folded[np.ix_(free, np.arange(labels) != a)].min(axis=1)
+        y = _solve_binary_columns(others, folded[free, a], free_edges,
+                                  weights[inner], weights[inner])
+        fixed[free[y == 1]] = a
+        # fold each new fixed pixel into its neighbours that stay free
+        new, left = fixed == a, fixed < 0
+        out0, out1 = new[e0] & left[e1], new[e1] & left[e0]
+        fold = np.bincount(np.concatenate([e1[out0], e0[out1]]),
+                           np.concatenate([weights[out0], weights[out1]]),
+                           minlength=n)
+        for b in range(labels):
+            if b != a:
+                folded[:, b] += fold
+    return fixed, folded
+
+
+def _expansion_moves(unary, edges, weights, cols, sweeps, trace):
+    """Expansion moves on the Potts energy of ``unary`` (N, L) with weight
+    ``weights[e]`` on edge ``edges[e]``, from column labeling ``cols``;
+    returns the final columns and appends the energy after every move run
+    to the list ``trace``.
+
+    One move offers every node the choice "keep its column or switch to
+    column a" and solves it exactly as a binary cut; columns are swept in
+    ascending order. A move is accepted only when it strictly lowers the
+    energy. Stops once every column's move has run since the last
+    acceptance, that move included: a rejected move changes nothing, and
+    each a-expansion of an accepted a-move's result is one of the labeling
+    before it. That gives the labeling of whole sweeps with fewer moves.
+    ``sweeps`` caps the moves at ``sweeps`` times the column count.
+    """
+    labels = unary.shape[1]
+    rows = np.arange(len(cols))
+    e0, e1 = edges[:, 0], edges[:, 1]
+    energy = _energy_of_columns(unary, edges, weights, cols)
+    unchanged = 0  # moves run since the last accepted one, counting it
+    for move in range(max(1, sweeps) * labels):
+        a = move % labels
+        ci, cj = cols[e0], cols[e1]
+        theta0 = unary[rows, cols]   # keep
+        theta1 = unary[:, a].copy()  # switch to a
+        # pairwise reparameterization:
+        #   E(0,0)=w[ci!=cj]  E(0,1)=w[ci!=a]  E(1,0)=w[cj!=a]  E(1,1)=0
+        w_keep = weights * (ci != cj)   # A
+        w_i = weights * (ci != a)       # B
+        w_j = weights * (cj != a)       # C
+        np.add.at(theta1, e0, w_j - w_keep)
+        np.add.at(theta1, e1, -w_j)
+        cap = w_i + w_j - w_keep           # >= 0 for Potts
+        # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
+        y = _solve_binary_columns(theta0, theta1, edges[:, ::-1], cap, 0.0)
+        candidate = np.where(y, a, cols)
+        cand_energy = _energy_of_columns(unary, edges, weights, candidate)
+        if cand_energy < energy:
+            cols = candidate
+            energy = cand_energy
+            unchanged = 0
+        unchanged += 1
+        trace.append(energy)
+        if unchanged == labels:
+            break
+    return cols
+
+
 def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
                        sweeps: int = DEFAULT_EXPANSION_SWEEPS,
                        energy_trace: list | None = None) -> LabelMap:
-    """Expansion-move minimization for two or more labels.
+    """Multi-label minimization: reduce, then expansion moves.
 
-    One move offers every pixel the choice "keep current label or switch
-    to label a" and solves it exactly as a binary cut; labels are swept in
-    ascending order. A move is accepted only when it strictly lowers the
-    energy, so the energy is non-increasing across moves; passing
-    ``energy_trace`` records the energy after every move run. Stops once
-    every label's move has run since the last acceptance, that move
-    included: a rejected move changes nothing, and each a-expansion of an
-    accepted a-move's result is one of the labeling before it. That gives
-    the labeling of whole sweeps with fewer ``energy_trace`` entries.
+    First, one binary cut per label fixes the pixels that some global
+    minimizer labels alike (``_fix_optimal_pixels``). Then expansion moves
+    (``_expansion_moves``) run on the free pixels alone, with the fixed
+    ones folded into their neighbours' unaries, starting from ``init`` (or
+    each pixel's least unary) on the free pixels. Setting the fixed pixels
+    never raises the energy of a labeling, and a move is accepted only when
+    it lowers the energy, so the result is never above ``init``.
+
+    ``energy_trace`` gets the energy after every move run: the fixed
+    pixels' part plus the free pixels' part, so equal to ``total_energy``
+    up to rounding, non-increasing, and ending at the returned labeling.
+    Its first entry may already lie below the energy of ``init`` by what
+    setting the fixed pixels saved. When no pixel is left free no move
+    runs, and it gets one entry, the energy of the fixed labeling.
     ``sweeps`` caps the moves at ``sweeps`` times the label count.
     """
     labels = len(m.allowed_labels)
@@ -243,34 +347,19 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     else:
         cols = _labels_to_columns(m, init)
     edges = m.adjacency.edges()
-    e0, e1 = edges[:, 0], edges[:, 1]
-    energy = _energy_of_columns(m, cols)
-
-    unchanged = 0  # moves run since the last accepted one, counting it
-    for move in range(max(1, sweeps) * labels):
-        a = move % labels
-        ci, cj = cols[e0], cols[e1]
-        theta0 = m.unary[np.arange(len(cols)), cols]  # keep
-        theta1 = m.unary[:, a].copy()                 # switch to a
-        # pairwise reparameterization:
-        #   E(0,0)=w[ci!=cj]  E(0,1)=w[ci!=a]  E(1,0)=w[cj!=a]  E(1,1)=0
-        w_keep = m.pairwise * (ci != cj)   # A
-        w_i = m.pairwise * (ci != a)       # B
-        w_j = m.pairwise * (cj != a)       # C
-        np.add.at(theta1, e0, w_j - w_keep)
-        np.add.at(theta1, e1, -w_j)
-        cap = w_i + w_j - w_keep           # >= 0 for Potts
-        # cut when y[e1]=1 and y[e0]=0: directed arc e1 -> e0
-        y = _solve_binary_columns(theta0, theta1, edges[:, ::-1], cap, 0.0)
-        candidate = np.where(y, a, cols)
-        cand_energy = _energy_of_columns(m, candidate)
-        if cand_energy < energy:
-            cols = candidate
-            energy = cand_energy
-            unchanged = 0
-        unchanged += 1
-        if energy_trace is not None:
-            energy_trace.append(energy)
-        if unchanged == labels:
-            break
+    fixed, folded = _fix_optimal_pixels(m.unary, edges, m.pairwise)
+    is_fixed = fixed >= 0
+    cols = np.where(is_fixed, fixed, cols)
+    free, inner, free_edges = _free_subgraph(fixed, edges)
+    moves = []
+    if len(free):
+        cols[free] = _expansion_moves(folded[free], free_edges,
+                                      m.pairwise[inner], cols[free], sweeps,
+                                      moves)
+    if energy_trace is not None:
+        both = is_fixed[edges[:, 0]] & is_fixed[edges[:, 1]]
+        fixed_part = (m.unary[is_fixed, fixed[is_fixed]].sum()
+                      + (m.pairwise[both] * (fixed[edges[both, 0]]
+                                             != fixed[edges[both, 1]])).sum())
+        energy_trace.extend(float(fixed_part + e) for e in moves or [0.0])
     return _columns_to_labelmap(m, cols)

@@ -101,9 +101,11 @@ class ToyTrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if (self.weight_decay < 0 or self.finetune_epochs < 0
-                or self.decay_every < 0 or self.decay_factor < 0):
-            raise ValueError("weight_decay, finetune_epochs, decay_every and "
-                             "decay_factor must be >= 0")
+                or self.decay_every < 0 or self.decay_factor < 0
+                or self.finetune_prediction_weight < 0):
+            raise ValueError("weight_decay, finetune_epochs, decay_every, "
+                             "decay_factor and finetune_prediction_weight "
+                             "must be >= 0")
 
 
 def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,

@@ -73,14 +73,14 @@ def expansion_full_sweeps(m, init=None, sweeps=5, energy_trace=None):
 
     Unlike the rest of this module it reuses the package's move solver and
     energy (looked up on the module at call time, so recorded cuts see its
-    moves): it checks only when ``minimize_expansion`` may stop.
+    moves): it checks only when the package's move loop may stop.
     """
     import motionseg.energy as energy
     cols = (np.argmin(m.unary, axis=1) if init is None
             else model_columns(m, init))
     edges = m.adjacency.edges()
     e0, e1 = edges[:, 0], edges[:, 1]
-    best = energy._energy_of_columns(m, cols)
+    best = energy._energy_of_columns(m.unary, edges, m.pairwise, cols)
     for _ in range(max(1, sweeps)):
         improved = False
         for a in range(len(m.allowed_labels)):
@@ -95,7 +95,8 @@ def expansion_full_sweeps(m, init=None, sweeps=5, energy_trace=None):
             y = energy._solve_binary_columns(theta0, theta1, edges[:, ::-1],
                                              w_i + w_j - w_keep, 0.0)
             candidate = np.where(y, a, cols)
-            cand_energy = energy._energy_of_columns(m, candidate)
+            cand_energy = energy._energy_of_columns(m.unary, edges,
+                                                    m.pairwise, candidate)
             if cand_energy < best:
                 cols, best, improved = candidate, cand_energy, True
             if energy_trace is not None:

@@ -229,6 +229,78 @@ def test_train_toy_without_object_category_is_one_line_json(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_finetune_weight_is_refused_before_training(
+        ws, tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(motionseg.cli, "train_loop",
+                        lambda *a, **k: trained.append(a))
+    out = tmp_path / "toy"
+    assert main(["train-toy", "--manifest", str(ws.sampled_manifest),
+                 "--epochs", "1", "--finetune-epochs", "1",
+                 "--overlap-threshold", "0", "--iterations", "1",
+                 "--components", "2", "--finetune-prediction-weight", "-1",
+                 "--out", str(out)]) == 1
+    doc = _one_json_line(capsys)
+    assert doc["error"] == "ValueError"
+    assert "finetune_prediction_weight" in doc["message"]
+    assert trained == [] and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def colliding(tmp_path_factory):
+    """Two manifests whose frames collide on ``_frame_file``: one in
+    ``root/m`` lists the seed-7 blob tree at ``../data/`` and the seed-8
+    tree at ``data/``; in the other, a second video lists the first
+    video's images."""
+    root = tmp_path_factory.mktemp("collide")
+    videos = []
+    for seed, tree, prefix in ((7, root / "data", "../data/"),
+                               (8, root / "m" / "data", "data/")):
+        doc = json.loads(write_blob_dataset(tree, seed=seed,
+                                            with_scores=True).read_text())
+        for video in doc["videos"]:
+            video["video_id"] += f"_{seed}"
+            for frame in (f for shot in video["shots"]
+                          for f in shot["frames"]):
+                for key in [k for k in frame if k.endswith("_path")]:
+                    frame[key] = prefix + frame[key]
+        videos += doc["videos"]
+    rebased = root / "m" / "manifest.json"
+    rebased.write_text(json.dumps({"categories": ["red", "blue"],
+                                   "videos": videos}))
+    doc = json.loads((root / "data" / "manifest.json").read_text())
+    doc["videos"].append(dict(doc["videos"][0], video_id="copy"))
+    shared = root / "data" / "shared.json"
+    shared.write_text(json.dumps(doc))
+    return SimpleNamespace(root=root, rebased=rebased, shared=shared)
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("infer", []),
+    ("hard-assign", []),
+    ("eval-iou", ["--pred"]),
+    ("overlay", ["--labels"]),
+    ("select-finetune", ["--labels"]),
+])
+def test_frames_that_map_to_one_file_are_one_line_json(colliding, tmp_path,
+                                                       capsys, sub, extra):
+    out = tmp_path / "out"
+    extra = [*extra, str(tmp_path / "labels")] if extra else []
+    assert main([sub, "--manifest", str(colliding.rebased), *extra,
+                 "--out", str(out)]) == 1
+    assert _one_json_line(capsys) == {
+        "error": "SchemaError",
+        "message": "frames red_00_7: ../data/red_00/frame_000.ppm and "
+                   "red_00_8: data/red_00/frame_000.ppm map to one file, "
+                   "data/red_00/frame_000.pgm"}
+    assert not out.exists()
+    assert main([sub, "--manifest", str(colliding.shared), *extra,
+                 "--out", str(out)]) == 1
+    assert _one_json_line(capsys)["message"].startswith(
+        "frames red_00: red_00/frame_000.ppm and copy: red_00/frame_000.ppm ")
+    assert not out.exists()
+
+
 def test_infer_without_model_or_score_maps_uses_uniform_scores(
         tmp_path, capsys):
     root = tmp_path / "bare"

@@ -4,6 +4,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import motionseg.inference
 from motionseg.core import (
     GridAdjacency,
     LabelMap,
@@ -12,9 +13,12 @@ from motionseg.core import (
     ScoreMap,
 )
 from motionseg.energy import (
+    DEFAULT_EXPANSION_SWEEPS,
     BoundaryBand,
     EnergyModel,
     PairwiseParams,
+    _expansion_moves,
+    _fix_optimal_pixels,
     boundary_band_from_mask,
     build_energy,
     minimize_binary,
@@ -28,14 +32,16 @@ from motionseg.errors import (
 )
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.inference import InferenceParams, infer_labels
-from motionseg.io import read_image, read_manifest, read_mask, read_scores
+from motionseg.io import (read_image, read_manifest, read_mask, read_scores,
+                          write_image, write_mask, write_scores)
 from motionseg.maxflow import SOURCE, FlowNetwork, min_cut
 from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import (binary_masks, cut_capacity_of, fit_fgbg_from_motion,
                      random_model, random_scores, recorded_cuts,
                      unaries_decide)
-from oracles import enumerate_minimum, expansion_full_sweeps, potts_weight
+from oracles import (all_labelings, enumerate_minimum, expansion_full_sweeps,
+                     model_columns, potts_energies, potts_weight)
 
 
 def _no_band(h, w):
@@ -365,6 +371,15 @@ def test_expansion_energy_trace_is_monotone():
         assert abs(trace[-1] - total_energy(m, out)) <= 1e-9
 
 
+def _moves_on_grid(m, init=None, sweeps=DEFAULT_EXPANSION_SWEEPS, trace=None):
+    """Plain expansion: the move routine on the whole grid of ``m``, from
+    ``init`` or each pixel's least unary; returns columns."""
+    cols = (np.argmin(m.unary, axis=1) if init is None
+            else model_columns(m, init))
+    return _expansion_moves(m.unary, m.adjacency.edges(), m.pairwise, cols,
+                            sweeps, [] if trace is None else trace)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.integers(1, 4),
        st.integers(1, 4), st.integers(1, 5), st.booleans())
@@ -376,12 +391,13 @@ def test_expansion_stops_with_the_full_sweep_labels(seed, labels, h, w,
     init = (LabelMap(rng.choice(m.allowed_labels, size=(h, w)))
             if with_init else None)
     trace, want_trace = [], []
-    out = minimize_expansion(m, init=init, sweeps=sweeps, energy_trace=trace)
+    out = _moves_on_grid(m, init, sweeps, trace)
     want = expansion_full_sweeps(m, init, sweeps, want_trace)
-    assert np.array_equal(out.labels.ravel(), want)
+    assert np.array_equal(out, want)
     assert 1 <= len(trace) <= len(want_trace)
     assert (np.diff(trace) <= 0).all()
-    assert trace[-1] == total_energy(m, out)
+    # the labels are 0..labels-1, so columns and labels agree
+    assert trace[-1] == total_energy(m, LabelMap(out.reshape(h, w)))
 
 
 def _two_object_model():
@@ -398,11 +414,11 @@ def _two_object_model():
 def test_expansion_skips_moves_that_cannot_change_the_labels(monkeypatch):
     m = _two_object_model()
     cuts = recorded_cuts(monkeypatch)
-    out = minimize_expansion(m)
+    out = _moves_on_grid(m)
     ran = len(cuts)
     want = expansion_full_sweeps(m)
     assert ran < len(cuts) - ran
-    assert np.array_equal(out.labels.ravel(), want)
+    assert np.array_equal(out, want)
 
 
 def test_expansion_never_above_init():
@@ -454,6 +470,175 @@ def test_expansion_label_permutation_symmetry():
 
 
 # ---------------------------------------------------------------------------
+# the reduction: one auxiliary cut per label fixes pixels before the moves
+
+@st.composite
+def potts_models(draw, labels=(3, 4), max_side=5, max_sites=25):
+    """A random Potts EnergyModel over labels 0..L-1 on a grid of at most
+    ``max_sites`` pixels; the unaries, the weights or both may be rounded
+    to one decimal, so that ties occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, min(max_side, max_sites // h)))
+    count = draw(st.sampled_from(labels))
+    adjacency = GridAdjacency(w, h)
+    unary = rng.standard_normal((h * w, count))
+    weights = draw(st.floats(0.1, 1.5)) * rng.random(adjacency.edge_count)
+    if draw(st.booleans()):
+        unary = np.round(unary, 1)
+    if draw(st.booleans()):
+        weights = np.round(weights, 1)
+    return EnergyModel(tuple(range(count)), unary, weights, adjacency)
+
+
+def _fixed_of(m):
+    return _fix_optimal_pixels(m.unary, m.adjacency.edges(), m.pairwise)
+
+
+def _label_fixed_share(fixed):
+    if not (fixed >= 0).any():
+        event("no pixel fixed")
+    elif not (fixed < 0).any():
+        event("no pixel free")
+    else:
+        event("some pixels fixed, some free")
+
+
+@settings(max_examples=200, deadline=None)
+@given(potts_models(), st.integers(0, 2**32 - 1))
+def test_fixed_pixels_never_raise_the_energy_of_a_labeling(m, seed):
+    fixed, _ = _fixed_of(m)
+    _label_fixed_share(fixed)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, len(m.allowed_labels), size=(20, len(m.unary)))
+    x = np.vstack([x, np.argmin(m.unary, axis=1)])
+    moved = np.where(fixed >= 0, fixed, x)
+    edges = m.adjacency.edges()
+    before = potts_energies(m.unary, edges, m.pairwise, x)
+    after = potts_energies(m.unary, edges, m.pairwise, moved)
+    assert (after <= before + 1e-9).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(potts_models(labels=(3,), max_sites=8)
+       | potts_models(labels=(4,), max_sites=6))
+def test_some_global_minimizer_agrees_with_every_fixed_pixel(m):
+    fixed, folded = _fixed_of(m)
+    _label_fixed_share(fixed)
+    edges = m.adjacency.edges()
+    labelings = all_labelings(*m.unary.shape)
+    energies = potts_energies(m.unary, edges, m.pairwise, labelings)
+    best = labelings[energies <= energies.min() + 1e-9]
+    on = fixed >= 0
+    assert (best[:, on] == fixed[on]).all(axis=1).any()
+    # the folded unaries price the fixed pixels in: with them set, the
+    # energy is the free pixels' energy plus one constant
+    settled = np.unique(np.where(on, fixed, labelings), axis=0)
+    inner = ~on[edges[:, 0]] & ~on[edges[:, 1]]
+    index = np.cumsum(~on) - 1  # a free pixel's place among the free
+    free_part = potts_energies(folded[~on], index[edges[inner]],
+                               m.pairwise[inner], settled[:, ~on])
+    whole = potts_energies(m.unary, edges, m.pairwise, settled)
+    assert np.ptp(whole - free_part) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(potts_models(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_reduced_expansion_is_never_above_init(m, seed, sweeps):
+    h, w = m.adjacency.height, m.adjacency.width
+    init = LabelMap(np.random.default_rng(seed).integers(
+        0, len(m.allowed_labels), size=(h, w)))
+    trace = []
+    out = minimize_expansion(m, init=init, sweeps=sweeps, energy_trace=trace)
+    got, start = total_energy(m, out), total_energy(m, init)
+    assert got <= start + 1e-9
+    assert trace and trace[0] <= start + 1e-9
+    assert (np.diff(trace) <= 0).all()
+    assert trace[-1] == pytest.approx(got, rel=1e-12, abs=1e-9)
+    fixed, _ = _fixed_of(m)
+    _label_fixed_share(fixed)
+    assert np.array_equal(out.labels.ravel()[fixed >= 0], fixed[fixed >= 0])
+    if not (fixed < 0).any():
+        assert len(trace) == 1
+
+
+def test_no_free_pixel_runs_no_move(monkeypatch):
+    # distinct unaries and weak edges: each pixel's least unary wins alone
+    unary = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 3.0], [3.0, 2.0, 0.0],
+                      [0.0, 3.0, 2.0]])
+    m = EnergyModel((0, 1, 2), unary, np.full(4, 0.1), GridAdjacency(2, 2))
+    cuts = recorded_cuts(monkeypatch)
+    trace = []
+    out = minimize_expansion(m, energy_trace=trace)
+    assert out.labels.ravel().tolist() == [0, 1, 2, 0]
+    assert len(cuts) == 3  # the auxiliary cuts alone
+    assert trace == [pytest.approx(total_energy(m, out), abs=1e-12)]
+
+
+def test_a_tied_pixel_stays_free():
+    # labels 0 and 1 cost the same: neither auxiliary cut must fix it
+    m = EnergyModel((0, 1, 2), np.array([[0.0, 0.0, 1.0]]), np.zeros(0),
+                    GridAdjacency(1, 1))
+    fixed, folded = _fixed_of(m)
+    assert fixed.tolist() == [-1]
+    assert np.array_equal(folded, m.unary)
+
+
+def _recorded_expansions(monkeypatch):
+    """Record, for every minimize_expansion call inference makes, its
+    result's energy and that of plain expansion from the same start."""
+    calls = []
+    solve = motionseg.inference.minimize_expansion
+
+    def record(m, init=None):
+        out = solve(m, init=init)
+        plain = _moves_on_grid(m, init)
+        calls.append((total_energy(m, out), total_energy(
+            m, LabelMap(np.asarray(m.allowed_labels)[plain].reshape(
+                m.adjacency.height, m.adjacency.width)))))
+        return out
+
+    monkeypatch.setattr(motionseg.inference, "minimize_expansion", record)
+    return calls
+
+
+def test_reduction_never_above_plain_expansion_on_multilabel_frames(
+        tmp_path, monkeypatch):
+    # the multi-label benchmark's frames at seeds 1-2, parts 0-7, read back
+    # from disk, and its infer settings
+    calls = _recorded_expansions(monkeypatch)
+    for seed in (1, 2):
+        for part in range(8):
+            scene = two_object_scene((seed * 1000 + part) * 100, height=96,
+                                     width=160, confidence=0.45, noise=0.15)
+            stem = tmp_path / f"{seed}_{part}"
+            write_image(scene.image, stem.with_suffix(".ppm"))
+            write_mask(scene.mask, stem.with_suffix(".pgm"))
+            write_scores(scene.scores, stem.with_suffix(".msf"))
+            frame = (read_image(stem.with_suffix(".ppm")),
+                     read_mask(stem.with_suffix(".pgm")),
+                     read_scores(stem.with_suffix(".msf")))
+            infer_labels([frame], (1, 2),
+                         InferenceParams(gmm_components=1, iterations=2))
+    assert len(calls) >= 16
+    for got, plain in calls:
+        assert got <= plain + 1e-9 * max(1.0, abs(plain))
+
+
+def test_reduction_never_above_plain_expansion_on_harsh_scenes(monkeypatch):
+    # low confidence and strong noise leave many pixels free
+    calls = _recorded_expansions(monkeypatch)
+    for seed in range(40):
+        scene = two_object_scene(seed, height=24, width=40, confidence=0.4,
+                                 noise=0.3)
+        infer_labels([(scene.image, scene.mask, scene.scores)], (1, 2),
+                     InferenceParams(gmm_components=2, iterations=3))
+    assert len(calls) >= 80
+    for got, plain in calls:
+        assert got <= plain + 1e-9 * max(1.0, abs(plain))
+
+
+# ---------------------------------------------------------------------------
 # cut certificates on full-size grids, far beyond brute force: the flow the
 # solver pushed equals the capacity of the cut it returns, so both are optimal.
 # min_cut returns before any search when the unaries decide the cut, so each
@@ -466,10 +651,10 @@ def _mirrored(net):
                        net.arc_head[::2], net.arc_cap[1::2], net.arc_cap[::2])
 
 
-def _assert_certified_and_mirrored(net, res):
-    """``res`` is certified by its cut, and the mirrored network, whose
-    source side holds the large excess set, gives the same flow and the
-    minimal sink side, which the minimal source side must not overlap."""
+def _certified_with_mirror(net, res):
+    """Assert that ``res`` is certified by its cut, and that the mirrored
+    network gives the same flow and the minimal sink side, which the
+    minimal source side must not overlap; returns both source sides."""
     assert res.flow_value == pytest.approx(cut_capacity_of(net, res.side),
                                            rel=1e-9)
     mirror = _mirrored(net)
@@ -478,8 +663,15 @@ def _assert_certified_and_mirrored(net, res):
     assert back.flow_value == pytest.approx(
         cut_capacity_of(mirror, back.side), rel=1e-9)
     source, mirror_source = res.side == SOURCE, back.side == SOURCE
-    assert mirror_source.sum() > source.sum()
     assert not (source & mirror_source).any()
+    return source, mirror_source
+
+
+def _assert_certified_and_mirrored(net, res):
+    """``_certified_with_mirror``, where the mirrored network's source side
+    holds the large excess set."""
+    source, mirror_source = _certified_with_mirror(net, res)
+    assert mirror_source.sum() > source.sum()
 
 
 def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
@@ -497,12 +689,29 @@ def test_binary_cut_certificate_on_full_size_grid(monkeypatch):
 def test_expansion_move_cut_certificates_on_two_object_scene(monkeypatch):
     m = _two_object_model()
     cuts = recorded_cuts(monkeypatch)
-    minimize_expansion(m, sweeps=1)
+    _moves_on_grid(m, sweeps=1)
     assert len(cuts) == 3  # one move per label
     for net, res in cuts:
         assert net.node_count == 96 * 160
         assert not unaries_decide(net)
         _assert_certified_and_mirrored(net, res)
+
+
+def test_reduction_cut_certificates_on_two_object_scene(monkeypatch):
+    m = _two_object_model()
+    cuts = recorded_cuts(monkeypatch)
+    fixed, _ = _fixed_of(m)
+    assert len(cuts) == 3  # one auxiliary cut per label
+    free = 96 * 160
+    for a, (net, res) in enumerate(cuts):
+        assert net.node_count == free  # the pixels earlier cuts left free
+        assert not unaries_decide(net)
+        source, mirror_source = _certified_with_mirror(net, res)
+        assert (fixed == a).sum() == source.sum()
+        free -= source.sum()
+        if a == 0:  # most of the frame is background
+            assert source.sum() > mirror_source.sum()
+    assert free == (fixed < 0).sum() and 0 < free < 0.01 * 96 * 160
 
 
 def test_infer_cut_certificate_and_mirror_on_blob_frame(tmp_path,

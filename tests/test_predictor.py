@@ -224,6 +224,8 @@ def test_config_validation():
         ToyTrainConfig(decay_every=-1)
     with pytest.raises(ValueError):
         ToyTrainConfig(decay_factor=-0.1)
+    with pytest.raises(ValueError, match="finetune_prediction_weight"):
+        ToyTrainConfig(finetune_prediction_weight=-1.0)
 
 
 def test_train_loop_empty_manifest_returns_model_unchanged():
