@@ -290,7 +290,7 @@ def _expansion_moves(unary, edges, weights, cols, sweeps, trace):
     e0, e1 = edges[:, 0], edges[:, 1]
     energy = _energy_of_columns(unary, edges, weights, cols)
     unchanged = 0  # moves run since the last accepted one, counting it
-    for move in range(max(1, sweeps) * labels):
+    for move in range(sweeps * labels):
         a = move % labels
         ci, cj = cols[e0], cols[e1]
         theta0 = unary[rows, cols]   # keep
@@ -337,11 +337,14 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     Its first entry may already lie below the energy of ``init`` by what
     setting the fixed pixels saved. When no pixel is left free no move
     runs, and it gets one entry, the energy of the fixed labeling.
-    ``sweeps`` caps the moves at ``sweeps`` times the label count.
+    ``sweeps`` caps the moves at ``sweeps`` times the label count; below 1
+    it is refused before any cut.
     """
     labels = len(m.allowed_labels)
     if labels < 2:
         raise WrongLabelCount("expansion needs at least 2 allowed labels")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     if init is None:
         cols = np.argmin(m.unary, axis=1)
     else:

@@ -3,7 +3,9 @@
 This is the computational kernel under all the energy minimization in the
 package. The solver is Boykov-Kolmogorov with one search tree, grown from
 the source against the sink-excess nodes as fixed roots and reused between
-augmentations; ``min_cut`` says why it ends as the minimal source side.
+augmentations. The search starts only at the source roots on the contested
+boundary; ``min_cut`` says why that suffices and why the search ends at the
+minimal source side.
 
 A network is built once, in one constructor call, from a per-node pair of
 terminal capacity vectors and an edge list with a capacity vector for
@@ -13,10 +15,13 @@ are folded into a single per-node residual before the search, which
 shifts the flow by a constant that is added back at the end.
 
 ``FlowNetwork`` holds read-only numpy arrays. Unless the unaries decide the
-cut, ``min_cut`` links each node's arcs and turns the arrays into Python
-lists, since the search reads them one element at a time.
+cut, ``min_cut`` links each node's arcs and copies the arrays into typed
+``array`` buffers, which the search reads one element at a time: one buffer
+copy each, where a list would make one Python object per element. The
+doubles keep their IEEE values, so the arithmetic is the same.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,7 +52,8 @@ class FlowNetwork:
     Node i has capacity ``source_cap[i]`` from the source and
     ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
     with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
-    Scalar capacities broadcast. The node count is ``len(source_cap)``.
+    Scalar capacities broadcast. The node count is ``len(source_cap)``;
+    node ids must have an integer dtype (empty id arrays may have any).
     ``source_cap``, ``sink_cap`` and the per-arc ``arc_head`` (int64) and
     ``arc_cap`` (float64) are read-only arrays. Arc ``2e`` is edge e and
     arc ``2e + 1`` its reverse, so arc ``a ^ 1`` is arc ``a`` reversed.
@@ -59,6 +65,10 @@ class FlowNetwork:
         self.node_count = n
         self.source_cap, self.sink_cap = (
             _check_caps(c, (n,)).copy() for c in (source_cap, sink_cap))
+        for ids in map(np.asarray, (tails, heads)):
+            if ids.size and not np.issubdtype(ids.dtype, np.integer):
+                raise TypeError(f"edge node ids must be integers, got "
+                                f"{ids.ravel().tolist()[0]!r}")
         ends = np.stack([tails, heads], axis=1).astype(np.int64).reshape(-1, 2)
         loops = ends[ends[:, 0] == ends[:, 1], 0]
         if loops.size:
@@ -87,7 +97,12 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     The returned flow equals the capacity of the cut induced by ``side``,
     and no cut has smaller capacity. Only the source tree grows, from the
     source-excess nodes to the sink-excess roots (a saturated root may be
-    re-hung below a sink-tree neighbour). SOURCE is the final source tree:
+    re-hung below a sink-tree neighbour). It starts active only at the
+    source roots with a positive-capacity arc to a node outside the
+    source-excess set: from any other root every residual arc leads to a
+    source root, so scanning it would grow nothing. Such a root is
+    activated when adoption frees a neighbour it has a residual arc to,
+    as any source-tree node is. SOURCE is the final source tree:
     with no node active it is closed under residual arcs and holds no sink
     excess, so no augmenting path is left, and its nodes reach the source
     along residual arcs: it is the residual reachable set of the source,
@@ -103,8 +118,13 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     pos = excess > 0.0
     ends = pos[net.arc_head].reshape(-1, 2)  # pos at edge e's head, tail
     out_cap = np.where(ends[:, 1], net.arc_cap[::2], net.arc_cap[1::2])
-    if not ((ends[:, 0] != ends[:, 1]) & (out_cap > 0.0)).any():
+    leaving = (ends[:, 0] != ends[:, 1]) & (out_cap > 0.0)
+    if not leaving.any():
         return MinCutResult(flow, np.where(pos, SOURCE, SINK).astype(np.uint8))
+    # the source roots such an arc leaves start the search (see above)
+    boundary = np.zeros(net.node_count, dtype=bool)
+    boundary[net.arc_head.reshape(-1, 2)[leaving]] = True
+    boundary &= pos
 
     # node i's arcs, highest id first: first[i], nxt[first[i]], ... to -1
     tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
@@ -114,14 +134,15 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     same = tail[order[1:]] == tail[order[:-1]]
     nxt = np.full(len(tail), -1)
     nxt[order[1:][same]] = order[:-1][same]
-    first, nxt, head, rescap, tr = (a.tolist() for a in (
-        first, nxt, net.arc_head, net.arc_cap, excess))
-
     # every node with terminal residual is a root; only source roots grow
-    tree = np.select([pos, excess < 0.0], [_S, _T], _FREE).tolist()
-    parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT).tolist()
-    in_active = pos.tolist()
-    active = deque(np.flatnonzero(pos).tolist())
+    tree = np.select([pos, excess < 0.0], [_S, _T], _FREE)
+    parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT)
+    first, nxt, head, parent = (array("q", np.asarray(a, np.int64).tobytes())
+                                for a in (first, nxt, net.arc_head, parent))
+    rescap, tr = (array("d", a.tobytes()) for a in (net.arc_cap, excess))
+    tree = array("b", tree.astype(np.int8).tobytes())
+    in_active = bytearray(boundary.tobytes())
+    active = deque(np.flatnonzero(boundary).tolist())
     orphans = deque()
 
     def activate(i):
@@ -247,5 +268,5 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
             augment(connecting)
             adopt()
 
-    side = np.where(np.asarray(tree) == _S, SOURCE, SINK).astype(np.uint8)
-    return MinCutResult(float(flow), side)
+    side = np.where(np.frombuffer(tree, np.int8) == _S, SOURCE, SINK)
+    return MinCutResult(float(flow), side.astype(np.uint8))

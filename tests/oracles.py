@@ -81,7 +81,7 @@ def expansion_full_sweeps(m, init=None, sweeps=5, energy_trace=None):
     edges = m.adjacency.edges()
     e0, e1 = edges[:, 0], edges[:, 1]
     best = energy._energy_of_columns(m.unary, edges, m.pairwise, cols)
-    for _ in range(max(1, sweeps)):
+    for _ in range(sweeps):
         improved = False
         for a in range(len(m.allowed_labels)):
             ci, cj = cols[e0], cols[e1]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -430,6 +432,17 @@ def test_expansion_never_above_init():
         assert total_energy(m, out) <= total_energy(m, init) + 1e-9
 
 
+def test_expansion_refuses_fewer_than_one_sweep(monkeypatch):
+    # sweeps=0 and negative sweeps used to run one full sweep
+    m = random_model(np.random.default_rng(33), 3, 3, (0, 1, 2))
+    cuts = recorded_cuts(monkeypatch)
+    for sweeps in (0, -2):
+        with pytest.raises(ValueError, match=f"sweeps must be >= 1, got "
+                           f"{sweeps}"):
+            minimize_expansion(m, sweeps=sweeps)
+    assert not cuts
+
+
 def test_expansion_near_optimal_on_small_instances():
     rng = np.random.default_rng(31)
     hits = 0
@@ -602,27 +615,46 @@ def _recorded_expansions(monkeypatch):
     return calls
 
 
+def _multilabel_labels(tmp_path, seed, part):
+    """The labels infer gives the multi-label benchmark's frame of ``seed``
+    and ``part``: one 96x160 two-object frame, read back from disk, at the
+    benchmark's infer settings."""
+    scene = two_object_scene((seed * 1000 + part) * 100, height=96,
+                             width=160, confidence=0.45, noise=0.15)
+    stem = tmp_path / f"{seed}_{part}"
+    write_image(scene.image, stem.with_suffix(".ppm"))
+    write_mask(scene.mask, stem.with_suffix(".pgm"))
+    write_scores(scene.scores, stem.with_suffix(".msf"))
+    frame = (read_image(stem.with_suffix(".ppm")),
+             read_mask(stem.with_suffix(".pgm")),
+             read_scores(stem.with_suffix(".msf")))
+    return infer_labels([frame], (1, 2),
+                        InferenceParams(gmm_components=1, iterations=2))[0]
+
+
 def test_reduction_never_above_plain_expansion_on_multilabel_frames(
         tmp_path, monkeypatch):
-    # the multi-label benchmark's frames at seeds 1-2, parts 0-7, read back
-    # from disk, and its infer settings
+    # the multi-label benchmark's frames at seeds 1-2, parts 0-7
     calls = _recorded_expansions(monkeypatch)
     for seed in (1, 2):
         for part in range(8):
-            scene = two_object_scene((seed * 1000 + part) * 100, height=96,
-                                     width=160, confidence=0.45, noise=0.15)
-            stem = tmp_path / f"{seed}_{part}"
-            write_image(scene.image, stem.with_suffix(".ppm"))
-            write_mask(scene.mask, stem.with_suffix(".pgm"))
-            write_scores(scene.scores, stem.with_suffix(".msf"))
-            frame = (read_image(stem.with_suffix(".ppm")),
-                     read_mask(stem.with_suffix(".pgm")),
-                     read_scores(stem.with_suffix(".msf")))
-            infer_labels([frame], (1, 2),
-                         InferenceParams(gmm_components=1, iterations=2))
+            _multilabel_labels(tmp_path, seed, part)
     assert len(calls) >= 16
     for got, plain in calls:
         assert got <= plain + 1e-9 * max(1.0, abs(plain))
+
+
+def test_multilabel_label_maps_are_pinned(tmp_path):
+    # the bytes of the multi-label benchmark's first four label maps (seed
+    # 1, parts 0-3): a change to the cuts, the reduction or the moves that
+    # is meant to leave every output alone must leave these alone
+    digests = [hashlib.sha256(_multilabel_labels(
+        tmp_path, 1, part).labels.tobytes()).hexdigest() for part in range(4)]
+    assert digests == [
+        "4412f104910f6ccb3ce15f151d19aea8655a2602e566f8065d5b953cd4ce33aa",
+        "7861653dc8b73e862ed74b5ab8daaac42aa9537b69eb5a1bd4e754a291be7428",
+        "bfa39182f5cd980a2c1b71f554f881c480b615b64b509d0c36bae83dcecd3565",
+        "36dd3c00dba7db65f2fc4bf6716c60e68d58fb677d761ea8f0fa0bd3369690fe"]
 
 
 def test_reduction_never_above_plain_expansion_on_harsh_scenes(monkeypatch):

@@ -146,6 +146,80 @@ def test_source_side_is_residual_reachable_set():
     assert res.side[0] == SOURCE and res.side[1] == SINK
 
 
+def test_rejects_node_ids_that_are_not_integers():
+    # 0.6 and 1.9 used to be truncated to the edges (0, 1) and (1, 2)
+    with pytest.raises(TypeError, match="got 0.6"):
+        FlowNetwork([3, 0, 0], [0, 0, 3], [0.6, 1.9], [1.4, 2.2], [1, 1],
+                    [0, 0])
+    with pytest.raises(TypeError, match="got True"):
+        FlowNetwork([1, 0], [0, 1], [0], [True], [1], [0])
+    # integer ids of any width pass, and so do empty ones of any dtype
+    net = FlowNetwork([1, 0], [0, 1], np.array([0], np.uint8),
+                      np.array([1], np.int32), [1], [0])
+    assert net.arc_head.tolist() == [1, 0]
+    assert FlowNetwork([1.0], [0.0]).arc_head.shape == (0,)
+
+
+def _drained_grid(rng, height, width):
+    """A ``height`` x ``width`` grid network whose first columns hold source
+    excess, its last column sink excess and the columns between none (some
+    of their nodes with equal nonzero terminals). Each row's arcs towards
+    the sink column carry more than all of that row's source excess, so no
+    set of nodes keeps any: the whole block drains, and the minimal source
+    side is empty. The other arcs are random, about half of them 0, so many
+    block roots start with no arc out of the block. Returns the node count,
+    terminals and edges of ``brute_force_min_cut``."""
+    block_cols = int(rng.integers(1, width - 1))
+    col = np.arange(height * width) % width
+    terminals = []
+    for c in col:
+        if c < block_cols:
+            terminals.append((float(rng.uniform(0.1, 1.0)), 0.0))
+        elif c == width - 1:
+            terminals.append((0.0, 50.0))
+        else:
+            t = float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.5)
+            terminals.append((t, t))
+    edges = []
+    for i in range(height * width):
+        if col[i] + 1 < width:
+            edges.append((i, i + 1, block_cols + float(rng.uniform(0.0, 0.2)),
+                          float(rng.uniform(0.0, 4.0)) * (rng.random() < 0.5)))
+        if i + width < height * width:
+            caps = (float(rng.uniform(0.0, 4.0)), 0.0)
+            edges.append((i, i + width, *caps[::int(rng.choice([1, -1]))]))
+    return height * width, terminals, edges
+
+
+def test_a_drained_source_block_matches_brute_force():
+    # only the block roots with an arc into a zero-excess column start the
+    # search; the others feed it once drained roots are re-hung below them
+    # and adoption frees their neighbours. 2x5 grid, nodes 0-4 the top row:
+    # 2 and 7 start, 0, 1, 5 and 6 have no arc out of the block, and the
+    # search must regrow from the drained root 2 after 6 and 7 are freed.
+    excess = [0.5, 0.9, 0.5, 0.0, -50.0, 0.7, 0.7, 0.8, 0.0, -50.0]
+    cases = [(10, [(max(x, 0.0), max(-x, 0.0)) for x in excess],
+              [(0, 1, 3.6, 0.0), (0, 5, 0.0, 4.9), (1, 2, 2.4, 0.0),
+               (1, 6, 0.5, 3.6), (2, 3, 2.1, 0.0), (2, 7, 4.6, 1.3),
+               (3, 4, 2.4, 0.0), (3, 8, 0.0, 4.4), (4, 9, 2.1, 0.6),
+               (5, 6, 3.2, 0.0), (6, 7, 3.3, 2.0), (7, 8, 2.8, 0.0),
+               (8, 9, 2.8, 4.1)])]
+    rng = np.random.default_rng(28)
+    for _ in range(150):
+        shape = [(2, 4), (3, 4), (2, 5), (2, 6), (3, 3), (4, 3)][
+            rng.integers(6)]
+        cases.append(_drained_grid(rng, *shape))
+    for n, terms, arcs in cases:
+        net = flow_network(n, terms, arcs)
+        assert not unaries_decide(net)
+        res = _assert_matches_brute_force(net, n, terms, arcs)
+        assert (res.side == SINK).all()
+        drained = sum(s for s, _ in terms)  # block excess and equal pairs
+        assert res.flow_value == pytest.approx(drained, rel=1e-12)
+        assert cut_capacity(res.side, terms, arcs) == pytest.approx(
+            drained, rel=1e-12)
+
+
 def _wide_caps(rng, size):
     """Capacities spread over 16 decades, about one in seven exactly 0."""
     return (rng.random(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
