@@ -147,6 +147,14 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
     return Path(root) / Path(*parts).with_suffix(suffix)
 
 
+def _selected_frames(manifest, sampled_only=True):
+    """Every shot's (video, frame) pairs in manifest order: its sampled
+    frames, or all of them when ``sampled_only`` is false."""
+    for video, shot in manifest.shots():
+        for frame in shot_frames(shot) if sampled_only else shot.frames:
+            yield video, frame
+
+
 def _check_frame_files(video_frames) -> None:
     """Refuse (video, frame) pairs of which two map to one ``_frame_file``:
     their outputs, or the label maps read for them, would be one file."""
@@ -187,8 +195,7 @@ def _write_label_maps(args, manifest, label_shot):
     frames under ``--out``, one label map per frame."""
     out = Path(args.out)
     shots = manifest.shots()
-    _check_frame_files((video, f) for video, shot in shots
-                       for f in shot_frames(shot))
+    _check_frame_files(_selected_frames(manifest))
     done = 0
     for video, shot in shots:
         frames = shot_frames(shot)
@@ -216,6 +223,8 @@ def _cmd_infer(args, manifest):
 
 
 def _cmd_hard_assign(args, manifest):
+    for video, _ in manifest.shots():  # refuse before the first write
+        hard_assign([], manifest.weak_indices(video))
     return _write_label_maps(args, manifest, lambda video, frames, masks:
                              hard_assign(masks, manifest.weak_indices(video)))
 
@@ -236,8 +245,7 @@ def _cmd_select_finetune(args, manifest):
         raise SchemaError("give exactly one of --model or --labels")
     model = _manifest_model(args, manifest)
     if args.labels is not None:
-        _check_frame_files((video, f) for video, shot in manifest.shots()
-                           for f in shot_frames(shot))
+        _check_frame_files(_selected_frames(manifest))
     overlaps = {}
     for video, shot in manifest.shots():
         frames = shot_frames(shot)
@@ -291,18 +299,11 @@ def _cmd_coloc(args, manifest):
     return {"frames": len(rows), "boxes": str(path)}
 
 
-def _frames_for_eval(manifest, sampled_only):
-    for video, shot in manifest.shots():
-        frames = shot_frames(shot) if sampled_only else shot.frames
-        for frame in frames:
-            yield video, frame
-
-
 def _cmd_eval_iou(args, manifest):
     acc = ConfusionAccumulator.zeros(len(manifest.label_set))
-    _check_frame_files(_frames_for_eval(manifest, args.sampled_only))
+    _check_frame_files(_selected_frames(manifest, args.sampled_only))
     frames = 0
-    for video, frame in _frames_for_eval(manifest, args.sampled_only):
+    for video, frame in _selected_frames(manifest, args.sampled_only):
         if frame.ground_truth_label_path is None:
             continue
         truth = read_labels(manifest.resolve(frame.ground_truth_label_path),
@@ -324,7 +325,7 @@ def _cmd_eval_corloc(args, manifest):
     predicted = read_boxes(args.boxes)
     pairs = []
     by_class = {}
-    for video, frame in _frames_for_eval(manifest, args.sampled_only):
+    for video, frame in _selected_frames(manifest, args.sampled_only):
         if frame.ground_truth_box is None:
             continue
         if frame.image_path not in predicted:
@@ -346,10 +347,10 @@ def _cmd_eval_corloc(args, manifest):
 def _cmd_overlay(args, manifest):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
-    _check_frame_files(_frames_for_eval(manifest, args.sampled_only))
+    _check_frame_files(_selected_frames(manifest, args.sampled_only))
     out = Path(args.out)
     done = 0
-    for video, frame in _frames_for_eval(manifest, args.sampled_only):
+    for video, frame in _selected_frames(manifest, args.sampled_only):
         label_path = _frame_file(args.labels, frame.image_path)
         if not label_path.exists():
             continue

@@ -225,16 +225,6 @@ def minimize_binary(m: EnergyModel) -> LabelMap:
     return _columns_to_labelmap(m, y)
 
 
-def _free_subgraph(fixed, edges):
-    """The free pixels (``fixed`` < 0), which edges join two of them, and
-    those edges' ends renumbered in the free pixels' order."""
-    free = np.flatnonzero(fixed < 0)
-    index = np.full(len(fixed), -1)
-    index[free] = np.arange(len(free))
-    inner = (fixed[edges[:, 0]] < 0) & (fixed[edges[:, 1]] < 0)
-    return free, inner, index[edges[inner]]
-
-
 def _fix_optimal_pixels(unary, edges, weights):
     """Kovtun's partial optimality reduction, one label at a time.
 
@@ -243,31 +233,35 @@ def _fix_optimal_pixels(unary, edges, weights):
     each free edge at its weight when its ends differ. Every pixel on the
     cut's minimal source side (y_i = 1; on a tie a pixel stays free) is
     fixed to a, and folded into its free neighbours' unaries: w_ij on every
-    column but a. Returns ``fixed`` (the column, or -1 for a free pixel)
-    and the folded unaries, whose free rows price the fixed pixels in.
+    column but a. Then the subgraph shrinks to the pixels left free.
+
+    Returns ``fixed`` (the column, or -1 for a free pixel) and that
+    subgraph: the free pixels, their folded unaries (which price the fixed
+    pixels in), the edges joining two free pixels, in grid order and
+    renumbered in the free pixels' order, and those edges' weights.
     """
-    n, labels = unary.shape
-    folded = unary.copy()
-    fixed = np.full(n, -1)
-    e0, e1 = edges[:, 0], edges[:, 1]
+    labels = unary.shape[1]
+    fixed = np.full(len(unary), -1)
+    free, folded = np.arange(len(unary)), unary.copy()
     for a in range(labels):
-        free, inner, free_edges = _free_subgraph(fixed, edges)
         if not len(free):
             break
-        others = folded[np.ix_(free, np.arange(labels) != a)].min(axis=1)
-        y = _solve_binary_columns(others, folded[free, a], free_edges,
-                                  weights[inner], weights[inner])
+        others = np.arange(labels) != a
+        y = _solve_binary_columns(folded[:, others].min(axis=1), folded[:, a],
+                                  edges, weights, weights)
         fixed[free[y == 1]] = a
         # fold each new fixed pixel into its neighbours that stay free
-        new, left = fixed == a, fixed < 0
-        out0, out1 = new[e0] & left[e1], new[e1] & left[e0]
+        left = y == 0
+        e0, e1 = edges[:, 0], edges[:, 1]
+        out0, out1 = ~left[e0] & left[e1], ~left[e1] & left[e0]
         fold = np.bincount(np.concatenate([e1[out0], e0[out1]]),
                            np.concatenate([weights[out0], weights[out1]]),
-                           minlength=n)
-        for b in range(labels):
-            if b != a:
-                folded[:, b] += fold
-    return fixed, folded
+                           minlength=len(free))
+        inner = left[e0] & left[e1]
+        free, folded = free[left], folded[left]
+        folded[:, others] += fold[left, None]
+        edges, weights = (np.cumsum(left) - 1)[edges[inner]], weights[inner]
+    return fixed, free, folded, edges, weights
 
 
 def _expansion_moves(unary, edges, weights, cols, sweeps, trace):
@@ -350,15 +344,14 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     else:
         cols = _labels_to_columns(m, init)
     edges = m.adjacency.edges()
-    fixed, folded = _fix_optimal_pixels(m.unary, edges, m.pairwise)
+    fixed, free, folded, free_edges, free_weights = _fix_optimal_pixels(
+        m.unary, edges, m.pairwise)
     is_fixed = fixed >= 0
     cols = np.where(is_fixed, fixed, cols)
-    free, inner, free_edges = _free_subgraph(fixed, edges)
     moves = []
     if len(free):
-        cols[free] = _expansion_moves(folded[free], free_edges,
-                                      m.pairwise[inner], cols[free], sweeps,
-                                      moves)
+        cols[free] = _expansion_moves(folded, free_edges, free_weights,
+                                      cols[free], sweeps, moves)
     if energy_trace is not None:
         both = is_fixed[edges[:, 0]] & is_fixed[edges[:, 1]]
         fixed_part = (m.unary[is_fixed, fixed[is_fixed]].sum()

@@ -448,6 +448,23 @@ def test_hard_assign_matches_library(ws):
         assert np.array_equal(direct.labels, written.labels)
 
 
+def test_hard_assign_refuses_a_multi_label_video_before_any_write(
+        tmp_path, capsys):
+    # the refused video comes second: the first one's label maps used to
+    # be written before the refusal
+    manifest = write_blob_dataset(tmp_path / "data", seed=7)
+    doc = json.loads(manifest.read_text())
+    doc["videos"][1]["weak_labels"] = ["red", "blue"]
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["hard-assign", "--manifest", str(manifest),
+                 "--out", str(out)]) == 1
+    assert _one_json_line(capsys) == {
+        "error": "MultiLabelVideo",
+        "message": "hard assignment needs exactly one weak label, got 2"}
+    assert not out.exists()
+
+
 def test_eval_iou_chain(ws, tmp_path, capsys):
     out = tmp_path / "iou"
     rc = main(["eval-iou", "--manifest", str(ws.sampled_manifest),

@@ -505,7 +505,13 @@ def potts_models(draw, labels=(3, 4), max_side=5, max_sites=25):
 
 
 def _fixed_of(m):
-    return _fix_optimal_pixels(m.unary, m.adjacency.edges(), m.pairwise)
+    """``fixed`` and the folded unaries: the free rows as the reduction
+    returns them, the fixed rows as ``m.unary`` has them."""
+    fixed, free, folded, _, _ = _fix_optimal_pixels(
+        m.unary, m.adjacency.edges(), m.pairwise)
+    unary = m.unary.copy()
+    unary[free] = folded
+    return fixed, unary
 
 
 def _label_fixed_share(fixed):
@@ -595,6 +601,32 @@ def test_a_tied_pixel_stays_free():
     fixed, folded = _fixed_of(m)
     assert fixed.tolist() == [-1]
     assert np.array_equal(folded, m.unary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(potts_models())
+def test_the_returned_subgraph_is_the_one_fixed_leaves(m):
+    # the subgraph the reduction shrinks cut by cut equals the one built
+    # from its final ``fixed`` alone
+    edges = m.adjacency.edges()
+    fixed, free, folded, free_edges, free_weights = _fix_optimal_pixels(
+        m.unary, edges, m.pairwise)
+    _label_fixed_share(fixed)
+    on = fixed >= 0
+    assert np.array_equal(free, np.flatnonzero(~on))
+    inner = ~on[edges[:, 0]] & ~on[edges[:, 1]]
+    index = np.cumsum(~on) - 1  # a free pixel's place among the free
+    assert np.array_equal(free_edges, index[edges[inner]])
+    assert np.array_equal(free_weights, m.pairwise[inner])
+    # a fixed neighbour j costs w_ij on every column but its own label
+    want = m.unary.copy()
+    columns = np.arange(m.unary.shape[1])
+    for (i, j), w in zip(edges, m.pairwise):
+        for p, q in ((i, j), (j, i)):
+            if not on[p] and on[q]:
+                want[p] += w * (columns != fixed[q])
+    assert folded.shape == (len(free), m.unary.shape[1])
+    assert folded == pytest.approx(want[~on], rel=1e-12, abs=1e-12)
 
 
 def _recorded_expansions(monkeypatch):
