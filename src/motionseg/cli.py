@@ -147,25 +147,23 @@ def _frame_file(root, image_path, suffix=".pgm") -> Path:
     return Path(root) / Path(*parts).with_suffix(suffix)
 
 
-def _selected_frames(manifest, sampled_only=True):
-    """Every shot's (video, frame) pairs in manifest order: its sampled
-    frames, or all of them when ``sampled_only`` is false."""
-    for video, shot in manifest.shots():
-        for frame in shot_frames(shot) if sampled_only else shot.frames:
-            yield video, frame
-
-
-def _check_frame_files(video_frames) -> None:
-    """Refuse (video, frame) pairs of which two map to one ``_frame_file``:
-    their outputs, or the label maps read for them, would be one file."""
+def _selected_shots(manifest, sampled_only=True) -> list:
+    """Every shot's (video, shot, frames) in manifest order, ``frames``
+    being its sampled frames, or all of them when ``sampled_only`` is
+    false. Refuses two frames that map to one ``_frame_file``: their
+    outputs, or the label maps or boxes read for them, would be one."""
+    shots = [(video, shot, shot_frames(shot) if sampled_only else shot.frames)
+             for video, shot in manifest.shots()]
     seen = {}
-    for video, frame in video_frames:
-        name = f"{video.video_id}: {frame.image_path}"
-        path = _frame_file("", frame.image_path)
-        if path in seen:
-            raise SchemaError(
-                f"frames {seen[path]} and {name} map to one file, {path}")
-        seen[path] = name
+    for video, _, frames in shots:
+        for frame in frames:
+            name = f"{video.video_id}: {frame.image_path}"
+            path = _frame_file("", frame.image_path)
+            if path in seen:
+                raise SchemaError(
+                    f"frames {seen[path]} and {name} map to one file, {path}")
+            seen[path] = name
+    return shots
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +190,19 @@ def _cmd_sample(args, manifest):
 
 def _write_label_maps(args, manifest, label_shot):
     """Write ``label_shot(video, frames, masks)`` of every shot's sampled
-    frames under ``--out``, one label map per frame."""
-    out = Path(args.out)
-    shots = manifest.shots()
-    _check_frame_files(_selected_frames(manifest))
-    done = 0
-    for video, shot in shots:
-        frames = shot_frames(shot)
+    frames under ``--out``, one label map per frame. Every shot's maps are
+    computed before the first write, so a shot that fails leaves no
+    ``--out``; until then all of them are held, 4 bytes per pixel."""
+    shots = _selected_shots(manifest)
+    maps = []
+    for video, _, frames in shots:
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
-        for frame, lab in zip(frames, label_shot(video, frames, masks)):
-            dest = _frame_file(out, frame.image_path)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            write_labels(lab, dest)
-        done += len(frames)
-    return {"shots": len(shots), "frames": done}
+        maps += zip(frames, label_shot(video, frames, masks))
+    for frame, lab in maps:
+        dest = _frame_file(args.out, frame.image_path)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        write_labels(lab, dest)
+    return {"shots": len(shots), "frames": len(maps)}
 
 
 def _cmd_infer(args, manifest):
@@ -223,8 +220,6 @@ def _cmd_infer(args, manifest):
 
 
 def _cmd_hard_assign(args, manifest):
-    for video, _ in manifest.shots():  # refuse before the first write
-        hard_assign([], manifest.weak_indices(video))
     return _write_label_maps(args, manifest, lambda video, frames, masks:
                              hard_assign(masks, manifest.weak_indices(video)))
 
@@ -244,11 +239,8 @@ def _cmd_select_finetune(args, manifest):
     if (args.model is None) == (args.labels is None):
         raise SchemaError("give exactly one of --model or --labels")
     model = _manifest_model(args, manifest)
-    if args.labels is not None:
-        _check_frame_files(_selected_frames(manifest))
     overlaps = {}
-    for video, shot in manifest.shots():
-        frames = shot_frames(shot)
+    for video, shot, frames in _selected_shots(manifest):
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
         if model is not None:
             predicted = [argmax_labels(predict(
@@ -275,9 +267,8 @@ def _cmd_coloc(args, manifest):
     pairwise = PairwiseParams(smoothness=args.smoothness,
                               contrast_scale=args.contrast_scale)
     rows = []
-    for video, shot in manifest.shots():
+    for video, _, frames in _selected_shots(manifest):
         category = manifest.weak_indices(video)[0]
-        frames = shot_frames(shot)
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
         scores = [_frame_scores(manifest, f, model, im)
                   for f, im in zip(frames, imgs)]
@@ -301,9 +292,9 @@ def _cmd_coloc(args, manifest):
 
 def _cmd_eval_iou(args, manifest):
     acc = ConfusionAccumulator.zeros(len(manifest.label_set))
-    _check_frame_files(_selected_frames(manifest, args.sampled_only))
+    shots = _selected_shots(manifest, args.sampled_only)
     frames = 0
-    for video, frame in _selected_frames(manifest, args.sampled_only):
+    for frame in (f for _, _, fs in shots for f in fs):
         if frame.ground_truth_label_path is None:
             continue
         truth = read_labels(manifest.resolve(frame.ground_truth_label_path),
@@ -322,10 +313,11 @@ def _cmd_eval_iou(args, manifest):
 
 
 def _cmd_eval_corloc(args, manifest):
+    shots = _selected_shots(manifest, args.sampled_only)  # before --boxes
     predicted = read_boxes(args.boxes)
     pairs = []
     by_class = {}
-    for video, frame in _selected_frames(manifest, args.sampled_only):
+    for video, frame in ((v, f) for v, _, fs in shots for f in fs):
         if frame.ground_truth_box is None:
             continue
         if frame.image_path not in predicted:
@@ -347,10 +339,9 @@ def _cmd_eval_corloc(args, manifest):
 def _cmd_overlay(args, manifest):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
-    _check_frame_files(_selected_frames(manifest, args.sampled_only))
-    out = Path(args.out)
-    done = 0
-    for video, frame in _selected_frames(manifest, args.sampled_only):
+    shots = _selected_shots(manifest, args.sampled_only)
+    blends = []  # all held before the first write: 24 bytes per pixel
+    for frame in (f for _, _, fs in shots for f in fs):
         label_path = _frame_file(args.labels, frame.image_path)
         if not label_path.exists():
             continue
@@ -358,14 +349,15 @@ def _cmd_overlay(args, manifest):
         labels = read_labels(label_path, 256)
         check_same_shape(img, labels)
         colors = _PALETTE[(labels.labels - 1) % len(_PALETTE)]
-        blend = np.where((labels.labels > 0)[..., None],
-                         (1 - args.opacity) * img.pixels + args.opacity * colors,
-                         img.pixels)
-        dest = _frame_file(out, frame.image_path, ".ppm")
+        blends.append((frame, RgbImage(np.where(
+            (labels.labels > 0)[..., None],
+            (1 - args.opacity) * img.pixels + args.opacity * colors,
+            img.pixels))))
+    for frame, blend in blends:
+        dest = _frame_file(args.out, frame.image_path, ".ppm")
         dest.parent.mkdir(parents=True, exist_ok=True)
-        write_image(RgbImage(blend), dest)
-        done += 1
-    return {"frames": done}
+        write_image(blend, dest)
+    return {"frames": len(blends)}
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,6 @@ def _expansion_moves(unary, edges, weights, cols, sweeps, trace):
 
 
 def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
-                       sweeps: int = DEFAULT_EXPANSION_SWEEPS,
                        energy_trace: list | None = None) -> LabelMap:
     """Multi-label minimization: reduce, then expansion moves.
 
@@ -330,15 +329,12 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     up to rounding, non-increasing, and ending at the returned labeling.
     Its first entry may already lie below the energy of ``init`` by what
     setting the fixed pixels saved. When no pixel is left free no move
-    runs, and it gets one entry, the energy of the fixed labeling.
-    ``sweeps`` caps the moves at ``sweeps`` times the label count; below 1
-    it is refused before any cut.
+    runs, and it gets one entry, the energy of the fixed labeling. The
+    moves stop after ``DEFAULT_EXPANSION_SWEEPS`` times the label count.
     """
     labels = len(m.allowed_labels)
     if labels < 2:
         raise WrongLabelCount("expansion needs at least 2 allowed labels")
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     if init is None:
         cols = np.argmin(m.unary, axis=1)
     else:
@@ -351,7 +347,8 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
     moves = []
     if len(free):
         cols[free] = _expansion_moves(folded, free_edges, free_weights,
-                                      cols[free], sweeps, moves)
+                                      cols[free], DEFAULT_EXPANSION_SWEEPS,
+                                      moves)
     if energy_trace is not None:
         both = is_fixed[edges[:, 0]] & is_fixed[edges[:, 1]]
         fixed_part = (m.unary[is_fixed, fixed[is_fixed]].sum()

@@ -457,9 +457,10 @@ def write_boxes(rows, path) -> None:
 def read_boxes(path) -> dict:
     """``boxes.csv`` as frame path -> box, or None for a row whose four
     coordinates are all empty. The header must be exactly the five column
-    names, every row must have five fields, and coordinates are ASCII
-    digits; anything else is a SchemaError naming the file and line."""
-    boxes = {}
+    names, every row must have five fields, coordinates are ASCII digits
+    and no frame path repeats; anything else is a SchemaError naming the
+    file and line."""
+    boxes, lines = {}, {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -471,6 +472,10 @@ def read_boxes(path) -> dict:
                     raise ValueError(f"boxes CSV rows need 5 fields, got "
                                      f"{len(row)}")
                 frame, *box = row
+                if frame in lines:
+                    raise ValueError(f"frame_path {frame!r} repeats line "
+                                     f"{lines[frame]}")
+                lines[frame] = reader.line_num
                 if box == [""] * 4:
                     boxes[frame] = None
                 elif all(c.isascii() and c.isdigit() for c in box):

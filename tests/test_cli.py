@@ -7,6 +7,7 @@ contract, and determinism.
 """
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -26,10 +27,10 @@ from hypothesis import strategies as st
 import motionseg.cli
 from motionseg import __version__
 from motionseg.cli import main
-from motionseg.core import LabelMap, ScoreMap
+from motionseg.core import LabelMap, MotionMask, ScoreMap
 from motionseg.inference import InferenceParams, hard_assign, infer_labels
 from motionseg.io import read_image, read_labels, read_manifest, read_mask, \
-    write_boxes, write_labels, write_scores
+    write_boxes, write_labels, write_mask, write_scores
 from motionseg.pipeline import shot_frames
 from motionseg.predictor import ToyModel, load_model, save_model
 from motionseg.synthetic import write_blob_dataset
@@ -281,6 +282,8 @@ def colliding(tmp_path_factory):
     ("eval-iou", ["--pred"]),
     ("overlay", ["--labels"]),
     ("select-finetune", ["--labels"]),
+    ("coloc", []),
+    ("eval-corloc", ["--boxes"]),
 ])
 def test_frames_that_map_to_one_file_are_one_line_json(colliding, tmp_path,
                                                        capsys, sub, extra):
@@ -298,6 +301,20 @@ def test_frames_that_map_to_one_file_are_one_line_json(colliding, tmp_path,
                  "--out", str(out)]) == 1
     assert _one_json_line(capsys)["message"].startswith(
         "frames red_00: red_00/frame_000.ppm and copy: red_00/frame_000.ppm ")
+    assert not out.exists()
+
+
+def test_a_shot_that_fails_leaves_no_label_maps(tmp_path, capsys):
+    # blue_00's fit fails after red_00's 26 maps are computed
+    manifest = write_blob_dataset(tmp_path / "data", seed=7, with_scores=True)
+    m = read_manifest(manifest)
+    for frame in m.videos[1].shots[0].frames:
+        write_mask(MotionMask(np.zeros((24, 30))),
+                   m.resolve(frame.motion_mask_path))
+    out = tmp_path / "labels"
+    assert main(["infer", "--manifest", str(manifest), "--iterations", "1",
+                 "--components", "1", "--out", str(out)]) == 1
+    assert _one_json_line(capsys)["error"] == "EmptyForeground"
     assert not out.exists()
 
 
@@ -578,10 +595,11 @@ def test_model_runs_read_each_frame_image_once(ws, tmp_path, monkeypatch):
 
 
 def test_wrong_size_label_map_is_one_line_json(ws, tmp_path, capsys):
+    # the last selected frame's map: overlay used to write the others first
     labels = tmp_path / "labels"
     shutil.copytree(ws.hard_out, labels)
     frame = shot_frames(read_manifest(ws.sampled_manifest)
-                        .videos[0].shots[0])[0]
+                        .videos[-1].shots[-1])[-1]
     write_labels(LabelMap(np.zeros((1, 30), dtype=np.int32)),
                  labels / _layout(frame.image_path).with_suffix(".pgm"))
     for sub in ("select-finetune", "overlay"):
@@ -591,6 +609,7 @@ def test_wrong_size_label_map_is_one_line_json(ws, tmp_path, capsys):
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1, sub
         assert json.loads(err_lines[0])["error"] == "DimensionMismatch", sub
+        assert not (tmp_path / sub).exists(), sub
 
 
 def test_coloc_then_eval_corloc(ws, tmp_path, capsys):
@@ -1057,7 +1076,7 @@ def _damaged(draw, good, others):
                         "boxes", "labels"]), st.data())
 def test_damaged_input_is_success_or_one_line_json(tiny_tree, run, name, data):
     """ROADMAP item 6: no input makes a run end in a traceback, a warning
-    or a run.json beside a failure."""
+    or any ``--out`` beside a failure."""
     argv = tiny_tree.runs[run]
     target = (Path(argv[argv.index("--manifest") + 1]) if name == "manifest"
               else tiny_tree.inputs[name])
@@ -1090,7 +1109,115 @@ def test_damaged_input_is_success_or_one_line_json(tiny_tree, run, name, data):
         err_lines = stderr.getvalue().splitlines()
         assert len(err_lines) == 1
         assert set(json.loads(err_lines[0])) == {"error", "message"}
-        assert not (out / "run.json").exists()
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def frame_pool(tmp_path_factory):
+    """Nine 12x16 frame records, as manifest JSON, under ``root/pool``:
+    frames 3-5 each of the seed-3 blob tree's red_00 and blue_00 (the
+    first ones show no motion), and ``still`` copies of red_00's, whose
+    motion masks are empty."""
+    root = tmp_path_factory.mktemp("pool")
+    pool = root / "pool"
+    path = write_blob_dataset(pool, seed=3, frame_count=6, height=12,
+                              width=16, with_scores=True)
+    frames = [f for v in json.loads(path.read_text())["videos"]
+              for f in v["shots"][0]["frames"][3:]]
+    (pool / "still").mkdir()
+    for f in frames[:3]:
+        stem = "still/" + Path(f["image_path"]).stem
+        shutil.copy(pool / f["image_path"], pool / f"{stem}.ppm")
+        write_mask(MotionMask(np.zeros((12, 16))), pool / f"{stem}_mask.pgm")
+        frames.append(dict(f, image_path=f"{stem}.ppm",
+                           motion_mask_path=f"{stem}_mask.pgm"))
+    return SimpleNamespace(root=root, frames=frames)
+
+
+@st.composite
+def _valid_manifests(draw, frames):
+    """A manifest over ``frames`` and whether it sits one directory down,
+    its paths climbing out with ``..``: 0-3 videos of one plain, pruned or
+    sampled shot each, whose frames may be other videos' too."""
+    deep = draw(st.booleans())
+    prefix = "../pool/" if deep else "pool/"
+    videos = []
+    for v in range(draw(st.integers(0, 3))):
+        picked = draw(st.lists(st.sampled_from(frames), min_size=1,
+                               max_size=3, unique_by=lambda f: f["image_path"]))
+        shot = {"shot_id": "s", "frames": [
+            {k: prefix + x if k.endswith("_path") else x for k, x in f.items()}
+            for f in picked]}
+        kind = draw(st.sampled_from(["plain", "pruned", "sampled"]))
+        if kind != "plain":
+            start = draw(st.integers(0, len(shot["frames"]) - 1))
+            stop = draw(st.integers(start + 1, len(shot["frames"])))
+            shot["kept_range"] = [start, stop]
+        if kind == "sampled":
+            shot["sampled_indices"] = sorted(draw(st.sets(
+                st.integers(start, stop - 1), min_size=1)))
+        videos.append({"video_id": f"v{v}", "shots": [shot],
+                       "weak_labels": draw(st.sampled_from(
+                           [["red"], ["blue"], ["red", "blue"]]))})
+    categories = ["red", "blue"] if videos else draw(
+        st.sampled_from([["red", "blue"], []]))
+    return {"categories": categories, "videos": videos}, deep
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_selected_frame_gets_one_output_or_the_run_says_why(
+        frame_pool, data):
+    """ROADMAP item 5 over valid manifests: every per-frame subcommand
+    exits 0 with one output per selected frame, or exits 1 with one JSON
+    line and no ``--out``."""
+    doc, deep = data.draw(_valid_manifests(frame_pool.frames))
+    path = frame_pool.root / ("m" if deep else "") / "manifest.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(doc))
+    m = read_manifest(path)
+    selected = [f for _, shot in m.shots() for f in shot_frames(shot)]
+    files = [_layout(f.image_path) for f in selected]
+    runs = frame_pool.root / "runs"
+    shutil.rmtree(runs, ignore_errors=True)
+    energy = ["--iterations", "1", "--components", "1"]
+    for sub, extra in (
+            ("infer", energy), ("hard-assign", []),
+            ("select-finetune", ["--labels", runs / "infer"]),
+            ("coloc", ["--superpixels", "20", "--components", "1"]),
+            ("eval-iou", ["--pred", runs / "infer", "--sampled-only"]),
+            ("eval-corloc", ["--boxes", runs / "coloc" / "boxes.csv",
+                             "--sampled-only"]),
+            ("overlay", ["--labels", runs / "infer", "--sampled-only"])):
+        out = runs / sub
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            rc = main([sub, "--manifest", str(path), *map(str, extra),
+                       "--out", str(out)])
+        if rc == 1:
+            assert stdout.getvalue() == "" and not out.exists()
+            err, = stderr.getvalue().splitlines()
+            assert set(json.loads(err)) == {"error", "message"}
+            continue
+        assert rc == 0 and (out / "run.json").is_file(), sub
+        assert len(set(files)) == len(files), sub
+        written = sorted(p.relative_to(out) for p in out.rglob("*.p?m"))
+        if sub in ("infer", "hard-assign"):
+            assert written == sorted(f.with_suffix(".pgm") for f in files)
+        elif sub == "overlay":
+            assert written == sorted(
+                f.with_suffix(".ppm") for f in files
+                if (runs / "infer" / f.with_suffix(".pgm")).exists())
+        elif sub == "coloc":
+            with open(out / "boxes.csv", newline="") as fh:
+                rows = [row[0] for row in csv.reader(fh)][1:]
+            assert rows == [f.image_path for f in selected]
+        elif sub == "select-finetune":
+            picks = json.loads((out / "selection.json").read_text())
+            assert set(picks["selection"]) == {v.video_id for v in m.videos}
+        else:
+            report = json.loads((out / "report.json").read_text())
+            assert report["frames"] == len(selected)
 
 
 def test_module_entrypoint():

@@ -432,17 +432,6 @@ def test_expansion_never_above_init():
         assert total_energy(m, out) <= total_energy(m, init) + 1e-9
 
 
-def test_expansion_refuses_fewer_than_one_sweep(monkeypatch):
-    # sweeps=0 and negative sweeps used to run one full sweep
-    m = random_model(np.random.default_rng(33), 3, 3, (0, 1, 2))
-    cuts = recorded_cuts(monkeypatch)
-    for sweeps in (0, -2):
-        with pytest.raises(ValueError, match=f"sweeps must be >= 1, got "
-                           f"{sweeps}"):
-            minimize_expansion(m, sweeps=sweeps)
-    assert not cuts
-
-
 def test_expansion_near_optimal_on_small_instances():
     rng = np.random.default_rng(31)
     hits = 0
@@ -562,13 +551,13 @@ def test_some_global_minimizer_agrees_with_every_fixed_pixel(m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(potts_models(), st.integers(0, 2**32 - 1), st.integers(1, 5))
-def test_reduced_expansion_is_never_above_init(m, seed, sweeps):
+@given(potts_models(), st.integers(0, 2**32 - 1))
+def test_reduced_expansion_is_never_above_init(m, seed):
     h, w = m.adjacency.height, m.adjacency.width
     init = LabelMap(np.random.default_rng(seed).integers(
         0, len(m.allowed_labels), size=(h, w)))
     trace = []
-    out = minimize_expansion(m, init=init, sweeps=sweeps, energy_trace=trace)
+    out = minimize_expansion(m, init=init, energy_trace=trace)
     got, start = total_energy(m, out), total_energy(m, init)
     assert got <= start + 1e-9
     assert trace and trace[0] <= start + 1e-9

@@ -604,6 +604,8 @@ _BOX_ROWS = [("v/f0.ppm", BoundingBox(1, 2, 13, 20)), ("v/f1.ppm", None),
     ("partial.csv", _HEADER + b"c,,5,6,7\n", read_boxes, SchemaError),
     ("reordered.csv", b"frame_path,y_min,x_min,x_max,y_max\na,1,2,3,4\n",
      read_boxes, SchemaError),
+    ("repeated.csv", _HEADER + b"a,1,2,3,4\nb,,,,\na,,,,\n", read_boxes,
+     SchemaError),
 ])
 def test_readers_reject_what_the_fuzz_found(tmp_path, name, data, read, err):
     p = tmp_path / name
