@@ -353,6 +353,10 @@ def _cmd_overlay(args, manifest):
             (labels.labels > 0)[..., None],
             (1 - args.opacity) * img.pixels + args.opacity * colors,
             img.pixels))))
+    selected = sum(len(fs) for _, _, fs in shots)
+    if selected and not blends:
+        raise FileNotFoundError(f"--labels {args.labels}: no label map for "
+                                f"any of the {selected} selected frames")
     for frame, blend in blends:
         dest = _frame_file(args.out, frame.image_path, ".ppm")
         dest.parent.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeScore, NotNormalized
+from .maxflow import ArcLayout
 
 # Tolerance on per-pixel score sums (softmax output rounded to float32).
 SCORE_SUM_TOL = 1e-5
@@ -211,6 +212,10 @@ class GridAdjacency:
         """All neighbor pairs as an (E, 2) int array, right edges then down."""
         return _grid_edges(self.width, self.height)
 
+    def arc_layout(self) -> ArcLayout:
+        """The ``ArcLayout`` of ``edges()``, one per grid size (4 kept)."""
+        return _grid_layout(self.width, self.height)
+
 
 @lru_cache(maxsize=64)
 def _grid_edges(w: int, h: int) -> np.ndarray:
@@ -218,6 +223,11 @@ def _grid_edges(w: int, h: int) -> np.ndarray:
     right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     return _frozen(np.concatenate([right, down], axis=0).astype(np.int64))
+
+
+@lru_cache(maxsize=4)
+def _grid_layout(w: int, h: int) -> ArcLayout:
+    return ArcLayout(w * h, *_grid_edges(w, h).T)
 
 
 def check_same_shape(*items) -> None:

@@ -28,7 +28,7 @@ from .core import (PROB_FLOOR, GridAdjacency, LabelMap, MotionMask,
                    PixelGrid, RgbImage, ScoreMap, _frozen, check_same_shape)
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
 from .gmm import FgBgGmm, nll
-from .maxflow import SOURCE, FlowNetwork, min_cut
+from .maxflow import SOURCE, ArcLayout, FlowNetwork, min_cut
 
 DEFAULT_EXPANSION_SWEEPS = 5
 
@@ -199,18 +199,24 @@ def _columns_to_labelmap(m: EnergyModel, cols: np.ndarray) -> LabelMap:
     return LabelMap(labels.reshape(m.adjacency.height, m.adjacency.width))
 
 
-def _solve_binary_columns(theta0, theta1, edges, cap, rev_cap) -> np.ndarray:
+def _solve_binary_columns(theta0, theta1, edges, cap, rev_cap,
+                          layout=None) -> np.ndarray:
     """Exact cut for a two-column energy; returns y with 1 = second column.
 
     Edge e = (i, j) costs ``cap[e]`` when y_i = 1 and y_j = 0, and
-    ``rev_cap[e]`` when y_i = 0 and y_j = 1 (scalars broadcast).
+    ``rev_cap[e]`` when y_i = 0 and y_j = 1 (scalars broadcast). Edges
+    with both costs 0 are dropped unless ``layout``, the ``ArcLayout`` of
+    ``edges``, is given: full-grid cuts keep them to share the grid's.
     """
     base = np.minimum(theta0, theta1)
     cap, rev_cap = np.broadcast_arrays(cap, rev_cap)
-    keep = (cap > 0.0) | (rev_cap > 0.0)
+    if layout is None:
+        keep = (cap > 0.0) | (rev_cap > 0.0)
+        edges, cap, rev_cap = edges[keep], cap[keep], rev_cap[keep]
+        layout = ArcLayout(len(base), edges[:, 0], edges[:, 1])
     # source side is y = 1, so the source arc is cut (paid) when y_i = 0
-    net = FlowNetwork(theta0 - base, theta1 - base, edges[keep, 0],
-                      edges[keep, 1], cap[keep], rev_cap[keep])
+    net = FlowNetwork(theta0 - base, theta1 - base, cap=cap, rev_cap=rev_cap,
+                      layout=layout)
     return (min_cut(net).side == SOURCE).astype(np.int64)
 
 
@@ -221,11 +227,12 @@ def minimize_binary(m: EnergyModel) -> LabelMap:
             f"binary solver needs exactly 2 allowed labels, got "
             f"{len(m.allowed_labels)}")
     y = _solve_binary_columns(m.unary[:, 0], m.unary[:, 1],
-                              m.adjacency.edges(), m.pairwise, m.pairwise)
+                              m.adjacency.edges(), m.pairwise, m.pairwise,
+                              m.adjacency.arc_layout())
     return _columns_to_labelmap(m, y)
 
 
-def _fix_optimal_pixels(unary, edges, weights):
+def _fix_optimal_pixels(unary, edges, weights, layout=None):
     """Kovtun's partial optimality reduction, one label at a time.
 
     For each label a, one binary cut over the free pixels prices y_i = 1 at
@@ -239,6 +246,7 @@ def _fix_optimal_pixels(unary, edges, weights):
     subgraph: the free pixels, their folded unaries (which price the fixed
     pixels in), the edges joining two free pixels, in grid order and
     renumbered in the free pixels' order, and those edges' weights.
+    ``layout``, if given, serves the cuts made while no pixel is fixed.
     """
     labels = unary.shape[1]
     fixed = np.full(len(unary), -1)
@@ -248,7 +256,8 @@ def _fix_optimal_pixels(unary, edges, weights):
             break
         others = np.arange(labels) != a
         y = _solve_binary_columns(folded[:, others].min(axis=1), folded[:, a],
-                                  edges, weights, weights)
+                                  edges, weights, weights,
+                                  layout if len(free) == len(unary) else None)
         fixed[free[y == 1]] = a
         # fold each new fixed pixel into its neighbours that stay free
         left = y == 0
@@ -341,7 +350,7 @@ def minimize_expansion(m: EnergyModel, init: LabelMap | None = None,
         cols = _labels_to_columns(m, init)
     edges = m.adjacency.edges()
     fixed, free, folded, free_edges, free_weights = _fix_optimal_pixels(
-        m.unary, edges, m.pairwise)
+        m.unary, edges, m.pairwise, m.adjacency.arc_layout())
     is_fixed = fixed >= 0
     cols = np.where(is_fixed, fixed, cols)
     moves = []

@@ -14,16 +14,19 @@ log-likelihoods, so no integer scaling is applied). Terminal capacities
 are folded into a single per-node residual before the search, which
 shifts the flow by a constant that is added back at the end.
 
-``FlowNetwork`` holds read-only numpy arrays. Unless the unaries decide the
-cut, ``min_cut`` links each node's arcs and copies the arrays into typed
-``array`` buffers, which the search reads one element at a time: one buffer
-copy each, where a list would make one Python object per element. The
-doubles keep their IEEE values, so the arithmetic is the same.
+A network's arcs and each node's list of them form an ``ArcLayout``, built
+from its edge list or shared, as ``GridAdjacency.arc_layout`` shares one per
+frame size (1.1 MB at 96x160, 5.5 MB at 240x320; 4 sizes kept). Unless the
+unaries decide the cut, ``min_cut`` reads the links in place and copies its
+mutable state into typed ``array`` buffers: one buffer copy each, where a
+list would make one Python object per element. The doubles keep their IEEE
+values, so the arithmetic is the same.
 """
 
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,25 +49,15 @@ def _check_caps(cap, shape):
     return cap
 
 
-class FlowNetwork:
-    """Sparse s-t network, built once from arrays.
-
-    Node i has capacity ``source_cap[i]`` from the source and
-    ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
-    with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
-    Scalar capacities broadcast. The node count is ``len(source_cap)``;
-    node ids must have an integer dtype (empty id arrays may have any).
-    ``source_cap``, ``sink_cap`` and the per-arc ``arc_head`` (int64) and
-    ``arc_cap`` (float64) are read-only arrays. Arc ``2e`` is edge e and
-    arc ``2e + 1`` its reverse, so arc ``a ^ 1`` is arc ``a`` reversed.
+class ArcLayout:
+    """The arcs of edges (tails[e], heads[e]) over ``node_count`` nodes: arc
+    ``2e`` runs tails[e] -> heads[e] and ``2e + 1`` back, so ``a ^ 1`` is
+    ``a`` reversed. ``arc_head`` is a read-only int64 array; ``links``, made
+    on first use, are the read-only memoryviews ``(first, nxt, head)``:
+    node i's arcs, highest id first, are first[i], nxt[first[i]], ... to -1.
     """
 
-    def __init__(self, source_cap, sink_cap, tails=(), heads=(), cap=(),
-                 rev_cap=()):
-        n = len(source_cap)
-        self.node_count = n
-        self.source_cap, self.sink_cap = (
-            _check_caps(c, (n,)).copy() for c in (source_cap, sink_cap))
+    def __init__(self, node_count, tails, heads):
         for ids in map(np.asarray, (tails, heads)):
             if ids.size and not np.issubdtype(ids.dtype, np.integer):
                 raise TypeError(f"edge node ids must be integers, got "
@@ -73,12 +66,52 @@ class FlowNetwork:
         loops = ends[ends[:, 0] == ends[:, 1], 0]
         if loops.size:
             raise ValueError(f"self-edge at node {loops[0]}")
-        if ends.size and not 0 <= ends.min() <= ends.max() < n:
-            raise IndexError(f"edge node outside [0, {n})")
-        caps = [_check_caps(c, len(ends)) for c in (cap, rev_cap)]
-        self.arc_head = ends[:, ::-1].ravel()
+        if ends.size and not 0 <= ends.min() <= ends.max() < node_count:
+            raise IndexError(f"edge node outside [0, {node_count})")
+        self.node_count, self.edge_count = node_count, len(ends)
+        self._head = ends[:, ::-1].tobytes()
+        self.arc_head = np.frombuffer(self._head, np.int64)
+
+    @cached_property
+    def links(self) -> tuple:
+        tail = self.arc_head.reshape(-1, 2)[:, ::-1].ravel()
+        first = np.full(self.node_count, -1, np.int64)
+        np.maximum.at(first, tail, np.arange(len(tail)))
+        order = np.argsort(tail, kind="stable")
+        same = tail[order[1:]] == tail[order[:-1]]
+        nxt = np.full(len(tail), -1, np.int64)
+        nxt[order[1:][same]] = order[:-1][same]
+        return tuple(memoryview(b).cast("q")
+                     for b in (first.tobytes(), nxt.tobytes(), self._head))
+
+
+class FlowNetwork:
+    """Sparse s-t network, built once from arrays.
+
+    Node i has capacity ``source_cap[i]`` from the source and
+    ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
+    with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
+    Scalar capacities broadcast. The node count is ``len(source_cap)``;
+    node ids must have an integer dtype (empty id arrays may have any). A
+    shared ``ArcLayout`` may replace ``tails`` and ``heads`` as ``layout``.
+    ``source_cap``, ``sink_cap``, the layout's ``arc_head`` and the per-arc
+    ``arc_cap`` (float64) are read-only arrays.
+    """
+
+    def __init__(self, source_cap, sink_cap, tails=(), heads=(), cap=(),
+                 rev_cap=(), layout=None):
+        n = len(source_cap)
+        self.node_count = n
+        self.source_cap, self.sink_cap = (
+            _check_caps(c, (n,)).copy() for c in (source_cap, sink_cap))
+        if layout is None:
+            layout = ArcLayout(n, tails, heads)
+        elif layout.node_count != n or len(tails) or len(heads):
+            raise ValueError(f"layout needs {n} nodes and no tails or heads")
+        self.layout, self.arc_head = layout, layout.arc_head
+        caps = [_check_caps(c, layout.edge_count) for c in (cap, rev_cap)]
         self.arc_cap = np.stack(caps, axis=1).ravel()
-        for a in (self.source_cap, self.sink_cap, self.arc_head, self.arc_cap):
+        for a in (self.source_cap, self.sink_cap, self.arc_cap):
             a.setflags(write=False)
 
 
@@ -110,6 +143,10 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     If no arc of positive capacity leaves the source-excess nodes, the search
     would grow no node and make no augmentation: its tree would stay that
     set and its flow the folded terminal sum, so both are returned at once.
+    The search reads ``net.layout``'s links in place and copies only the
+    mutable state: ``parent``, ``rescap``, ``tr``, ``tree`` and ``in_active``.
+    Arcs of capacity 0 both ways are never residual, so keeping them in the
+    layout changes no step of the search if the other arcs keep their order.
     """
     # fold terminal capacities: excess (tr) > 0 means residual from source,
     # < 0 residual to sink; min(src, snk) flows immediately
@@ -126,19 +163,11 @@ def min_cut(net: FlowNetwork) -> MinCutResult:
     boundary[net.arc_head.reshape(-1, 2)[leaving]] = True
     boundary &= pos
 
-    # node i's arcs, highest id first: first[i], nxt[first[i]], ... to -1
-    tail = net.arc_head.reshape(-1, 2)[:, ::-1].ravel()
-    first = np.full(net.node_count, -1)
-    np.maximum.at(first, tail, np.arange(len(tail)))
-    order = np.argsort(tail, kind="stable")
-    same = tail[order[1:]] == tail[order[:-1]]
-    nxt = np.full(len(tail), -1)
-    nxt[order[1:][same]] = order[:-1][same]
+    first, nxt, head = net.layout.links
     # every node with terminal residual is a root; only source roots grow
     tree = np.select([pos, excess < 0.0], [_S, _T], _FREE)
-    parent = np.where(excess != 0.0, _TERMINAL, _NO_PARENT)
-    first, nxt, head, parent = (array("q", np.asarray(a, np.int64).tobytes())
-                                for a in (first, nxt, net.arc_head, parent))
+    parent = array("q", np.where(excess != 0.0, _TERMINAL, _NO_PARENT)
+                   .astype(np.int64).tobytes())
     rescap, tr = (array("d", a.tobytes()) for a in (net.arc_cap, excess))
     tree = array("b", tree.astype(np.int8).tobytes())
     in_active = bytearray(boundary.tobytes())

@@ -736,6 +736,28 @@ def test_overlay_skips_missing_label_maps(ws, tmp_path, capsys):
     assert (img.height, img.width) == (24, 30)
 
 
+def test_overlay_without_any_label_map_is_one_line_json(ws, tmp_path,
+                                                        capsys):
+    # a mistyped --labels used to print {"frames": 0} and exit 0; without
+    # --sampled-only all 52 frames are selected
+    out = tmp_path / "viz"
+    rc = main(["overlay", "--manifest", str(ws.sampled_manifest),
+               "--labels", str(tmp_path / "nope"), "--out", str(out)])
+    assert rc == 1
+    assert _one_json_line(capsys) == {
+        "error": "FileNotFoundError",
+        "message": f"--labels {tmp_path / 'nope'}: no label map for any of "
+                   f"the 52 selected frames"}
+    assert not out.exists()
+    # a manifest that selects no frame has nothing to render either way
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"videos": []}')
+    rc = main(["overlay", "--manifest", str(empty), "--labels",
+               str(tmp_path / "nope"), "--out", str(out)])
+    assert rc == 0
+    assert _stdout_doc(capsys) == {"frames": 0}
+
+
 def test_train_toy_cli(ws, tmp_path, capsys):
     out = tmp_path / "toy"
     rc = main(["train-toy", "--manifest", str(ws.sampled_manifest),

@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from motionseg.maxflow import SINK, SOURCE, FlowNetwork, min_cut
+from motionseg.core import GridAdjacency
+from motionseg.maxflow import SINK, SOURCE, ArcLayout, FlowNetwork, min_cut
 
 from helpers import flow_network, random_flow_network, unaries_decide
 from oracles import brute_force_min_cut, cut_capacity
@@ -250,3 +253,123 @@ def test_cut_bits_are_pinned():
         "15bd474a72bc11149a06c5654f77048d325fcdf6bbb3efea2c1fd9a6a1181155")
     assert flows.hexdigest() == (
         "73cdb7013f356ca8fef77551c24953954295dde0ea108cd6ca79aae66fcee5a2")
+
+
+def _grid_network(rng, height, width, bands=0, decided=False):
+    """Terminals, ``GridAdjacency(width, height)``'s edges and their (cap,
+    rev_cap), with wide magnitudes (``_wide_caps``). Both capacities are 0 on
+    the edges inside each of ``bands`` random rectangles, as on a boundary
+    band; with ``decided``, every arc out of the source-excess nodes is 0
+    too, so the unaries decide the cut."""
+    n = height * width
+    edges = GridAdjacency(width, height).edges()
+    source, sink = _wide_caps(rng, n), _wide_caps(rng, n)
+    ties = rng.random(n) < 0.1
+    sink[ties] = source[ties]
+    cap, rev_cap = _wide_caps(rng, len(edges)), _wide_caps(rng, len(edges))
+    row, col = np.divmod(np.arange(n), width)
+    for _ in range(bands):
+        r0, r1 = np.sort(rng.integers(0, height + 1, 2))
+        c0, c1 = np.sort(rng.integers(0, width + 1, 2))
+        inside = (r0 <= row) & (row <= r1) & (c0 <= col) & (col <= c1)
+        zero = inside[edges[:, 0]] & inside[edges[:, 1]]
+        cap[zero] = rev_cap[zero] = 0.0
+    if decided:
+        out = source > sink
+        cap[out[edges[:, 0]] & ~out[edges[:, 1]]] = 0.0
+        rev_cap[out[edges[:, 1]] & ~out[edges[:, 0]]] = 0.0
+    return source, sink, edges, cap, rev_cap
+
+
+def _filtered_cut(source, sink, edges, cap, rev_cap):
+    """The cut of the network without the edges of capacity 0 both ways."""
+    keep = (cap > 0.0) | (rev_cap > 0.0)
+    return min_cut(FlowNetwork(source, sink, edges[keep, 0], edges[keep, 1],
+                               cap[keep], rev_cap[keep]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0, False, 0)
+@example(1, 12, 1, False, 1)
+@example(12, 1, 1, False, 2)
+@example(12, 12, 3, True, 3)
+def test_the_grid_layout_cuts_like_the_filtered_edges(height, width, bands,
+                                                      decided, seed):
+    # the grid layout keeps the arcs of capacity 0 both ways, which the
+    # search never takes; the other arcs keep their order in every node's
+    # list, so the search makes the same moves and sums the same flows
+    args = _grid_network(np.random.default_rng(seed), height, width, bands,
+                         decided)
+    source, sink, _, cap, rev_cap = args
+    net = FlowNetwork(source, sink, cap=cap, rev_cap=rev_cap,
+                      layout=GridAdjacency(width, height).arc_layout())
+    event("decided" if unaries_decide(net) else "searched")
+    assert unaries_decide(net) or not decided
+    event("zero arcs" if ((cap == 0.0) & (rev_cap == 0.0)).any()
+          else "no zero arc")
+    res, want = min_cut(net), _filtered_cut(*args)
+    assert res.side.tobytes() == want.side.tobytes()
+    assert res.flow_value.hex() == want.flow_value.hex()
+
+
+def test_the_grid_layout_is_shared_and_read_only():
+    layout = GridAdjacency(7, 5).arc_layout()
+    assert GridAdjacency(7, 5).arc_layout() is layout
+    assert GridAdjacency(5, 7).arc_layout() is not layout
+    assert layout.node_count == 35 and len(layout.arc_head) == 2 * 58
+    links = layout.links
+    assert [len(m) for m in links] == [35, 116, 116]
+    for view in (layout.arc_head, *(np.frombuffer(m, np.int64)
+                                    for m in links)):
+        with pytest.raises(ValueError):
+            view[0] = 1
+    for m in links:
+        with pytest.raises(TypeError):
+            m[0] = 1
+    # the memoryview of the heads reads the bytes numpy sees
+    assert np.array_equal(np.frombuffer(links[2], np.int64), layout.arc_head)
+
+
+def test_cuts_through_cached_layouts_leak_no_state():
+    # two grid sizes interleaved, one network repeated: each cut equals
+    # the cut through a layout of its own, and the links never change
+    rng = np.random.default_rng(31)
+    shapes = [(6, 9), (9, 6), (6, 9), (9, 6), (6, 9)]
+    nets = [_grid_network(rng, h, w, bands=1) for h, w in shapes[:4]]
+    nets.append(nets[0])
+    before = {s: [bytes(m) for m in GridAdjacency(s[1], s[0]).arc_layout()
+                  .links] for s in set(shapes)}
+    alone = []
+    for source, sink, edges, cap, rev_cap in nets:
+        own = ArcLayout(len(source), edges[:, 0], edges[:, 1])
+        alone.append(min_cut(FlowNetwork(source, sink, cap=cap,
+                                         rev_cap=rev_cap, layout=own)))
+    searched = 0
+    for (h, w), (source, sink, _, cap, rev_cap), want in zip(shapes, nets,
+                                                              alone):
+        net = FlowNetwork(source, sink, cap=cap, rev_cap=rev_cap,
+                          layout=GridAdjacency(w, h).arc_layout())
+        searched += not unaries_decide(net)
+        res = min_cut(net)
+        assert res.side.tobytes() == want.side.tobytes()
+        assert res.flow_value.hex() == want.flow_value.hex()
+    assert searched == len(nets)
+    for (h, w), links in before.items():
+        assert [bytes(m) for m in GridAdjacency(w, h).arc_layout().links] \
+            == links
+
+
+def test_a_layout_replaces_tails_and_heads():
+    layout = GridAdjacency(3, 2).arc_layout()
+    with pytest.raises(ValueError, match="layout needs 5 nodes"):
+        FlowNetwork(np.ones(5), np.zeros(5), cap=1.0, rev_cap=1.0,
+                    layout=layout)
+    with pytest.raises(ValueError, match="no tails or heads"):
+        FlowNetwork(np.ones(6), np.zeros(6), [0], [1], 1.0, 1.0,
+                    layout=layout)
+    # one capacity per layout edge, as per edge of tails and heads
+    with pytest.raises(ValueError, match="broadcast"):
+        FlowNetwork(np.ones(6), np.zeros(6), cap=[1.0, 2.0], rev_cap=1.0,
+                    layout=layout)
