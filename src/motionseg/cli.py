@@ -4,18 +4,21 @@ Every subcommand reads a dataset manifest and writes its outputs under
 ``--out``, in this order: its artifacts; then, once they are all written,
 a ``run.json`` echoing the fully resolved configuration (tool version,
 subcommand, every flag); then one JSON summary line on stdout. Each
-handler only computes and writes its artifacts and returns the summary;
-:func:`main` does the rest. Only ``infer``, ``train-toy`` and ``coloc``
-draw random numbers, so only they take ``--seed``. Outputs are
-deterministic: two runs with identical run.json files are byte-identical.
-Errors exit 1 with a one-line JSON object on stderr and write no
-run.json.
+handler only computes and writes its artifacts, into a staging directory
+beside ``--out``, and returns the summary; :func:`main` does the rest.
+Only ``infer``, ``train-toy`` and ``coloc`` draw random numbers, so only
+they take ``--seed``. Outputs are deterministic: two runs with identical
+run.json files are byte-identical. Errors exit 1 with a one-line JSON
+object on stderr and write no run.json.
 """
 
 import argparse
 import functools
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -73,7 +76,6 @@ from .pipeline import (
 from .predictor import (
     ToyTrainConfig,
     check_classes,
-    checkpoint_weights,
     load_model,
     predict,
     save_model,
@@ -88,25 +90,25 @@ _PALETTE = np.array([
 ])
 
 
-def _out_file(args, name) -> Path:
-    """``name`` under ``--out``; the directory is made on a stage's first
-    write, so a stage that fails before writing leaves no ``--out``."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
-
-
-def _write_json(args, name, doc) -> None:
-    _out_file(args, name).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_json(path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_run(args) -> None:
     config = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in sorted(vars(args).items()) if k != "func"}
-    _write_json(args, "run.json", {"tool": "motionseg", "version": __version__,
-                                   "subcommand": args.subcommand,
-                                   "config": config})
+    _write_json(args.out / "run.json",
+                {"tool": "motionseg", "version": __version__,
+                 "subcommand": args.subcommand, "config": config})
+
+
+def _move_into(src, dest) -> None:
+    """Rename ``src`` to ``dest``, or merge it into an existing directory."""
+    if src.is_dir() and dest.is_dir():
+        for child in src.iterdir():
+            _move_into(child, dest / child.name)
+    else:
+        os.replace(src, dest)
 
 
 def _inference_params(args) -> InferenceParams:
@@ -170,42 +172,38 @@ def _selected_shots(manifest, sampled_only=True) -> list:
 # subcommand handlers
 
 
-def _cmd_prune(args, manifest):
+def _cmd_prune(args, manifest, stage):
     params = PruneParams(min_frames=args.min_frames,
                          min_foreground=args.min_foreground,
                          max_foreground=args.max_foreground,
                          min_run=args.min_run)
     before = len(manifest.shots())
     pruned = prune_manifest(manifest, params)
-    write_manifest(rebase(pruned, args.out), _out_file(args, "manifest.json"))
+    write_manifest(rebase(pruned, args.out), stage / "manifest.json")
     return {"shots_in": before, "shots_kept": len(pruned.shots())}
 
 
-def _cmd_sample(args, manifest):
+def _cmd_sample(args, manifest, stage):
     params = PruneParams(samples_per_shot=args.samples)
     sampled = sample_manifest(manifest, params)
-    write_manifest(rebase(sampled, args.out), _out_file(args, "manifest.json"))
+    write_manifest(rebase(sampled, args.out), stage / "manifest.json")
     return {"shots": len(sampled.shots()), "samples_per_shot": args.samples}
 
 
-def _write_label_maps(args, manifest, label_shot):
+def _write_label_maps(stage, manifest, label_shot):
     """Write ``label_shot(video, frames, masks)`` of every shot's sampled
-    frames under ``--out``, one label map per frame. Every shot's maps are
-    computed before the first write, so a shot that fails leaves no
-    ``--out``; until then all of them are held, 4 bytes per pixel."""
+    frames under ``stage``, one label map per frame."""
     shots = _selected_shots(manifest)
-    maps = []
     for video, _, frames in shots:
         masks = [read_mask(manifest.resolve(f.motion_mask_path)) for f in frames]
-        maps += zip(frames, label_shot(video, frames, masks))
-    for frame, lab in maps:
-        dest = _frame_file(args.out, frame.image_path)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        write_labels(lab, dest)
-    return {"shots": len(shots), "frames": len(maps)}
+        for frame, lab in zip(frames, label_shot(video, frames, masks)):
+            dest = _frame_file(stage, frame.image_path)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            write_labels(lab, dest)
+    return {"shots": len(shots), "frames": sum(len(fs) for _, _, fs in shots)}
 
 
-def _cmd_infer(args, manifest):
+def _cmd_infer(args, manifest, stage):
     params = _inference_params(args)
     model = _manifest_model(args, manifest)
 
@@ -216,26 +214,24 @@ def _cmd_infer(args, manifest):
         return infer_labels(list(zip(imgs, masks, scores)),
                             manifest.weak_indices(video), params)
 
-    return _write_label_maps(args, manifest, label_shot)
+    return _write_label_maps(stage, manifest, label_shot)
 
 
-def _cmd_hard_assign(args, manifest):
-    return _write_label_maps(args, manifest, lambda video, frames, masks:
+def _cmd_hard_assign(args, manifest, stage):
+    return _write_label_maps(stage, manifest, lambda video, frames, masks:
                              hard_assign(masks, manifest.weak_indices(video)))
 
 
-def _cmd_train_toy(args, manifest):
+def _cmd_train_toy(args, manifest, stage):
     # every ToyTrainConfig field is a train-toy option of the same name
     cfg = ToyTrainConfig(**{f.name: getattr(args, f.name)
                             for f in fields(ToyTrainConfig)})
     model = train_loop(manifest, _inference_params(args), cfg)
-    checkpoint_weights(model)  # refuse overflowing weights before --out exists
-    path = _out_file(args, "model.mtm")
-    save_model(model, path)
-    return {"classes": model.num_labels, "model": str(path)}
+    save_model(model, stage / "model.mtm")
+    return {"classes": model.num_labels, "model": str(args.out / "model.mtm")}
 
 
-def _cmd_select_finetune(args, manifest):
+def _cmd_select_finetune(args, manifest, stage):
     if (args.model is None) == (args.labels is None):
         raise SchemaError("give exactly one of --model or --labels")
     model = _manifest_model(args, manifest)
@@ -252,13 +248,13 @@ def _cmd_select_finetune(args, manifest):
         overlaps.setdefault(video.video_id, {})[shot.shot_id] = (
             shot_overlap(masks, predicted))
     picks = select_finetune_shots(overlaps, args.overlap_threshold)
-    _write_json(args, "selection.json",
+    _write_json(stage / "selection.json",
                 {"selection": picks, "overlaps": overlaps})
     return {"selected": sum(1 for v in picks.values() if v is not None),
             "videos": len(picks)}
 
 
-def _cmd_coloc(args, manifest):
+def _cmd_coloc(args, manifest, stage):
     # checked here too: a shot without confident pixels never reaches them
     check_slic_options(args.superpixels, args.compactness)
     check_components(args.components)
@@ -285,12 +281,11 @@ def _cmd_coloc(args, manifest):
                 box = largest_component_box(
                     coloc_segment(img, sp, gmms, pairwise))
             rows.append((frame.image_path, box))
-    path = _out_file(args, "boxes.csv")
-    write_boxes(rows, path)
-    return {"frames": len(rows), "boxes": str(path)}
+    write_boxes(rows, stage / "boxes.csv")
+    return {"frames": len(rows), "boxes": str(args.out / "boxes.csv")}
 
 
-def _cmd_eval_iou(args, manifest):
+def _cmd_eval_iou(args, manifest, stage):
     acc = ConfusionAccumulator.zeros(len(manifest.label_set))
     shots = _selected_shots(manifest, args.sampled_only)
     frames = 0
@@ -308,11 +303,11 @@ def _cmd_eval_iou(args, manifest):
                                     acc.iou_by_class())}
     report = {"frames": frames, "per_class_iou": per_class,
               "mean_iou": mean_iou(acc)}
-    _write_json(args, "report.json", report)
+    _write_json(stage / "report.json", report)
     return {"frames": frames, "mean_iou": report["mean_iou"]}
 
 
-def _cmd_eval_corloc(args, manifest):
+def _cmd_eval_corloc(args, manifest, stage):
     shots = _selected_shots(manifest, args.sampled_only)  # before --boxes
     predicted = read_boxes(args.boxes)
     pairs = []
@@ -332,15 +327,15 @@ def _cmd_eval_corloc(args, manifest):
         "per_class_corloc": {name: corloc(p) for name, p in
                              sorted(by_class.items())},
     }
-    _write_json(args, "report.json", report)
+    _write_json(stage / "report.json", report)
     return {"frames": len(pairs), "corloc": report["corloc"]}
 
 
-def _cmd_overlay(args, manifest):
+def _cmd_overlay(args, manifest, stage):
     if not 0.0 <= args.opacity <= 1.0:
         raise ValueError(f"--opacity must lie in [0, 1], got {args.opacity}")
     shots = _selected_shots(manifest, args.sampled_only)
-    blends = []  # all held before the first write: 24 bytes per pixel
+    done = 0
     for frame in (f for _, _, fs in shots for f in fs):
         label_path = _frame_file(args.labels, frame.image_path)
         if not label_path.exists():
@@ -349,19 +344,18 @@ def _cmd_overlay(args, manifest):
         labels = read_labels(label_path, 256)
         check_same_shape(img, labels)
         colors = _PALETTE[(labels.labels - 1) % len(_PALETTE)]
-        blends.append((frame, RgbImage(np.where(
-            (labels.labels > 0)[..., None],
-            (1 - args.opacity) * img.pixels + args.opacity * colors,
-            img.pixels))))
+        blend = np.where((labels.labels > 0)[..., None],
+                         (1 - args.opacity) * img.pixels + args.opacity * colors,
+                         img.pixels)
+        dest = _frame_file(stage, frame.image_path, ".ppm")
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        write_image(RgbImage(blend), dest)
+        done += 1
     selected = sum(len(fs) for _, _, fs in shots)
-    if selected and not blends:
+    if selected and not done:
         raise FileNotFoundError(f"--labels {args.labels}: no label map for "
                                 f"any of the {selected} selected frames")
-    for frame, blend in blends:
-        dest = _frame_file(args.out, frame.image_path, ".ppm")
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        write_image(blend, dest)
-    return {"frames": len(blends)}
+    return {"frames": done}
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +463,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one stage: the handler writes its artifacts and returns its
-    summary; only then are ``run.json`` and the summary line written."""
+    """Run one stage: the handler writes its artifacts into a stage beside
+    ``--out`` and returns its summary; only then is the stage moved into
+    ``--out`` and are ``run.json`` and the summary line written."""
     args = build_parser().parse_args(argv)
     try:
-        summary = args.func(args, read_manifest(args.manifest))
+        manifest = read_manifest(args.manifest)
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        holder = Path(tempfile.mkdtemp(dir=args.out.parent,
+                                       prefix=args.out.name + "."))
+        try:
+            stage = holder / "out"
+            stage.mkdir()  # the umask's mode, not mkdtemp's 0700
+            summary = args.func(args, manifest, stage)
+            (args.out / "run.json").unlink(missing_ok=True)
+            _move_into(stage, args.out)
+        finally:
+            shutil.rmtree(holder, ignore_errors=True)
         _write_run(args)
     except (MotionSegError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),

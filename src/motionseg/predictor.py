@@ -133,21 +133,15 @@ def sgd_step(model: ToyModel, batch, cw: ClassWeights, cfg: ToyTrainConfig,
     return ToyModel(model.weights + velocity, velocity)
 
 
-def checkpoint_weights(model: ToyModel) -> np.ndarray:
-    """The float32 weights a checkpoint stores; NonFiniteValue if one
-    overflows, since :func:`load_model` would refuse it."""
+def save_model(model: ToyModel, path) -> None:
+    """Write an MTM1 checkpoint: "MTM1 <classes> <features>\\n" then the
+    float32 weights, little-endian, row-major; velocity is not saved. A
+    weight that overflows float32 raises NonFiniteValue before any byte."""
     with np.errstate(over="ignore"):
         weights = model.weights.astype(np.float32)
     if not np.isfinite(weights).all():
         raise NonFiniteValue("weights overflow float32 in a checkpoint")
-    return weights
-
-
-def save_model(model: ToyModel, path) -> None:
-    """Write an MTM1 checkpoint: "MTM1 <classes> <features>\\n" then
-    :func:`checkpoint_weights` as little-endian, row-major, so overflowing
-    weights raise before any byte. Velocity is not saved."""
-    write_tensor(checkpoint_weights(model), _MODEL_MAGIC, path)
+    write_tensor(weights, _MODEL_MAGIC, path)
 
 
 def load_model(path) -> ToyModel:

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -618,6 +619,7 @@ def test_coloc_then_eval_corloc(ws, tmp_path, capsys):
                "--out", str(boxes_out), "--superpixels", "60",
                "--components", "2"])
     assert rc == 0
+    assert _stdout_doc(capsys)["boxes"] == str(boxes_out / "boxes.csv")
     lines = (boxes_out / "boxes.csv").read_text().splitlines()
     assert lines[0] == "frame_path,x_min,y_min,x_max,y_max"
     assert len(lines) == 21
@@ -764,7 +766,8 @@ def test_train_toy_cli(ws, tmp_path, capsys):
                "--out", str(out), "--epochs", "1", "--learning-rate", "0.05",
                "--iterations", "1", "--components", "2"])
     assert rc == 0
-    assert _stdout_doc(capsys)["classes"] == 3
+    assert _stdout_doc(capsys) == {"classes": 3,
+                                   "model": str(out / "model.mtm")}
     model = load_model(out / "model.mtm")
     assert model.num_labels == 3
     assert np.all(np.isfinite(model.weights))
@@ -904,6 +907,90 @@ def test_failed_artifact_write_leaves_no_run_json(ws, tmp_path, capsys, sub,
     assert json.loads(err_lines[0])["error"] == "IsADirectoryError"
     assert captured.out == ""
     assert not (out / "run.json").exists()
+
+
+def test_failed_rerun_into_an_existing_out_leaves_no_run_json(ws, tmp_path,
+                                                              capsys):
+    # infer's maps cannot replace one of hard-assign's, now a directory:
+    # the merge stops part way, and no run.json may describe what it moved
+    out = tmp_path / "out"
+    assert main(["hard-assign", "--manifest", str(ws.sampled_manifest),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    taken = sorted(out.rglob("*.pgm"))[-1]
+    taken.unlink()
+    taken.mkdir()
+    assert main(["infer", *ws.infer_args, "--out", str(out)]) == 1
+    assert _one_json_line(capsys)["error"] == "IsADirectoryError"
+    assert not (out / "run.json").exists()
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_rerun_into_an_existing_out_replaces_artifacts_and_keeps_the_rest(
+        ws, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(ws.hard_out, out)
+    notes = [out / "notes.txt", next(out.rglob("*.pgm")).parent / "notes.txt"]
+    for note in notes:
+        note.write_text("kept")
+    assert main(["infer", *ws.infer_args, "--out", str(out)]) == 0
+    assert [note.read_text() for note in notes] == ["kept", "kept"]
+
+    def maps(root):
+        return {k: v for k, v in _snapshot(root).items() if k.endswith(".pgm")}
+
+    assert maps(out) == maps(ws.infer_out) != maps(ws.hard_out)
+    assert json.loads((out / "run.json").read_text())["subcommand"] == "infer"
+
+
+def test_out_gets_the_mode_of_a_plain_mkdir(ws, tmp_path):
+    # the stage is renamed to --out, so it must not carry a 0700 mode
+    out = tmp_path / "deeper" / "out"
+    old = os.umask(0o027)
+    try:
+        (tmp_path / "plain").mkdir()
+        assert main(["hard-assign", "--manifest", str(ws.sampled_manifest),
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "plain").stat().st_mode
+    dirs = [out.parent, out, *(p for p in out.rglob("*") if p.is_dir())]
+    assert len(dirs) > 3
+    assert {d.stat().st_mode for d in dirs} == {mode}
+
+
+def _traced(call):
+    """Traced (held, peak) bytes over ``call()``, its result still held."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 -- held while the bytes are read
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_selected_frames(ws, tmp_path):
+    # one video's 10 sampled 24x30 frames against both videos' 20, less
+    # what each manifest holds; keeping every output until the last frame
+    # would add 4 (hard-assign) or 24 (overlay) bytes per extra pixel
+    doc = json.loads(ws.sampled_manifest.read_text())
+    doc["videos"] = doc["videos"][:1]
+    one = ws.sample_out / "one_video.json"
+    one.write_text(json.dumps(doc))
+    extra_pixels = 10 * 24 * 30
+    for sub, extra in (("hard-assign", []),
+                       ("overlay", ["--labels", str(ws.hard_out)])):
+        def cost(manifest, out):
+            held, _ = _traced(lambda: read_manifest(manifest))
+            _, peak = _traced(lambda: main([sub, "--manifest", str(manifest),
+                                            *extra, "--out", str(out)]))
+            assert (out / "run.json").is_file()
+            return peak - held
+
+        cost(ws.sampled_manifest, tmp_path / sub / "warm")
+        growth = (cost(ws.sampled_manifest, tmp_path / sub / "both")
+                  - cost(one, tmp_path / sub / "one"))
+        assert growth < extra_pixels, (sub, growth / extra_pixels)
 
 
 def test_band_wider_than_the_frame_runs(ws, tmp_path):
@@ -1122,6 +1209,7 @@ def test_damaged_input_is_success_or_one_line_json(tiny_tree, run, name, data):
         if target.is_dir():
             target.rmdir()
         target.write_bytes(good)
+    assert not list(out.parent.glob(out.name + ".*"))
     if rc == 0:
         assert (out / "run.json").is_file()
         assert len(stdout.getvalue().splitlines()) == 1
@@ -1216,6 +1304,7 @@ def test_every_selected_frame_gets_one_output_or_the_run_says_why(
         with redirect_stdout(stdout), redirect_stderr(stderr):
             rc = main([sub, "--manifest", str(path), *map(str, extra),
                        "--out", str(out)])
+        assert not list(out.parent.glob(out.name + ".*")), sub
         if rc == 1:
             assert stdout.getvalue() == "" and not out.exists()
             err, = stderr.getvalue().splitlines()
