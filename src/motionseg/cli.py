@@ -4,21 +4,21 @@ Every subcommand reads a dataset manifest and writes its outputs under
 ``--out``, in this order: its artifacts; then, once they are all written,
 a ``run.json`` echoing the fully resolved configuration (tool version,
 subcommand, every flag); then one JSON summary line on stdout. Each
-handler only computes and writes its artifacts, into a staging directory
-beside ``--out``, and returns the summary; :func:`main` does the rest.
-Only ``infer``, ``train-toy`` and ``coloc`` draw random numbers, so only
-they take ``--seed``. Outputs are deterministic: two runs with identical
-run.json files are byte-identical. Errors exit 1 with a one-line JSON
-object on stderr and write no run.json.
+handler only computes its artifacts, writes them into the staging
+directory ``<out>.<random>`` and returns the summary; :func:`main` does
+the rest. Only ``infer``, ``train-toy`` and ``coloc`` draw random numbers,
+so only they take ``--seed``. Outputs are deterministic: two runs with
+identical run.json files are byte-identical. Errors exit 1 with a
+one-line JSON object on stderr and write no run.json.
 """
 
 import argparse
 import functools
 import json
 import os
+import secrets
 import shutil
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -463,23 +463,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one stage: the handler writes its artifacts into a stage beside
-    ``--out`` and returns its summary; only then is the stage moved into
-    ``--out`` and are ``run.json`` and the summary line written."""
+    """Run one stage: the handler writes its artifacts into the stage
+    ``<out>.<random>`` and returns its summary; only then is the stage moved
+    into ``--out`` and are ``run.json`` and the summary line written."""
     args = build_parser().parse_args(argv)
     try:
         manifest = read_manifest(args.manifest)
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        holder = Path(tempfile.mkdtemp(dir=args.out.parent,
-                                       prefix=args.out.name + "."))
+        stage = args.out.parent / f"{args.out.name}.{secrets.token_hex(8)}"
+        stage.mkdir(parents=True)  # a taken name is refused, never removed
         try:
-            stage = holder / "out"
-            stage.mkdir()  # the umask's mode, not mkdtemp's 0700
             summary = args.func(args, manifest, stage)
             (args.out / "run.json").unlink(missing_ok=True)
             _move_into(stage, args.out)
         finally:
-            shutil.rmtree(holder, ignore_errors=True)
+            shutil.rmtree(stage, ignore_errors=True)
         _write_run(args)
     except (MotionSegError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),

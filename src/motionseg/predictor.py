@@ -216,7 +216,7 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
         raise ZeroCount(f"categories without any frame: {names}")
     cw = class_weights(counts, num_labels=len(manifest.label_set))
 
-    cache = {id(s): _load_shot(manifest, s) for _, s in shots}
+    loaded = [(v, s, *_load_shot(manifest, s)) for v, s in shots]
     rng = np.random.default_rng(params.seed)
 
     def run_epochs(epochs, shot_list, infer_params):
@@ -227,26 +227,24 @@ def train_loop(manifest: DatasetManifest, params: InferenceParams,
                 lr *= cfg.decay_factor ** (epoch // cfg.decay_every)
             order = rng.permutation(len(shot_list))
             for i in order:
-                video, shot = shot_list[i]
-                imgs, masks = cache[id(shot)]
+                video, _, imgs, masks = shot_list[i]
                 scores = [predict(model, img) for img in imgs]
                 labels = infer_labels(list(zip(imgs, masks, scores)),
                                       manifest.weak_indices(video),
                                       infer_params)
                 model = sgd_step(model, list(zip(imgs, labels)), cw, cfg, lr)
 
-    run_epochs(cfg.epochs, shots, params)
+    run_epochs(cfg.epochs, loaded, params)
 
     if cfg.finetune_epochs > 0:
         overlaps = {}
-        for video, shot in shots:
-            imgs, masks = cache[id(shot)]
+        for video, shot, imgs, masks in loaded:
             predicted = [argmax_labels(predict(model, img)) for img in imgs]
             overlaps.setdefault(video.video_id, {})[shot.shot_id] = (
                 shot_overlap(masks, predicted))
         picks = select_finetune_shots(overlaps, cfg.overlap_threshold)
-        chosen = [(v, s) for v, s in shots
-                  if picks.get(v.video_id) == s.shot_id]
+        chosen = [entry for entry in loaded
+                  if picks.get(entry[0].video_id) == entry[1].shot_id]
         if chosen:
             run_epochs(cfg.finetune_epochs, chosen, replace(
                 params, prediction_weight=cfg.finetune_prediction_weight))

@@ -959,6 +959,49 @@ def test_out_gets_the_mode_of_a_plain_mkdir(ws, tmp_path):
     assert {d.stat().st_mode for d in dirs} == {mode}
 
 
+def test_taken_stage_name_is_refused_and_left_alone(ws, tmp_path, capsys,
+                                                    monkeypatch):
+    # the stage's one mkdir has no exist_ok and runs before the cleanup is
+    # armed: a directory that already has its name is not used or removed
+    monkeypatch.setattr(motionseg.cli.secrets, "token_hex",
+                        lambda nbytes: "taken")
+    out = tmp_path / "out"
+    taken = tmp_path / "out.taken"
+    taken.mkdir()
+    (taken / "notes.txt").write_text("kept")
+    assert main(["hard-assign", "--manifest", str(ws.sampled_manifest),
+                 "--out", str(out)]) == 1
+    assert _one_json_line(capsys)["error"] == "FileExistsError"
+    assert list(taken.iterdir()) == [taken / "notes.txt"]
+    assert (taken / "notes.txt").read_text() == "kept"
+    assert not out.exists()
+
+
+def test_out_may_be_dot_or_end_in_dotdot(ws, tmp_path, monkeypatch):
+    # the stage is named from --out's parent and name, which "." and "x/.."
+    # have too ("./.<random>", "x/...<random>"), though "." has no with_name
+    def eval_iou(out):
+        assert main(["eval-iou", "--manifest", str(ws.sampled_manifest),
+                     "--pred", str(ws.infer_out), "--sampled-only",
+                     "--out", out]) == 0
+
+    eval_iou(str(tmp_path / "plain"))
+    report = (tmp_path / "plain" / "report.json").read_bytes()
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    eval_iou(".")
+    eval_iou(str(there / "x" / ".."))
+    for where in (here, there):
+        assert (where / "report.json").read_bytes() == report
+        assert (where / "run.json").is_file()
+    assert sorted(p.name for p in here.iterdir()) == [
+        "report.json", "run.json"]
+    assert sorted(p.name for p in there.iterdir()) == [
+        "report.json", "run.json", "x"]
+    assert not list((there / "x").iterdir())
+
+
 def _traced(call):
     """Traced (held, peak) bytes over ``call()``, its result still held."""
     tracemalloc.start()
