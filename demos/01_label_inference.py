@@ -45,8 +45,8 @@ for iterations in (1, 2, 4):
     print(f"inference x{iterations}     mean IoU "
           f"{scene_iou(soft, scene.truth):6.2f}")
 
-# the same engine handles several frames of a shot in one batch, sharing
-# the color models across frames
+# the same engine handles several frames of a shot in one batch; each
+# frame fits its own color model pair from the batch's motion samples
 batch = [corrupted_mask_scene(seed) for seed in (3, 4)]
 labels = infer_labels([(s.image, s.mask, s.scores) for s in batch],
                       (1,), InferenceParams(seed=0))

@@ -42,7 +42,7 @@ from .core import (
 )
 from .energy import PairwiseParams
 from .errors import (EmptyBackground, EmptyForeground, MotionSegError,
-                     SchemaError)
+                     MultiLabelVideo, SchemaError)
 from .gmm import DEFAULT_COMPONENTS, check_components, check_seed
 from .inference import InferenceParams, hard_assign, infer_labels
 from .io import (
@@ -259,12 +259,15 @@ def _cmd_coloc(args, manifest, stage):
     check_slic_options(args.superpixels, args.compactness)
     check_components(args.components)
     check_seed(args.seed)
+    shots = _selected_shots(manifest)
+    if multi := [v.video_id for v, _, _ in shots if len(v.weak_labels) > 1]:
+        raise MultiLabelVideo(f"{multi[0]}: coloc takes one weak label only")
     model = _manifest_model(args, manifest)
     pairwise = PairwiseParams(smoothness=args.smoothness,
                               contrast_scale=args.contrast_scale)
     rows = []
-    for video, _, frames in _selected_shots(manifest):
-        category = manifest.weak_indices(video)[0]
+    for video, _, frames in shots:
+        (category,) = manifest.weak_indices(video)
         imgs = [read_image(manifest.resolve(f.image_path)) for f in frames]
         scores = [_frame_scores(manifest, f, model, im)
                   for f, im in zip(frames, imgs)]

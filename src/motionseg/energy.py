@@ -9,7 +9,9 @@ where the GMM term uses the background mixture for label 0 and the shared
 foreground mixture for every object label, p_i are prediction scores, ``a``
 balances the two unaries, and w_ij is a contrast-sensitive Potts weight
 that is switched off inside a band around motion-segment boundaries (so
-the minimizer may cheaply relabel across imprecise motion edges).
+the minimizer may cheaply relabel across imprecise motion edges). They
+depend only on the frame: ``potts_weights`` builds them once, and
+``build_energy`` adds each round's unaries.
 
 Binary problems are solved exactly with one graph cut. Multi-label
 problems are first reduced (Kovtun, DAGM 2003; the "Reduce" step of
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PROB_FLOOR, GridAdjacency, LabelMap, MotionMask,
-                   PixelGrid, RgbImage, ScoreMap, _frozen, check_same_shape)
+                   RgbImage, ScoreMap, _frozen, check_same_shape)
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
 from .gmm import FgBgGmm, nll
 from .maxflow import SOURCE, ArcLayout, FlowNetwork, min_cut
@@ -57,19 +59,6 @@ class PairwiseParams:
         return self.smoothness * np.exp(-self.contrast_scale * d2)
 
 
-@dataclass(frozen=True)
-class BoundaryBand(PixelGrid):
-    """Per-pixel flag, 1 inside the band around motion-segment edges."""
-
-    band: np.ndarray  # (H, W) bool
-
-    def __post_init__(self):
-        b = np.asarray(self.band, dtype=bool)
-        if b.ndim != 2:
-            raise DimensionMismatch(f"expected (H, W) band, got {b.shape}")
-        object.__setattr__(self, "band", _frozen(b))
-
-
 def _window_any(a, r):
     """OR of ``a`` over the windows of half-width ``r`` along its rows."""
     w = a.shape[1]
@@ -79,9 +68,9 @@ def _window_any(a, r):
     return c[:, np.minimum(x + r + 1, w)] > c[:, np.maximum(x - r, 0)]
 
 
-def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
-    """Band of all pixels within Chebyshev distance ``half_width`` of a
-    mask boundary pixel (a pixel with a 4-neighbor of opposite value)."""
+def boundary_band_from_mask(mask: MotionMask, half_width: int) -> np.ndarray:
+    """Read-only (H, W) bool band: the pixels within Chebyshev distance
+    ``half_width`` of a pixel with a 4-neighbor of opposite mask value."""
     m = mask.mask.astype(bool).ravel()
     pairs = GridAdjacency(mask.width, mask.height).edges()
     edge = np.zeros_like(m)
@@ -91,7 +80,20 @@ def boundary_band_from_mask(mask: MotionMask, half_width: int) -> BoundaryBand:
         # a wider band than the frame covers no more of it
         r = min(half_width, max(edge.shape))
         edge = _window_any(_window_any(edge, r).T, r).T
-    return BoundaryBand(edge)
+    return _frozen(edge)
+
+
+def potts_weights(img: RgbImage, band: np.ndarray,
+                  params: PairwiseParams) -> np.ndarray:
+    """The frame's read-only Potts weight per grid edge, in
+    ``GridAdjacency.edges()`` order: ``params.contrast_weights``, or 0 on
+    an edge whose two ends lie in the (H, W) bool ``band``."""
+    if np.shape(band) != (img.height, img.width):
+        raise DimensionMismatch(f"band {np.shape(band)} does not fit the frame")
+    edges = GridAdjacency(img.width, img.height).edges()
+    weights = params.contrast_weights(img.pixels.reshape(-1, 3), edges)
+    weights[np.reshape(band, -1)[edges].all(axis=1)] = 0.0
+    return _frozen(weights)
 
 
 @dataclass(frozen=True)
@@ -125,20 +127,20 @@ class EnergyModel:
 
 
 def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
-                 prediction_weight: float, params: PairwiseParams,
-                 band: BoundaryBand) -> EnergyModel:
+                 prediction_weight: float, pairwise) -> EnergyModel:
     """Assemble the energy for one frame.
 
     ``allowed`` lists the usable label indices and must contain background
     (0); ``prediction_weight`` balances the prediction term against the
-    GMM term (0 switches predictions off entirely).
+    GMM term (0 switches predictions off entirely). ``pairwise`` holds the
+    frame's Potts weights, as ``potts_weights`` gives them.
     """
     allowed = tuple(sorted(set(int(l) for l in allowed)))
     if not allowed or allowed[0] != 0:
         raise LabelNotAllowed("allowed label set must contain background (0)")
     if len(allowed) < 2:
         raise WrongLabelCount("need at least one object label besides background")
-    check_same_shape(img, scores, band)
+    check_same_shape(img, scores)
     if allowed[-1] >= scores.channels:
         raise DimensionMismatch(
             f"label {allowed[-1]} needs {allowed[-1] + 1} score channels, "
@@ -155,14 +157,8 @@ def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
         motion_term = nll_bg if label == 0 else nll_fg
         unary[:, c] = motion_term + prediction_weight * neglogp[:, label]
 
-    adjacency = GridAdjacency(img.width, img.height)
-    edges = adjacency.edges()
-    pairwise = params.contrast_weights(colors, edges)
-    flat_band = band.band.reshape(-1)
-    pairwise[flat_band[edges[:, 0]] & flat_band[edges[:, 1]]] = 0.0
-
     return EnergyModel(allowed_labels=allowed, unary=unary, pairwise=pairwise,
-                       adjacency=adjacency)
+                       adjacency=GridAdjacency(img.width, img.height))
 
 
 def _labels_to_columns(m: EnergyModel, x: LabelMap) -> np.ndarray:
@@ -215,8 +211,7 @@ def _solve_binary_columns(theta0, theta1, edges, cap, rev_cap,
         edges, cap, rev_cap = edges[keep], cap[keep], rev_cap[keep]
         layout = ArcLayout(len(base), edges[:, 0], edges[:, 1])
     # source side is y = 1, so the source arc is cut (paid) when y_i = 0
-    net = FlowNetwork(theta0 - base, theta1 - base, cap=cap, rev_cap=rev_cap,
-                      layout=layout)
+    net = FlowNetwork(theta0 - base, theta1 - base, layout, cap, rev_cap)
     return (min_cut(net).side == SOURCE).astype(np.int64)
 
 

@@ -90,7 +90,7 @@ class WrongLabelCount(MotionSegError):
 
 
 class MultiLabelVideo(MotionSegError):
-    """Hard assignment is only defined for single-label videos."""
+    """Hard assignment and coloc are only defined for single-label videos."""
 
 
 # -- loss / metrics ---------------------------------------------------------

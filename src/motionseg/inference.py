@@ -18,6 +18,7 @@ from .energy import (
     build_energy,
     minimize_binary,
     minimize_expansion,
+    potts_weights,
 )
 from .errors import MultiLabelVideo
 from .gmm import (DEFAULT_COMPONENTS, FgBgGmm, check_components, check_seed,
@@ -82,8 +83,9 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
     ``batch`` is a list of (RgbImage, MotionMask, ScoreMap) triples sharing
     one frame size; ``weak_labels`` are the video's object label indices
     (nonempty, background excluded). Each frame gets its own GMM pair,
-    fit from the whole batch with inverse-distance frame weights, then at
-    most ``params.iterations`` rounds of minimize-and-refit. The loop stops
+    fit from the whole batch with inverse-distance frame weights, and its
+    Potts weights, then at most ``params.iterations`` rounds of
+    minimize-and-refit, which change only the GMM unaries. The loop stops
     early when a round repeats the previous labeling: the refit is then the
     same call as the one before it, so every later round would repeat it
     bit for bit. A single object label is solved exactly by binary cut;
@@ -109,12 +111,12 @@ def infer_labels(batch, weak_labels, params: InferenceParams) -> list:
         motion = motion_color_samples(frames, t)
         gmms = fit_fgbg(*motion, params.gmm_components, params.seed)
         band = boundary_band_from_mask(mask, params.boundary_band)
+        pairwise = potts_weights(img, band, params.pairwise)
 
         labeling = None
         for it in range(params.iterations):
             model = build_energy(img, gmms, scores, allowed,
-                                 params.prediction_weight, params.pairwise,
-                                 band)
+                                 params.prediction_weight, pairwise)
             if len(allowed) == 2:
                 new_labeling = minimize_binary(model)
             else:

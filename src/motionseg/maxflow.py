@@ -8,11 +8,11 @@ boundary; ``min_cut`` says why that suffices and why the search ends at the
 minimal source side.
 
 A network is built once, in one constructor call, from a per-node pair of
-terminal capacity vectors and an edge list with a capacity vector for
-each direction. Capacities are 64-bit floats (the unaries are
-log-likelihoods, so no integer scaling is applied). Terminal capacities
-are folded into a single per-node residual before the search, which
-shifts the flow by a constant that is added back at the end.
+terminal capacity vectors and the ``ArcLayout`` of its edges with a
+capacity vector for each direction. Capacities are 64-bit floats (the
+unaries are log-likelihoods, so no integer scaling is applied). Terminal
+capacities are folded into a single per-node residual before the search,
+which shifts the flow by a constant that is added back at the end.
 
 A network's arcs and each node's list of them form an ``ArcLayout``, built
 from its edge list or shared, as ``GridAdjacency.arc_layout`` shares one per
@@ -89,25 +89,21 @@ class FlowNetwork:
     """Sparse s-t network, built once from arrays.
 
     Node i has capacity ``source_cap[i]`` from the source and
-    ``sink_cap[i]`` to the sink; edge e adds the arc tails[e] -> heads[e]
-    with capacity ``cap[e]`` and the reverse arc with ``rev_cap[e]``.
-    Scalar capacities broadcast. The node count is ``len(source_cap)``;
-    node ids must have an integer dtype (empty id arrays may have any). A
-    shared ``ArcLayout`` may replace ``tails`` and ``heads`` as ``layout``.
-    ``source_cap``, ``sink_cap``, the layout's ``arc_head`` and the per-arc
-    ``arc_cap`` (float64) are read-only arrays.
+    ``sink_cap[i]`` to the sink; edge e of the ``ArcLayout`` ``layout``
+    adds its arc tails[e] -> heads[e] with capacity ``cap[e]`` and the
+    reverse arc with ``rev_cap[e]``. Scalar capacities broadcast. The node
+    count is ``len(source_cap)`` and must be the layout's. ``source_cap``,
+    ``sink_cap``, the layout's ``arc_head`` and the per-arc ``arc_cap``
+    (float64) are read-only arrays.
     """
 
-    def __init__(self, source_cap, sink_cap, tails=(), heads=(), cap=(),
-                 rev_cap=(), layout=None):
+    def __init__(self, source_cap, sink_cap, layout, cap=(), rev_cap=()):
         n = len(source_cap)
         self.node_count = n
         self.source_cap, self.sink_cap = (
             _check_caps(c, (n,)).copy() for c in (source_cap, sink_cap))
-        if layout is None:
-            layout = ArcLayout(n, tails, heads)
-        elif layout.node_count != n or len(tails) or len(heads):
-            raise ValueError(f"layout needs {n} nodes and no tails or heads")
+        if layout.node_count != n:
+            raise ValueError(f"layout has {layout.node_count} nodes, not {n}")
         self.layout, self.arc_head = layout, layout.arc_head
         caps = [_check_caps(c, layout.edge_count) for c in (cap, rev_cap)]
         self.arc_cap = np.stack(caps, axis=1).ravel()

@@ -8,7 +8,7 @@ from motionseg.core import GridAdjacency, RgbImage, ScoreMap
 from motionseg.energy import EnergyModel
 from motionseg.gmm import DEFAULT_COMPONENTS, fit_fgbg, motion_color_samples
 from motionseg.loss import weighted_nll_loss
-from motionseg.maxflow import SINK, FlowNetwork
+from motionseg.maxflow import SINK, ArcLayout, FlowNetwork
 from motionseg.predictor import predict
 
 
@@ -66,8 +66,8 @@ def flow_network(n, terminals, edges):
     source, sink = np.array(terminals, dtype=np.float64).reshape(n, 2).T
     tails, heads, cap, rev_cap = np.array(
         edges, dtype=np.float64).reshape(-1, 4).T
-    return FlowNetwork(source, sink, tails.astype(np.int64),
-                       heads.astype(np.int64), cap, rev_cap)
+    layout = ArcLayout(n, tails.astype(np.int64), heads.astype(np.int64))
+    return FlowNetwork(source, sink, layout, cap, rev_cap)
 
 
 def recorded_cuts(monkeypatch):

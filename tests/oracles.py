@@ -53,11 +53,11 @@ def model_columns(model, labeling):
 def potts_weight(z_i, z_j, i, j, band, p):
     """Pairwise weight between 4-neighbor pixels i=(row,col), j=(row,col).
 
-    Zero when both pixels lie in the BoundaryBand `band`, otherwise
+    Zero when both pixels lie in the (H, W) bool `band`, otherwise
     p.smoothness * exp(-p.contrast_scale * |z_i - z_j|^2) / |i - j| for
     the PairwiseParams `p`. The label indicator [x_i != x_j] is left out.
     """
-    if band.band[i] and band.band[j]:
+    if band[i] and band[j]:
         return 0.0
     z_i = np.asarray(z_i, dtype=np.float64)
     z_j = np.asarray(z_j, dtype=np.float64)

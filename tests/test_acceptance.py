@@ -17,7 +17,7 @@ import pytest
 from motionseg.coloc import SuperpixelMap, coloc_segment
 from motionseg.core import BoundingBox, GridAdjacency, LabelMap, MotionMask, \
     RgbImage, ScoreMap, argmax_labels
-from motionseg.energy import BoundaryBand, EnergyModel, PairwiseParams, \
+from motionseg.energy import EnergyModel, PairwiseParams, \
     minimize_binary, minimize_expansion, total_energy
 from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.inference import InferenceParams, hard_assign, infer_labels
@@ -355,7 +355,7 @@ def test_10_metric_examples_and_singleton_equivalence():
         colors = img.pixels.reshape(-1, 3)
         unary = np.column_stack([nll(gmms.background, colors),
                                  nll(gmms.foreground, colors)])
-        band = BoundaryBand(np.zeros((3, 3), dtype=np.uint8))
+        band = np.zeros((3, 3), dtype=bool)
         weights = np.array([
             potts_weight(colors[i], colors[j], divmod(i, 3), divmod(j, 3),
                          band, params)

@@ -483,6 +483,23 @@ def test_hard_assign_refuses_a_multi_label_video_before_any_write(
     assert not out.exists()
 
 
+def test_coloc_refuses_a_multi_label_video(tmp_path, capsys):
+    # it used to box the first weak label alone, so the boxes depended on
+    # the order of weak_labels
+    manifest = write_blob_dataset(tmp_path / "data", seed=7, with_scores=True)
+    doc = json.loads(manifest.read_text())
+    doc["videos"][1]["weak_labels"] = ["red", "blue"]
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["coloc", "--manifest", str(manifest), "--superpixels", "20",
+                 "--out", str(out)]) == 1
+    video = doc["videos"][1]["video_id"]
+    assert _one_json_line(capsys) == {
+        "error": "MultiLabelVideo",
+        "message": f"{video}: coloc takes one weak label only"}
+    assert not out.exists()
+
+
 def test_eval_iou_chain(ws, tmp_path, capsys):
     out = tmp_path / "iou"
     rc = main(["eval-iou", "--manifest", str(ws.sampled_manifest),

@@ -28,7 +28,6 @@ from motionseg.coloc import (
 from motionseg.core import (BoundingBox, GridAdjacency, LabelMap, RgbImage,
                             ScoreMap)
 from motionseg.energy import (
-    BoundaryBand,
     EnergyModel,
     PairwiseParams,
     minimize_binary,
@@ -464,7 +463,7 @@ def test_singleton_superpixels_equal_pixel_cut():
         colors = img.pixels.reshape(-1, 3)
         unary = np.column_stack([nll(gmms.background, colors),
                                  nll(gmms.foreground, colors)])
-        band = BoundaryBand(np.zeros((3, 3), dtype=np.uint8))
+        band = np.zeros((3, 3), dtype=bool)
         weights = np.array([
             potts_weight(colors[i], colors[j], divmod(i, 3), divmod(j, 3),
                          band, params)

@@ -19,7 +19,6 @@ from motionseg.core import (
     validate_score_map,
 )
 from motionseg.coloc import SuperpixelMap
-from motionseg.energy import BoundaryBand
 from motionseg.errors import DimensionMismatch, NegativeScore, NotNormalized
 
 from helpers import random_scores
@@ -194,11 +193,9 @@ def test_grid_adjacency_rejects_degenerate():
     (MotionMask(np.zeros((2, 3), dtype=np.uint8)), "mask"),
     (LabelMap(np.zeros((2, 3))), "labels"),
     (ScoreMap(np.zeros((2, 3, 4))), "scores"),
-    (BoundaryBand(np.zeros((2, 3))), "band"),
     (SuperpixelMap(np.arange(6).reshape(2, 3), np.zeros((6, 3)),
                    np.zeros((6, 2)), np.ones(6)), "ids"),
-], ids=["RgbImage", "MotionMask", "LabelMap", "ScoreMap", "BoundaryBand",
-        "SuperpixelMap"])
+], ids=["RgbImage", "MotionMask", "LabelMap", "ScoreMap", "SuperpixelMap"])
 def test_frame_size_is_the_grid_arrays_first_two_axes(item, grid):
     # the grid array is each type's first field; no other field of these
     # instances starts with (2, 3)

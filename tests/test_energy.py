@@ -16,7 +16,6 @@ from motionseg.core import (
 )
 from motionseg.energy import (
     DEFAULT_EXPANSION_SWEEPS,
-    BoundaryBand,
     EnergyModel,
     PairwiseParams,
     _expansion_moves,
@@ -25,6 +24,7 @@ from motionseg.energy import (
     build_energy,
     minimize_binary,
     minimize_expansion,
+    potts_weights,
     total_energy,
 )
 from motionseg.errors import (
@@ -36,7 +36,7 @@ from motionseg.gmm import FgBgGmm, Gmm, fit_gmm, nll
 from motionseg.inference import InferenceParams, infer_labels
 from motionseg.io import (read_image, read_manifest, read_mask, read_scores,
                           write_image, write_mask, write_scores)
-from motionseg.maxflow import SOURCE, FlowNetwork, min_cut
+from motionseg.maxflow import SOURCE, ArcLayout, FlowNetwork, min_cut
 from motionseg.synthetic import two_object_scene, write_blob_dataset
 
 from helpers import (binary_masks, cut_capacity_of, fit_fgbg_from_motion,
@@ -47,7 +47,12 @@ from oracles import (all_labelings, enumerate_minimum, expansion_full_sweeps,
 
 
 def _no_band(h, w):
-    return BoundaryBand(np.zeros((h, w), dtype=np.uint8))
+    return np.zeros((h, w), dtype=bool)
+
+
+def _weights(img):
+    """The Potts weights of ``img`` without a band."""
+    return potts_weights(img, _no_band(img.height, img.width), PairwiseParams())
 
 
 def _gmm_at(color, floor=0.01):
@@ -59,7 +64,7 @@ def _gmm_at(color, floor=0.01):
 # potts_weight
 
 def test_potts_zero_inside_band():
-    band = BoundaryBand(np.ones((1, 2), dtype=np.uint8))
+    band = np.ones((1, 2), dtype=bool)
     p = PairwiseParams(smoothness=1.0)
     assert potts_weight([0, 0, 0], [1, 1, 1], (0, 0), (0, 1), band, p) == 0.0
 
@@ -89,7 +94,7 @@ def test_potts_symmetry():
 
 
 def test_potts_band_needs_both_pixels_inside():
-    band = BoundaryBand(np.array([[1, 0]], dtype=np.uint8))
+    band = np.array([[True, False]])
     p = PairwiseParams(smoothness=1.0)
     w = potts_weight([0.5] * 3, [0.5] * 3, (0, 0), (0, 1), band, p)
     assert w == 1.0
@@ -108,6 +113,32 @@ def test_contrast_weights_match_the_potts_oracle(smoothness, contrast_scale):
                          _no_band(h, w), p) for i, j in edges]
     assert got.shape == (len(edges),)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_masks(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(10.0, 0.5), (0.25, 3.0), (7.5, 1e-3)]))
+def test_potts_weights_match_the_potts_oracle(mask, half, seed, params):
+    h, w = mask.shape
+    img = RgbImage(np.random.default_rng(seed).random((h, w, 3)))
+    band = boundary_band_from_mask(MotionMask(mask.astype(np.uint8)), half)
+    p = PairwiseParams(*params)
+    got = potts_weights(img, band, p)
+    edges = GridAdjacency(w, h).edges()
+    colors = img.pixels.reshape(-1, 3)
+    want = [potts_weight(colors[i], colors[j], divmod(i, w), divmod(j, w),
+                         band, p) for i, j in edges]
+    assert got.shape == (len(edges),) and not got.flags.writeable
+    assert np.array_equal(got == 0.0, np.equal(want, 0.0))
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    event("some edge in the band" if (got == 0.0).any() else "no edge in the band")
+
+
+def test_potts_weights_refuse_a_band_of_another_shape():
+    img = RgbImage(np.zeros((2, 3, 3)))
+    for shape in ((3, 2), (2, 4), (6,)):
+        with pytest.raises(DimensionMismatch):
+            potts_weights(img, np.zeros(shape, dtype=bool), PairwiseParams())
 
 
 def test_pairwise_params_validation():
@@ -131,7 +162,7 @@ def test_boundary_band_matches_direct_dilation():
         h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         mask = rng.integers(0, 2, size=(h, w)).astype(np.uint8)
         half = int(rng.integers(0, 4))
-        band = boundary_band_from_mask(MotionMask(mask), half).band
+        band = boundary_band_from_mask(MotionMask(mask), half)
         # oracle: mark 4-neighbor sign changes, then Chebyshev-dilate
         boundary = np.zeros((h, w), dtype=bool)
         for y in range(h):
@@ -147,7 +178,7 @@ def test_boundary_band_matches_direct_dilation():
                 if len(ys):
                     cheb = np.maximum(np.abs(ys - y), np.abs(xs - x)).min()
                     want[y, x] = cheb <= half
-        assert np.array_equal(band.astype(bool), want)
+        assert np.array_equal(band, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,8 +189,9 @@ def test_boundary_band_matches_scipy_dilation(m, half):
             | (p[1:-1, :-2] != m) | (p[1:-1, 2:] != m))
     square = np.ones((2 * half + 1, 2 * half + 1), dtype=bool)
     want = ndimage.binary_dilation(edge, structure=square) if half else edge
-    got = boundary_band_from_mask(MotionMask(m.astype(np.uint8)), half).band
-    assert got.dtype == bool and np.array_equal(got, want)
+    got = boundary_band_from_mask(MotionMask(m.astype(np.uint8)), half)
+    assert got.dtype == bool and not got.flags.writeable
+    assert np.array_equal(got, want)
     if half >= max(m.shape):
         event("half-width at least the frame side")
 
@@ -167,14 +199,14 @@ def test_boundary_band_matches_scipy_dilation(m, half):
 def test_band_wider_than_the_frame_is_the_whole_frame():
     rng = np.random.default_rng(16)
     mask = MotionMask(rng.integers(0, 2, size=(5, 8)).astype(np.uint8))
-    wide = boundary_band_from_mask(mask, 10**6).band
-    assert np.array_equal(wide, boundary_band_from_mask(mask, 8).band)
+    wide = boundary_band_from_mask(mask, 10**6)
+    assert np.array_equal(wide, boundary_band_from_mask(mask, 8))
     assert wide.all()
 
 
 def test_boundary_band_constant_mask_is_empty():
     band = boundary_band_from_mask(MotionMask(np.ones((4, 4), dtype=np.uint8)), 2)
-    assert not band.band.any()
+    assert not band.any()
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +223,7 @@ def _build_inputs(rng, h, w, labels=3):
 def test_build_energy_zero_weight_uses_only_gmms():
     rng = np.random.default_rng(16)
     img, gmms, scores = _build_inputs(rng, 3, 4)
-    m = build_energy(img, gmms, scores, (0, 1, 2), 0.0, PairwiseParams(),
-                     _no_band(3, 4))
+    m = build_energy(img, gmms, scores, (0, 1, 2), 0.0, _weights(img))
     colors = img.pixels.reshape(-1, 3)
     assert np.allclose(m.unary[:, 0], nll(gmms.background, colors))
     assert np.allclose(m.unary[:, 1], nll(gmms.foreground, colors))
@@ -205,8 +236,7 @@ def test_build_energy_symmetric_inputs_give_equal_unaries():
     g = fit_gmm(rng.random((15, 3)), n_components=1, seed=0)
     same = FgBgGmm(foreground=g, background=g)
     uniform = ScoreMap(np.full((2, 3, 2), 0.5))
-    m = build_energy(img, same, uniform, (0, 1), 1.0, PairwiseParams(),
-                     _no_band(2, 3))
+    m = build_energy(img, same, uniform, (0, 1), 1.0, _weights(img))
     assert np.allclose(m.unary[:, 0], m.unary[:, 1])
 
 
@@ -214,8 +244,7 @@ def test_build_energy_object_label_gap_is_score_ratio():
     rng = np.random.default_rng(18)
     img, gmms, scores = _build_inputs(rng, 3, 3, labels=3)
     pred_weight = 1.7
-    m = build_energy(img, gmms, scores, (0, 1, 2), pred_weight, PairwiseParams(),
-                     _no_band(3, 3))
+    m = build_energy(img, gmms, scores, (0, 1, 2), pred_weight, _weights(img))
     p = scores.scores.reshape(-1, 3)
     want = pred_weight * (np.log(p[:, 2]) - np.log(p[:, 1]))
     assert np.allclose(m.unary[:, 1] - m.unary[:, 2], want)
@@ -225,19 +254,16 @@ def test_build_energy_clamps_zero_scores():
     rng = np.random.default_rng(19)
     img, gmms, _ = _build_inputs(rng, 2, 2)
     zero = ScoreMap(np.dstack([np.zeros((2, 2)), np.ones((2, 2))]))
-    m = build_energy(img, gmms, zero, (0, 1), 1.0, PairwiseParams(),
-                     _no_band(2, 2))
+    m = build_energy(img, gmms, zero, (0, 1), 1.0, _weights(img))
     assert np.isfinite(m.unary).all()
 
 
 def test_build_energy_weight_widens_unary_gaps():
     rng = np.random.default_rng(20)
     img, gmms, scores = _build_inputs(rng, 2, 3, labels=2)
-    band = _no_band(2, 3)
     gaps = []
     for pred_weight in (0.5, 1.5):
-        m = build_energy(img, gmms, scores, (0, 1), pred_weight, PairwiseParams(),
-                         band)
+        m = build_energy(img, gmms, scores, (0, 1), pred_weight, _weights(img))
         gaps.append(m.unary[:, 1] - m.unary[:, 0])
     p = scores.scores.reshape(-1, 2)
     direction = np.log(p[:, 0]) - np.log(p[:, 1])
@@ -251,8 +277,7 @@ def test_build_energy_dimension_mismatch():
     img, gmms, _ = _build_inputs(rng, 2, 2)
     wrong = ScoreMap(np.full((3, 2, 2), 0.5))
     with pytest.raises(DimensionMismatch):
-        build_energy(img, gmms, wrong, (0, 1), 1.0, PairwiseParams(),
-                     _no_band(2, 2))
+        build_energy(img, gmms, wrong, (0, 1), 1.0, _weights(img))
 
 
 def test_energy_model_validation():
@@ -410,7 +435,7 @@ def _two_object_model():
     gmms = fit_fgbg_from_motion([(scene.image, scene.mask)], 0, n_components=1)
     band = boundary_band_from_mask(scene.mask, InferenceParams.boundary_band)
     return build_energy(scene.image, gmms, scene.scores, (0, 1, 2), 1.0,
-                        PairwiseParams(), band)
+                        potts_weights(scene.image, band, PairwiseParams()))
 
 
 def test_expansion_skips_moves_that_cannot_change_the_labels(monkeypatch):
@@ -700,8 +725,9 @@ def test_reduction_never_above_plain_expansion_on_harsh_scenes(monkeypatch):
 
 def _mirrored(net):
     """``net`` with its terminals swapped and every arc reversed."""
-    return FlowNetwork(net.sink_cap, net.source_cap, net.arc_head[1::2],
-                       net.arc_head[::2], net.arc_cap[1::2], net.arc_cap[::2])
+    layout = ArcLayout(net.node_count, net.arc_head[1::2], net.arc_head[::2])
+    return FlowNetwork(net.sink_cap, net.source_cap, layout, net.arc_cap[1::2],
+                       net.arc_cap[::2])
 
 
 def _certified_with_mirror(net, res):

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import motionseg.inference
 from motionseg.core import LabelMap, MotionMask, RgbImage, ScoreMap
 from motionseg.energy import (
     PairwiseParams,
     boundary_band_from_mask,
     build_energy,
     minimize_binary,
+    potts_weights,
     total_energy,
 )
 from motionseg.errors import DimensionMismatch, EmptyForeground, MultiLabelVideo
@@ -66,8 +68,8 @@ def test_perfect_mask_recovers_itself_and_matches_enumeration():
     gmms = FgBgGmm(foreground=fit_gmm(fg_c, fg_w, 1, 0),
                    background=fit_gmm(bg_c, bg_w, 1, 0))
     band = boundary_band_from_mask(mask, params.boundary_band)
-    model = build_energy(img, gmms, scores, (0, 1),
-                         params.prediction_weight, params.pairwise, band)
+    model = build_energy(img, gmms, scores, (0, 1), params.prediction_weight,
+                         potts_weights(img, band, params.pairwise))
     labelings = all_labelings(12, 2)
     energies = potts_energies(model.unary, model.adjacency.edges(),
                               model.pairwise, labelings)
@@ -232,6 +234,29 @@ def test_band_half_width_comes_from_the_params(monkeypatch):
     batch = [(scene.image, scene.mask, scene.scores)] * 2
     infer_labels(batch, (1,), InferenceParams(iterations=1, boundary_band=5))
     assert widths == [5, 5]
+
+
+def test_potts_weights_are_built_once_per_frame(monkeypatch):
+    # only the GMM unaries change from one round to the next
+    weights, rounds = [], []
+    contrast_weights = PairwiseParams.contrast_weights
+    build = motionseg.inference.build_energy
+
+    def counting_weights(self, colors, edges):
+        weights.append(len(edges))
+        return contrast_weights(self, colors, edges)
+
+    def counting_build(*args):
+        rounds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(PairwiseParams, "contrast_weights", counting_weights)
+    monkeypatch.setattr("motionseg.inference.build_energy", counting_build)
+    scenes = [corrupted_mask_scene(seed) for seed in (3, 4, 5)]
+    batch = [(s.image, s.mask, s.scores) for s in scenes]
+    infer_labels(batch, (1,), InferenceParams(iterations=4))
+    assert len(weights) == len(batch)
+    assert len(rounds) >= len(batch) + 1
 
 
 def test_empty_batch_returns_empty():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motionseg.core import PROB_FLOOR, LabelMap, RgbImage, ScoreMap
-from motionseg.energy import BoundaryBand, PairwiseParams, build_energy
+from motionseg.energy import PairwiseParams, build_energy, potts_weights
 from motionseg.errors import DimensionMismatch, LabelOutOfRange, ZeroCount
 from motionseg.gmm import FgBgGmm, fit_gmm, nll
 from motionseg.loss import ClassWeights, class_weights, weighted_nll_loss
@@ -77,8 +77,8 @@ def test_zero_score_costs_minus_log_prob_floor():
     gmms = FgBgGmm(foreground=fit_gmm(rng.random((10, 3)), n_components=1),
                    background=fit_gmm(rng.random((10, 3)), n_components=1))
     img = RgbImage(rng.random((1, 1, 3)))
-    m = build_energy(img, gmms, zero_bg, (0, 1), 1.0, PairwiseParams(),
-                     BoundaryBand(np.zeros((1, 1), dtype=np.uint8)))
+    m = build_energy(img, gmms, zero_bg, (0, 1), 1.0, potts_weights(
+        img, np.zeros((1, 1), dtype=bool), PairwiseParams()))
     gmm_cost = nll(gmms.background, img.pixels.reshape(-1, 3))[0]
     assert m.unary[0, 0] == gmm_cost - np.log(PROB_FLOOR)
 

@@ -22,20 +22,20 @@ def test_two_node_example():
 
 
 def test_single_node_zero_source_capacity():
-    res = min_cut(FlowNetwork([0.0], [7.0]))
+    res = min_cut(FlowNetwork([0.0], [7.0], ArcLayout(1, [], [])))
     assert res.flow_value == 0.0
     # a node the source cannot reach in the residual graph is SINK side
     assert res.side[0] == SINK
 
 
 def test_single_node_source_side():
-    res = min_cut(FlowNetwork([7.0], [0.0]))
+    res = min_cut(FlowNetwork([7.0], [0.0], ArcLayout(1, [], [])))
     assert res.flow_value == 0.0
     assert res.side[0] == SOURCE
 
 
 def test_empty_graph():
-    res = min_cut(FlowNetwork([], []))
+    res = min_cut(FlowNetwork([], [], ArcLayout(0, [], [])))
     assert res.flow_value == 0.0
     assert res.side.shape == (0,)
 
@@ -51,19 +51,20 @@ def test_symmetric_graph_under_node_swap():
 
 def test_rejects_bad_capacities():
     good = {"source_cap": [1.0, 2.0], "sink_cap": [0.0, 0.5],
-            "tails": [0, 1], "heads": [1, 0], "cap": [1.0, 1.0],
+            "layout": ArcLayout(2, [0, 1], [1, 0]), "cap": [1.0, 1.0],
             "rev_cap": [0.0, 0.0]}
     FlowNetwork(**good)
     inf, nan = float("inf"), float("nan")
     for bad in ({"source_cap": [-1.0, 0.0]}, {"sink_cap": [0.0, nan]},
                 {"sink_cap": inf}, {"cap": [1.0, inf]},
-                {"rev_cap": [-0.5, 0.0]}, {"cap": nan},
-                {"heads": [1, 1]}):  # edge 1 -> 1 is a self-edge
+                {"rev_cap": [-0.5, 0.0]}, {"cap": nan}):
         with pytest.raises(ValueError):
             FlowNetwork(**{**good, **bad})
+    with pytest.raises(ValueError, match="self-edge at node 1"):
+        ArcLayout(2, [0, 1], [1, 1])
     for heads in ([1, 2], [-1, 0]):
         with pytest.raises(IndexError):
-            FlowNetwork(**{**good, "heads": heads})
+            ArcLayout(2, [0, 1], heads)
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -144,7 +145,8 @@ def test_flow_invariant_under_edge_permutation():
 
 def test_source_side_is_residual_reachable_set():
     # chain src -> 0 -> 1 -> sink with a bottleneck in the middle
-    res = min_cut(FlowNetwork([5.0, 0.0], [0.0, 5.0], [0], [1], [1.0], [0.0]))
+    res = min_cut(FlowNetwork([5.0, 0.0], [0.0, 5.0], ArcLayout(2, [0], [1]),
+                              [1.0], [0.0]))
     assert abs(res.flow_value - 1.0) < 1e-12
     assert res.side[0] == SOURCE and res.side[1] == SINK
 
@@ -152,15 +154,13 @@ def test_source_side_is_residual_reachable_set():
 def test_rejects_node_ids_that_are_not_integers():
     # 0.6 and 1.9 used to be truncated to the edges (0, 1) and (1, 2)
     with pytest.raises(TypeError, match="got 0.6"):
-        FlowNetwork([3, 0, 0], [0, 0, 3], [0.6, 1.9], [1.4, 2.2], [1, 1],
-                    [0, 0])
+        ArcLayout(3, [0.6, 1.9], [1.4, 2.2])
     with pytest.raises(TypeError, match="got True"):
-        FlowNetwork([1, 0], [0, 1], [0], [True], [1], [0])
+        ArcLayout(2, [0], [True])
     # integer ids of any width pass, and so do empty ones of any dtype
-    net = FlowNetwork([1, 0], [0, 1], np.array([0], np.uint8),
-                      np.array([1], np.int32), [1], [0])
-    assert net.arc_head.tolist() == [1, 0]
-    assert FlowNetwork([1.0], [0.0]).arc_head.shape == (0,)
+    layout = ArcLayout(2, np.array([0], np.uint8), np.array([1], np.int32))
+    assert layout.arc_head.tolist() == [1, 0]
+    assert ArcLayout(1, [], []).arc_head.shape == (0,)
 
 
 def _drained_grid(rng, height, width):
@@ -246,7 +246,8 @@ def test_cut_bits_are_pinned():
         heads = (tails + rng.integers(1, n, m)) % n
         source, sink = _wide_caps(rng, n), _wide_caps(rng, n)
         cap, rev_cap = _wide_caps(rng, m), _wide_caps(rng, m)
-        res = min_cut(FlowNetwork(source, sink, tails, heads, cap, rev_cap))
+        res = min_cut(FlowNetwork(source, sink, ArcLayout(n, tails, heads),
+                                  cap, rev_cap))
         sides.update(res.side.tobytes())
         flows.update(res.flow_value.hex().encode())
     assert sides.hexdigest() == (
@@ -284,8 +285,8 @@ def _grid_network(rng, height, width, bands=0, decided=False):
 def _filtered_cut(source, sink, edges, cap, rev_cap):
     """The cut of the network without the edges of capacity 0 both ways."""
     keep = (cap > 0.0) | (rev_cap > 0.0)
-    return min_cut(FlowNetwork(source, sink, edges[keep, 0], edges[keep, 1],
-                               cap[keep], rev_cap[keep]))
+    layout = ArcLayout(len(source), edges[keep, 0], edges[keep, 1])
+    return min_cut(FlowNetwork(source, sink, layout, cap[keep], rev_cap[keep]))
 
 
 @settings(max_examples=500, deadline=None)
@@ -303,8 +304,8 @@ def test_the_grid_layout_cuts_like_the_filtered_edges(height, width, bands,
     args = _grid_network(np.random.default_rng(seed), height, width, bands,
                          decided)
     source, sink, _, cap, rev_cap = args
-    net = FlowNetwork(source, sink, cap=cap, rev_cap=rev_cap,
-                      layout=GridAdjacency(width, height).arc_layout())
+    net = FlowNetwork(source, sink, GridAdjacency(width, height).arc_layout(),
+                      cap, rev_cap)
     event("decided" if unaries_decide(net) else "searched")
     assert unaries_decide(net) or not decided
     event("zero arcs" if ((cap == 0.0) & (rev_cap == 0.0)).any()
@@ -344,13 +345,12 @@ def test_cuts_through_cached_layouts_leak_no_state():
     alone = []
     for source, sink, edges, cap, rev_cap in nets:
         own = ArcLayout(len(source), edges[:, 0], edges[:, 1])
-        alone.append(min_cut(FlowNetwork(source, sink, cap=cap,
-                                         rev_cap=rev_cap, layout=own)))
+        alone.append(min_cut(FlowNetwork(source, sink, own, cap, rev_cap)))
     searched = 0
     for (h, w), (source, sink, _, cap, rev_cap), want in zip(shapes, nets,
                                                               alone):
-        net = FlowNetwork(source, sink, cap=cap, rev_cap=rev_cap,
-                          layout=GridAdjacency(w, h).arc_layout())
+        net = FlowNetwork(source, sink, GridAdjacency(w, h).arc_layout(),
+                          cap, rev_cap)
         searched += not unaries_decide(net)
         res = min_cut(net)
         assert res.side.tobytes() == want.side.tobytes()
@@ -361,15 +361,10 @@ def test_cuts_through_cached_layouts_leak_no_state():
             == links
 
 
-def test_a_layout_replaces_tails_and_heads():
+def test_the_layout_must_fit_the_network():
     layout = GridAdjacency(3, 2).arc_layout()
-    with pytest.raises(ValueError, match="layout needs 5 nodes"):
-        FlowNetwork(np.ones(5), np.zeros(5), cap=1.0, rev_cap=1.0,
-                    layout=layout)
-    with pytest.raises(ValueError, match="no tails or heads"):
-        FlowNetwork(np.ones(6), np.zeros(6), [0], [1], 1.0, 1.0,
-                    layout=layout)
-    # one capacity per layout edge, as per edge of tails and heads
+    with pytest.raises(ValueError, match="layout has 6 nodes, not 5"):
+        FlowNetwork(np.ones(5), np.zeros(5), layout, 1.0, 1.0)
+    # one capacity per layout edge
     with pytest.raises(ValueError, match="broadcast"):
-        FlowNetwork(np.ones(6), np.zeros(6), cap=[1.0, 2.0], rev_cap=1.0,
-                    layout=layout)
+        FlowNetwork(np.ones(6), np.zeros(6), layout, [1.0, 2.0], 1.0)
