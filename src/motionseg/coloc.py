@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BoundingBox, GridAdjacency, LabelMap, PixelGrid, RgbImage,
-                   _frozen, check_same_shape)
+                   _frozen, _read_only, check_same_shape)
 from .energy import PairwiseParams, _solve_binary_columns
 from .errors import DimensionMismatch
 from .gmm import DEFAULT_COMPONENTS, FgBgGmm, fit_fgbg, nll
@@ -42,15 +42,15 @@ class SuperpixelMap(PixelGrid):
     counts: np.ndarray       # (S,) pixel counts, all >= 1
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int32)
+        ids = _read_only(self.ids, np.int32)
         if ids.ndim != 2:
             raise DimensionMismatch(f"expected (H, W) ids, got {ids.shape}")
         s = len(self.counts)
         if ids.min() != 0 or ids.max() != s - 1 or np.any(self.counts < 1):
             raise ValueError("superpixel ids must cover 0..S-1, each nonempty")
-        object.__setattr__(self, "ids", _frozen(ids))
+        object.__setattr__(self, "ids", ids)
         for name in ("mean_colors", "centroids", "counts"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def n_superpixels(self) -> int:
@@ -322,7 +322,7 @@ def slic_superpixels(img: RgbImage, target_count: int,
 
     counts, centroids, mean_colors = _cluster_means(final, count, px,
                                                     pos_y, pos_x)
-    return SuperpixelMap(final, mean_colors, centroids, counts)
+    return SuperpixelMap(*map(_frozen, (final, mean_colors, centroids, counts)))
 
 
 def seed_gmms_from_scores(frames, score_maps, category: int,

@@ -7,8 +7,8 @@ Conventions used everywhere in this package:
 * label 0 is always the background class,
 * the pixel graph is the 4-connected grid.
 
-All types freeze their arrays after construction; instances are safe to
-share between threads.
+All types hold read-only arrays, copying a caller's writeable one rather
+than freezing it; instances are safe to share between threads.
 """
 
 from dataclasses import dataclass
@@ -30,9 +30,22 @@ BACKGROUND = "background"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, an array that the caller has just made and shares with no
+    one, as a read-only C-contiguous array; frozen in place if it is one."""
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _read_only(a, dtype=None) -> np.ndarray:
+    """The caller's ``a`` as a read-only C-contiguous array of ``dtype``.
+    An array that is read-only already is kept and a converted one frozen;
+    a writeable one is copied, so it stays writeable and a later write to
+    it does not reach the result."""
+    b = np.ascontiguousarray(a, dtype=dtype)
+    if b.flags.writeable and np.may_share_memory(a, b):
+        b = b.copy()
+    return _frozen(b)
 
 
 class PixelGrid:
@@ -56,17 +69,17 @@ class RgbImage(PixelGrid):
     pixels: np.ndarray  # (H, W, 3) float64
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
+        p = _read_only(self.pixels, np.float64)
         if p.ndim != 3 or p.shape[2] != 3:
             raise DimensionMismatch(f"expected (H, W, 3) pixels, got {p.shape}")
         if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails
             raise ValueError("RGB channels must lie in [0, 1]")
-        object.__setattr__(self, "pixels", _frozen(p))
+        object.__setattr__(self, "pixels", p)
 
     @classmethod
     def from_bytes(cls, raw: np.ndarray) -> "RgbImage":
         """Build from an (H, W, 3) uint8 array by dividing by 255."""
-        return cls(np.asarray(raw, dtype=np.float64) / 255.0)
+        return cls(_frozen(np.asarray(raw, dtype=np.float64) / 255.0))
 
 
 @dataclass(frozen=True)
@@ -149,10 +162,10 @@ class ScoreMap(PixelGrid):
     scores: np.ndarray  # (H, W, C) float64
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = _read_only(self.scores, np.float64)
         if s.ndim != 3 or s.shape[2] < 1:
             raise DimensionMismatch(f"expected (H, W, C) scores, got {s.shape}")
-        object.__setattr__(self, "scores", _frozen(s))
+        object.__setattr__(self, "scores", s)
 
     @property
     def channels(self) -> int:

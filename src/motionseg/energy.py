@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PROB_FLOOR, GridAdjacency, LabelMap, MotionMask,
-                   RgbImage, ScoreMap, _frozen, check_same_shape)
+                   RgbImage, ScoreMap, _frozen, _read_only,
+                   check_same_shape)
 from .errors import DimensionMismatch, LabelNotAllowed, WrongLabelCount
 from .gmm import FgBgGmm, nll
 from .maxflow import SOURCE, ArcLayout, FlowNetwork, min_cut
@@ -111,8 +112,8 @@ class EnergyModel:
     adjacency: GridAdjacency
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.unary, dtype=np.float64)
-        w = np.ascontiguousarray(self.pairwise, dtype=np.float64)
+        u = _read_only(self.unary, np.float64)
+        w = _read_only(self.pairwise, np.float64)
         if u.shape != (self.adjacency.node_count, len(self.allowed_labels)):
             raise DimensionMismatch("unary shape disagrees with grid/labels")
         if w.shape != (self.adjacency.edge_count,):
@@ -121,8 +122,8 @@ class EnergyModel:
             raise ValueError("unary costs must be finite")
         if w.size and not (w.min() >= 0):  # NaN fails
             raise ValueError("pairwise weights must be >= 0")
-        object.__setattr__(self, "unary", _frozen(u))
-        object.__setattr__(self, "pairwise", _frozen(w))
+        object.__setattr__(self, "unary", u)
+        object.__setattr__(self, "pairwise", w)
         object.__setattr__(self, "allowed_labels", tuple(self.allowed_labels))
 
 
@@ -157,8 +158,8 @@ def build_energy(img: RgbImage, gmms: FgBgGmm, scores: ScoreMap, allowed,
         motion_term = nll_bg if label == 0 else nll_fg
         unary[:, c] = motion_term + prediction_weight * neglogp[:, label]
 
-    return EnergyModel(allowed_labels=allowed, unary=unary, pairwise=pairwise,
-                       adjacency=GridAdjacency(img.width, img.height))
+    return EnergyModel(allowed, _frozen(unary), pairwise,
+                       GridAdjacency(img.width, img.height))
 
 
 def _labels_to_columns(m: EnergyModel, x: LabelMap) -> np.ndarray:

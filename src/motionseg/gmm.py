@@ -12,7 +12,10 @@ nats in one step (scikit-learn's default tolerance), or after
 ``EM_MAX_ITER`` steps. Initialization is k-means++ with the caller's seed,
 run on samples sorted lexicographically by color so the fit does not
 depend on sample order (on radix-sorted uint8 keys when every color is
-an 8-bit ``q / 255``); one component takes a single M-step. Covariances
+an 8-bit ``q / 255``). EM's loop runs on one (9, N) matrix per fit, the
+colors and their six distinct products: each M-step and E-step is one
+matrix product with it. One component takes a single direct M-step, and
+:func:`nll` solves with each covariance's Cholesky factor. Covariances
 are floored so flat color regions cannot produce singular matrices. The
 log-sum-exp over components, in the E-step and in :func:`nll`, is a
 plain numpy reduction that gives the same bits as scipy's on these inputs.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _read_only
 from .errors import EmptyBackground, EmptyForeground, TooFewSamples
 
 # Smallest eigenvalue any covariance is allowed to have.
@@ -47,9 +51,8 @@ class Gmm:
 
     def __post_init__(self):
         for name in ("weights", "means", "covariances"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name,
+                               _read_only(getattr(self, name), np.float64))
 
     @property
     def n_components(self) -> int:
@@ -169,7 +172,7 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
             return g
         # EM's loop stops at its second step, where the NLL repeats, unless
         # tol underflows to 0 or the NLL is not finite
-        cur_nll = _e_step(g, colors, weights)[1]
+        cur_nll = float(-(weights * _logsumexp(_log_terms(g, colors))).sum())
         steps = 2 if math.isfinite(cur_nll) and tol > 0 else EM_MAX_ITER
         return g, [cur_nll] * steps
 
@@ -178,20 +181,21 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
 
     # hard assignment to the nearest center bootstraps the first M-step
     d2 = ((colors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    resp = np.zeros((n, n_components))
-    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
-    g = _m_step(colors, weights, resp)
+    resp = (np.argmin(d2, axis=1) == np.arange(n_components)[:, None]) * 1.0
+    feats = _features(colors)
+    params = _moment_m_step(feats, weights, resp)
 
     history = []
     prev = None
     for _ in range(EM_MAX_ITER):
-        resp, cur_nll = _e_step(g, colors, weights)
+        resp, cur_nll = _moment_e_step(feats, weights, *params)
         history.append(cur_nll)
         if prev is not None and abs(prev - cur_nll) < tol:
             break
         prev = cur_nll
-        g = _m_step(colors, weights, resp)
+        params = _moment_m_step(feats, weights, resp)
 
+    g = _moment_gmm(*params)
     if return_history:
         return g, history
     return g
@@ -216,12 +220,59 @@ def _kmeanspp_centers(colors, weights, k, rng):
     return centers
 
 
-def _e_step(g, colors, weights):
-    """Responsibilities and weighted NLL under the current parameters."""
-    terms = _log_terms(g, colors)
+# The loop's features: a color's channels, then its products x_i x_j over
+# the upper triangle (_ROWS, _COLS). _SECOND[i, j] is x_i x_j's feature,
+# and -0.5 x^T P x is _QUAD_SCALE times P's upper triangle, dotted with them.
+_ROWS, _COLS = np.triu_indices(3)
+_SECOND = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
+_QUAD_SCALE = np.where(_ROWS == _COLS, -0.5, -1.0)
+
+
+def _features(colors):
+    """(9, N): each color's channels, then its six distinct products."""
+    x = colors.T
+    return np.concatenate([x, x[_ROWS] * x[_COLS]])
+
+
+def _moment_m_step(feats, weights, resp):
+    """M-step from (K, N) responsibilities, as one product with the
+    features: mixing weights, means, and each covariance's floored
+    eigenvalues (K, 3) and eigenvectors (K, 3, 3). The scatter is
+    E[xx^T] - mu mu^T; a dead component keeps weight 0, mean 0 and
+    floor * I."""
+    wresp = resp * weights                  # (K, N)
+    mass = wresp.sum(axis=1)                # (K,)
+    live = mass > 0.0
+    moments = np.divide(wresp @ feats.T, mass[:, None], where=live[:, None],
+                        out=np.zeros((len(mass), 9)))
+    means = moments[:, :3]
+    scatter = moments[:, _SECOND] - means[:, :, None] * means[:, None, :]
+    vals, vecs = np.linalg.eigh(scatter)
+    vals[~live], vecs[~live] = 0.0, np.eye(3)
+    return mass / weights.sum(), means, np.maximum(vals, VARIANCE_FLOOR), vecs
+
+
+def _moment_e_step(feats, weights, mix, means, vals, vecs):
+    """(K, N) responsibilities and the weighted NLL, with each log term
+    quadratic in the features: one (K, 9) @ (9, N) product plus a
+    constant per component, the precision and log-determinant coming
+    from the eigenpairs."""
+    prec = (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)   # (K, 3, 3)
+    lin = (prec @ means[:, :, None])[:, :, 0]                      # (K, 3)
+    coef = np.concatenate([lin, _QUAD_SCALE * prec[:, _ROWS, _COLS]], 1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(mix)
+    const = logw - 0.5 * (3.0 * _LOG_2PI + np.log(vals).sum(axis=1)
+                          + (means * lin).sum(axis=1))
+    terms = coef @ feats + const[:, None]
     norm = _logsumexp(terms)
-    resp = np.exp(terms - norm).T  # (N, K)
-    return resp, float(-(weights * norm).sum())
+    return np.exp(terms - norm), float(-(weights * norm).sum())
+
+
+def _moment_gmm(mix, means, vals, vecs):
+    """The Gmm of the loop's last M-step."""
+    covs = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return Gmm(weights=mix, means=means, covariances=covs)
 
 
 def _m_step(colors, weights, resp):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (BACKGROUND, BoundingBox, LabelMap, LabelSet, MotionMask,
-                   RgbImage, ScoreMap)
+                   RgbImage, ScoreMap, _frozen)
 from .errors import (
     BadDimensions,
     BadMagic,
@@ -190,7 +190,7 @@ def write_tensor(array: np.ndarray, magic: bytes, path) -> None:
 
 def read_scores(path) -> ScoreMap:
     """Read an MSF1 score tensor; the float32 payload round-trips bit-exactly."""
-    return ScoreMap(read_tensor(path, _MSF_MAGIC, 3))
+    return ScoreMap(_frozen(read_tensor(path, _MSF_MAGIC, 3)))
 
 
 def write_scores(scores: ScoreMap, path) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_FLOOR, LabelMap, ScoreMap, _frozen, check_same_shape
+from .core import PROB_FLOOR, LabelMap, ScoreMap, _read_only, check_same_shape
 from .errors import DimensionMismatch, LabelOutOfRange, ZeroCount
 
 
@@ -20,14 +20,14 @@ class ClassWeights:
     weights: np.ndarray  # (C,), each in (0, 1]
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        w = _read_only(self.weights, np.float64)
         if w.ndim != 1 or len(w) < 2:
             raise DimensionMismatch("need weights for background and >= 1 object label")
         if w[0] != 1.0:
             raise ValueError("background weight must be 1")
         if not ((w > 0.0) & (w <= 1.0)).all():  # NaN fails
             raise ValueError("weights must lie in (0, 1]")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def num_labels(self) -> int:

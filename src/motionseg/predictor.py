@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RgbImage, ScoreMap, _frozen, argmax_labels
+from .core import RgbImage, ScoreMap, _frozen, _read_only, argmax_labels
 from .errors import BadDimensions, NonFiniteValue, ZeroCount
 from .inference import InferenceParams, infer_labels
 from .io import DatasetManifest, read_image, read_mask, read_tensor, write_tensor
@@ -43,12 +43,12 @@ class ToyModel:
 
     def __post_init__(self):
         for name in ("weights", "velocity"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            a = _read_only(getattr(self, name), np.float64)
             if a.ndim != 2 or a.shape[1] != FEATURE_COUNT or a.shape[0] < 2:
                 raise BadDimensions(f"{name} must be (num_labels, {FEATURE_COUNT})")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, _frozen(a))
+            object.__setattr__(self, name, a)
         if self.weights.shape != self.velocity.shape:
             raise BadDimensions("weights and velocity disagree in shape")
 
@@ -67,7 +67,7 @@ def predict(model: ToyModel, img: RgbImage) -> ScoreMap:
     logits = color_features(img.pixels) @ model.weights.T
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
-    return ScoreMap(e / e.sum(axis=2, keepdims=True))
+    return ScoreMap(_frozen(e / e.sum(axis=2, keepdims=True)))
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,15 @@ def reference_fit_gmm(colors, weights, n_components, seed,
     """``fit_gmm`` as EM in full: a float lexsort of the colors, k-means++
     even for one component, and E- and M-steps until the weighted NLL
     moves by less than ``EM_TOL`` per unit weight or ``EM_MAX_ITER``
-    steps. It takes the package's E- and M-step, which the tests check on
-    their own against ``weighted_gaussians`` and scipy's log-sum-exp, so a
-    byte comparison tests only what the package's fit skips or reorders
-    around them.
+    steps. It takes the package's steps, which the tests check on their
+    own against ``weighted_gaussians``, ``nll`` and scipy's log-sum-exp:
+    the Cholesky E-step and direct M-step of one component, the feature
+    steps of more. So a byte comparison tests only what the package's fit
+    skips or reorders around them.
     """
-    from motionseg.gmm import EM_MAX_ITER, EM_TOL, _e_step, _m_step
+    from motionseg.gmm import (EM_MAX_ITER, EM_TOL, _features, _log_terms,
+                               _logsumexp, _m_step, _moment_e_step,
+                               _moment_gmm, _moment_m_step)
     colors = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     n = len(colors)
@@ -319,18 +322,41 @@ def reference_fit_gmm(colors, weights, n_components, seed,
         centers[j] = colors[rng.choice(n, p=p)]
         d2 = np.minimum(d2, ((colors - centers[j]) ** 2).sum(axis=1))
     d2 = ((colors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    resp = np.zeros((n, n_components))
-    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
-    g = _m_step(colors, weights, resp)
+    resp = np.zeros((n_components, n))  # (K, N)
+    resp[np.argmin(d2, axis=1), np.arange(n)] = 1.0
+    if n_components == 1:
+        def m_step(r):
+            return _m_step(colors, weights, r.T)
+
+        def e_step(g):
+            terms = _log_terms(g, colors)
+            norm = _logsumexp(terms)
+            return np.exp(terms - norm), float(-(weights * norm).sum())
+
+        def gmm(g):
+            return g
+    else:
+        feats = _features(colors)
+
+        def m_step(r):
+            return _moment_m_step(feats, weights, r)
+
+        def e_step(params):
+            return _moment_e_step(feats, weights, *params)
+
+        def gmm(params):
+            return _moment_gmm(*params)
+    params = m_step(resp)
     tol = EM_TOL * weights.sum()
     history, prev = [], None
     for _ in range(EM_MAX_ITER):
-        resp, cur = _e_step(g, colors, weights)
+        resp, cur = e_step(params)
         history.append(cur)
         if prev is not None and abs(prev - cur) < tol:
             break
         prev = cur
-        g = _m_step(colors, weights, resp)
+        params = m_step(resp)
+    g = gmm(params)
     return (g, history) if return_history else g
 
 

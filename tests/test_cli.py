@@ -8,6 +8,7 @@ contract, and determinism.
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -788,6 +789,29 @@ def test_train_toy_cli(ws, tmp_path, capsys):
     model = load_model(out / "model.mtm")
     assert model.num_labels == 3
     assert np.all(np.isfinite(model.weights))
+
+
+def test_multi_component_checkpoint_and_boxes_bytes_are_pinned(tmp_path):
+    # sha256 of what the EM loop's fits (two components) reach on a seed-7
+    # tree: a change to those fits that moves one weight or box fails here
+    manifest = write_blob_dataset(tmp_path / "data", seed=7, with_scores=True)
+    for sub, src in (("prune", manifest),
+                     ("sample", tmp_path / "prune/manifest.json")):
+        assert main([sub, "--manifest", str(src), "--out",
+                     str(tmp_path / sub)]) == 0
+    sampled = str(tmp_path / "sample/manifest.json")
+    assert main(["train-toy", "--manifest", sampled, "--out",
+                 str(tmp_path / "toy"), "--epochs", "2", "--learning-rate",
+                 "0.2", "--iterations", "1", "--components", "2"]) == 0
+    assert main(["coloc", "--manifest", sampled, "--out",
+                 str(tmp_path / "boxes"), "--superpixels", "60",
+                 "--components", "2"]) == 0
+    digests = [hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+               for p in ("toy/model.mtm", "boxes/boxes.csv")]
+    assert digests == [
+        "c0f3f89aecb6f438982ea8c6e78b8b0cc19292855d9fd8224275537f3715bc07",
+        "800955b6a24df84bc36dc04f079a3da1ed92435c9138d4e1b19619f3ea99a369",
+    ]
 
 
 def test_train_toy_refuses_weights_beyond_float32(ws, tmp_path, capsys):

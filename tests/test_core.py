@@ -19,7 +19,11 @@ from motionseg.core import (
     validate_score_map,
 )
 from motionseg.coloc import SuperpixelMap
+from motionseg.energy import EnergyModel
 from motionseg.errors import DimensionMismatch, NegativeScore, NotNormalized
+from motionseg.gmm import Gmm
+from motionseg.loss import ClassWeights
+from motionseg.predictor import FEATURE_COUNT, ToyModel
 
 from helpers import random_scores
 
@@ -55,6 +59,42 @@ def test_arrays_are_frozen():
     mask = MotionMask(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         mask.mask[0, 0] = 1
+
+
+def _given_arrays():
+    """Each type whose constructor takes a caller's float arrays: a builder
+    and the arrays it is given."""
+    return [
+        (RgbImage, [np.full((2, 3, 3), 0.5)]),
+        (ScoreMap, [np.full((2, 3, 2), 0.5)]),
+        (lambda u, w: EnergyModel((0, 1), u, w, GridAdjacency(3, 2)),
+         [np.ones((6, 2)), np.ones(7)]),
+        (ClassWeights, [np.array([1.0, 0.5])]),
+        (ToyModel, [np.ones((2, FEATURE_COUNT)), np.zeros((2, FEATURE_COUNT))]),
+        (Gmm, [np.ones(1), np.full((1, 3), 0.5), np.eye(3)[None]]),
+        (SuperpixelMap, [np.array([[0, 1]], dtype=np.int32),
+                         np.full((2, 3), 0.5), np.zeros((2, 2)), np.ones(2)]),
+    ]
+
+
+def _held_arrays(obj):
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
+def test_constructors_copy_a_writeable_array_and_keep_a_read_only_one():
+    for build, arrays in _given_arrays():
+        before = [a.copy() for a in arrays]
+        held = _held_arrays(build(*arrays))
+        assert len(held) == len(arrays)
+        for a in arrays:
+            a += 1  # still the caller's to write
+        for h, b in zip(held, before):
+            assert not h.flags.writeable and np.array_equal(h, b)
+    for build, arrays in _given_arrays():
+        for a in arrays:
+            a.setflags(write=False)
+        held = _held_arrays(build(*arrays))
+        assert all(h is a for h, a in zip(held, arrays))
 
 
 def test_motion_mask_binary_only():
