@@ -481,7 +481,7 @@ def main(argv=None) -> int:
         finally:
             shutil.rmtree(stage, ignore_errors=True)
         _write_run(args)
-    except (MotionSegError, OSError, ValueError) as e:
+    except (MotionSegError, OSError, ValueError, OverflowError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
         return 1

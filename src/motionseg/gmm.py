@@ -167,7 +167,7 @@ def fit_gmm(colors, weights=None, n_components=DEFAULT_COMPONENTS, seed=0,
     tol = EM_TOL * weights.sum()
 
     if n_components == 1:
-        g = _m_step(colors, weights, np.ones((n, 1)))
+        g = _moment_gmm(*_m_step(colors, weights))
         if not return_history:
             return g
         # EM's loop stops at its second step, where the NLL repeats, unless
@@ -275,20 +275,17 @@ def _moment_gmm(mix, means, vals, vecs):
     return Gmm(weights=mix, means=means, covariances=covs)
 
 
-def _m_step(colors, weights, resp):
-    wresp = resp * weights[:, None]         # (N, K)
-    mass = wresp.sum(axis=0)                # (K,)
-    live = mass > 0.0  # dead components keep weight 0, mean 0, floor * I
-    m = mass[live, None, None]
-    means = np.zeros((len(mass), 3))
-    means[live] = (wresp.T @ colors)[live] / m[:, 0]
-    dev = colors.T - means[live][:, :, None]            # (L, 3, N)
-    scatter = (wresp.T[live][:, None, :] * dev) @ dev.transpose(0, 2, 1) / m
-    vals, vecs = np.linalg.eigh(scatter)
-    vals = np.maximum(vals, VARIANCE_FLOOR)
-    covs = np.tile(VARIANCE_FLOOR * np.eye(3), (len(mass), 1, 1))
-    covs[live] = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-    return Gmm(weights=mass / weights.sum(), means=means, covariances=covs)
+def _m_step(colors, weights):
+    """The one-component M-step, straight from the colors: mixing weight,
+    mean, and the covariance's floored eigenvalues and eigenvectors, each
+    with a leading axis of one component."""
+    w = weights[None, :]                    # (1, N)
+    mass = w.sum(axis=1)                    # (1,)
+    means = (w @ colors) / mass[:, None]    # (1, 3)
+    dev = colors.T - means[:, :, None]      # (1, 3, N)
+    scatter = (w[:, None, :] * dev) @ dev.transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(scatter / mass[:, None, None])
+    return mass / weights.sum(), means, np.maximum(vals, VARIANCE_FLOOR), vecs
 
 
 def frame_distance_weight(t: int, t_prime: int) -> float:

@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,14 @@ class DatasetManifest:
         """The label indices of a video's weak labels."""
         return tuple(self.label_set.index(n) for n in video.weak_labels)
 
+    def map_shots(self, fn) -> "DatasetManifest":
+        """This manifest with each shot ``s`` replaced by ``fn(s)``, in
+        order; a shot mapped to None is dropped, and its video kept."""
+        return replace(self, videos=tuple(
+            replace(v, shots=tuple(s for s in map(fn, v.shots)
+                                   if s is not None))
+            for v in self.videos))
+
 
 def _require(cond, msg):
     if not cond:
@@ -430,12 +438,13 @@ def write_manifest(m: DatasetManifest, path) -> None:
 
 def rebase(m: DatasetManifest, base_dir) -> DatasetManifest:
     """``m`` with frame paths relative to ``base_dir``, naming the same files."""
-    doc = manifest_to_dict(m)
-    frames = [f for v in doc["videos"] for s in v["shots"] for f in s["frames"]]
-    for frame in frames:
-        for key in FRAME_PATH_FIELDS & frame.keys():
-            frame[key] = os.path.relpath(m.resolve(frame[key]), base_dir)
-    return parse_manifest(doc, base_dir)
+    def frame(f):
+        return replace(f, **{k: os.path.relpath(m.resolve(p), base_dir)
+                             for k in FRAME_PATH_FIELDS
+                             if (p := getattr(f, k)) is not None})
+    rebased = m.map_shots(
+        lambda s: replace(s, frames=tuple(map(frame, s.frames))))
+    return replace(rebased, base_dir=Path(base_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -80,18 +80,13 @@ def prune_manifest(manifest: DatasetManifest,
     Rejected shots are dropped; videos left without any shot are dropped
     with them. Reads each frame's motion mask from disk.
     """
-    videos = []
-    for v in manifest.videos:
-        shots = []
-        for s in v.shots:
-            kept = prune_shot([
-                read_mask(manifest.resolve(f.motion_mask_path))
-                .foreground_fraction() for f in s.frames], params)
-            if kept is not None:
-                shots.append(replace(s, kept_range=kept))
-        if shots:
-            videos.append(replace(v, shots=tuple(shots)))
-    return replace(manifest, videos=tuple(videos))
+    def prune(s):
+        kept = prune_shot([
+            read_mask(manifest.resolve(f.motion_mask_path))
+            .foreground_fraction() for f in s.frames], params)
+        return None if kept is None else replace(s, kept_range=kept)
+    pruned = manifest.map_shots(prune)
+    return replace(pruned, videos=tuple(v for v in pruned.videos if v.shots))
 
 
 def sample_manifest(manifest: DatasetManifest,
@@ -101,18 +96,14 @@ def sample_manifest(manifest: DatasetManifest,
     Requires a pruned manifest; sampled indices are absolute positions in
     the shot's frame list, offset into the kept range.
     """
-    videos = []
-    for v in manifest.videos:
-        shots = []
-        for s in v.shots:
-            if s.kept_range is None:
-                raise ValueError(
-                    f"shot {s.shot_id!r} has no kept_range; prune first")
-            start, stop = s.kept_range
-            offsets = sample_frames(stop - start, params.samples_per_shot)
-            shots.append(replace(s, sampled_indices=tuple(start + o for o in offsets)))
-        videos.append(replace(v, shots=tuple(shots)))
-    return replace(manifest, videos=tuple(videos))
+    def sample(s):
+        if s.kept_range is None:
+            raise ValueError(
+                f"shot {s.shot_id!r} has no kept_range; prune first")
+        start, stop = s.kept_range
+        offsets = sample_frames(stop - start, params.samples_per_shot)
+        return replace(s, sampled_indices=tuple(start + o for o in offsets))
+    return manifest.map_shots(sample)
 
 
 def shot_frames(shot):

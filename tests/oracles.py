@@ -326,15 +326,13 @@ def reference_fit_gmm(colors, weights, n_components, seed,
     resp[np.argmin(d2, axis=1), np.arange(n)] = 1.0
     if n_components == 1:
         def m_step(r):
-            return _m_step(colors, weights, r.T)
+            assert (r == 1.0).all()  # one component takes every sample
+            return _m_step(colors, weights)
 
-        def e_step(g):
-            terms = _log_terms(g, colors)
+        def e_step(params):
+            terms = _log_terms(_moment_gmm(*params), colors)
             norm = _logsumexp(terms)
             return np.exp(terms - norm), float(-(weights * norm).sum())
-
-        def gmm(g):
-            return g
     else:
         feats = _features(colors)
 
@@ -343,9 +341,6 @@ def reference_fit_gmm(colors, weights, n_components, seed,
 
         def e_step(params):
             return _moment_e_step(feats, weights, *params)
-
-        def gmm(params):
-            return _moment_gmm(*params)
     params = m_step(resp)
     tol = EM_TOL * weights.sum()
     history, prev = [], None
@@ -356,7 +351,7 @@ def reference_fit_gmm(colors, weights, n_components, seed,
             break
         prev = cur
         params = m_step(resp)
-    g = gmm(params)
+    g = _moment_gmm(*params)
     return (g, history) if return_history else g
 
 

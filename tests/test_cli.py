@@ -829,6 +829,24 @@ def test_train_toy_refuses_weights_beyond_float32(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_toy_overflowing_decay_is_one_line_json(ws, tmp_path, capsys):
+    # the third epoch's rate multiplies by 1e200 ** 2, a float power that
+    # raises OverflowError
+    out = tmp_path / "toy"
+    rc = main(["train-toy", "--manifest", str(ws.sampled_manifest),
+               "--out", str(out), "--epochs", "3", "--decay-every", "1",
+               "--decay-factor", "1e200", "--learning-rate", "1e-300",
+               "--iterations", "1", "--components", "2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "OverflowError"
+    assert captured.out == ""
+    assert not out.exists()
+    assert not list(tmp_path.iterdir())  # nor its staging directory
+
+
 def test_identical_args_give_identical_bytes(ws, tmp_path):
     # the three subcommands that walk shots and write per-shot outputs
     runs = {

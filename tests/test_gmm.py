@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,15 +85,18 @@ def _soft_assignments(rng, trial):
 
 
 def test_m_step_matches_the_per_component_oracle():
-    # the one-component fit's direct step and EM loop's feature step
+    # EM loop's feature step on K components, some dead, and the
+    # one-component fit's direct step on the same colors and weights
     rng = np.random.default_rng(11)
     for trial in range(20):
         colors, weights, resp = _soft_assignments(rng, trial)
-        mix, means, covs = weighted_gaussians(colors, weights, resp,
-                                              VARIANCE_FLOOR)
         loop = _moment_m_step(_features(colors), weights,
                               np.ascontiguousarray(resp.T))
-        for g in (_m_step(colors, weights, resp), _moment_gmm(*loop)):
+        one = _m_step(colors, weights)
+        for params, r in ((loop, resp), (one, np.ones((len(colors), 1)))):
+            g = _moment_gmm(*params)
+            mix, means, covs = weighted_gaussians(colors, weights, r,
+                                                  VARIANCE_FLOOR)
             for got, want in ((g.weights, mix), (g.means, means),
                               (g.covariances, covs)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
@@ -333,6 +338,51 @@ def test_one_component_history_runs_to_the_cap_when_tol_underflows():
                                          return_history=True)
     assert len(history) == EM_MAX_ITER and history == ref_history
     assert g.means.tobytes() == ref.means.tobytes()
+
+
+def _one_component_case(name):
+    """Colors and weights of a pinned one-component fit: 8-bit colors or
+    floats with a flat channel, unweighted or weighted, and weights at
+    the ends of the float range."""
+    rng = np.random.default_rng(36)
+    lattice = rng.integers(0, 256, (400, 3)) / 255.0
+    flat = rng.random((300, 3))
+    flat[:, 1] = 0.25
+    weights = rng.uniform(0.05, 2.0, 400)
+    return {
+        "8-bit": (lattice, None),
+        "8-bit, weighted": (lattice, weights),
+        "flat channel": (flat, None),
+        "flat channel, weighted": (flat, weights[:300]),
+        "subnormal weights": (lattice[:40],
+                              rng.integers(1, 1000, 40) * 5e-324),
+        "1e300 weights": (flat[:40], weights[:40] * 1e300),
+    }[name]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("8-bit",
+     "de5abc2f2950ea28d398c2c29b256123dc7bff11c50202c6ff32eb6eab689e19"),
+    ("8-bit, weighted",
+     "bed99cabc4b4b8562a3a80f4856addc4b328b110e9b3da5693c106c56295ab54"),
+    ("flat channel",
+     "f3c910c3e58e56a5493d4a5ba506baee8bbd06f112a8c3c2d849a20d974caadf"),
+    ("flat channel, weighted",
+     "483dbf5853420f7462b15ae1d9ac86b9b48581ee13949addb56d5f9a4f69d587"),
+    ("subnormal weights",
+     "1c21fbe25e8fae11b3e48830cc5a133af8c014dab3cebdd93607e990583cecba"),
+    ("1e300 weights",
+     "6c69ae8464412f0d48564aa32b695bb24c42573d8f4822b7bd91cc173f321ed7"),
+])
+def test_one_component_fit_bytes_are_pinned(name, digest):
+    # sha256 of the weights, means, covariances and history of the
+    # one-component fit, whose direct M-step no other test pins
+    colors, weights = _one_component_case(name)
+    g, history = fit_gmm(colors, weights, 1, return_history=True)
+    got = hashlib.sha256(b"".join(
+        a.tobytes() for a in (g.weights, g.means, g.covariances,
+                              np.array(history)))).hexdigest()
+    assert got == digest
 
 
 def test_fit_is_sample_order_independent():

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from motionseg.core import LabelMap, MotionMask
 from motionseg.errors import RangeTooShort
-from motionseg.io import FrameRecord, ShotRecord, read_manifest
+from motionseg.io import (FrameRecord, ShotRecord, manifest_to_dict,
+                          parse_manifest, read_manifest, rebase)
 from motionseg.pipeline import (
     PruneParams,
     overlap_fraction,
@@ -197,3 +199,63 @@ def test_prune_manifest_drops_failing_shots(blob_manifest_path):
         ),
     )
     assert prune_manifest(short).videos == ()
+
+
+def test_manifest_rewrites_keep_order_and_shotless_videos(
+        blob_manifest_path, tmp_path):
+    manifest = read_manifest(blob_manifest_path)
+    doc = manifest_to_dict(manifest)
+    weak = doc["videos"][0]["weak_labels"]
+    doc["videos"].insert(1, {"video_id": "bare", "weak_labels": weak,
+                             "shots": []})
+    m = parse_manifest(doc, manifest.base_dir)
+    bare = m.videos[1]
+    # prune drops a video listed without shots; sample and rebase keep it
+    assert prune_manifest(m).videos == prune_manifest(manifest).videos
+    pruned = prune_manifest(manifest)
+    pruned = replace(pruned, videos=pruned.videos[:1] + (bare,)
+                     + pruned.videos[1:])
+    for rewritten in (sample_manifest(pruned), rebase(pruned, tmp_path)):
+        assert [v.video_id for v in rewritten.videos] == \
+            [v.video_id for v in pruned.videos]
+        assert rewritten.videos[1] == bare
+
+    # map_shots keeps shot order and drops only the shots mapped to None
+    six = {"video_id": "six", "weak_labels": weak, "shots": [
+        {"shot_id": f"s{i}", "frames": [{"image_path": f"f{i}.ppm",
+                                         "motion_mask_path": f"f{i}.pgm"}]}
+        for i in range(6)]}
+    m = parse_manifest({"videos": [six, dict(six, video_id="other")]})
+    mapped = m.map_shots(lambda s: None if s.shot_id in ("s1", "s4")
+                         else replace(s, kept_range=(0, 1)))
+    assert [v.video_id for v in mapped.videos] == ["six", "other"]
+    for v in mapped.videos:
+        assert [s.shot_id for s in v.shots] == ["s0", "s2", "s3", "s5"]
+        assert {s.kept_range for s in v.shots} == {(0, 1)}
+    assert [v.shots for v in m.map_shots(lambda s: None).videos] == [(), ()]
+    assert m.map_shots(lambda s: s) == m
+
+    # a rebase changes only path strings, none of which parse_manifest
+    # refuses: re-parsing its written form gives the same manifest
+    frames = [{"image_path": "f.ppm", "motion_mask_path": "./m/../f.pgm",
+               "score_map_path": ""},
+              {"image_path": "/abs/./g.ppm", "motion_mask_path": "../g.pgm",
+               "score_map_path": "a/../../s.msf",
+               "ground_truth_label_path": "/abs/../t.pgm",
+               "ground_truth_box": [0, 1, 2, 3]}]
+    doc = {"categories": ["car", "dog"], "videos": [
+        {"video_id": "v", "weak_labels": ["dog"], "shots": [
+            {"shot_id": "a", "frames": frames},
+            {"shot_id": "b", "frames": frames, "kept_range": [0, 2],
+             "sampled_indices": [1]}]},
+        {"video_id": "w", "weak_labels": ["car"], "shots": []}]}
+    for base in ("/data/x", "rel/./dir", "../up", "."):
+        m = parse_manifest(doc, base)
+        for new_base in ("/data/x", "/data/y/../z", "rel", "..", ".", "a/b"):
+            rebased = rebase(m, new_base)
+            assert rebased == parse_manifest(manifest_to_dict(rebased),
+                                             new_base)
+            # an empty path names the manifest's directory, and still does
+            empty = rebased.videos[0].shots[0].frames[0].score_map_path
+            assert os.path.abspath(rebased.resolve(empty)) == \
+                os.path.abspath(base)
