@@ -17,8 +17,8 @@ colors and their six distinct products: each M-step and E-step is one
 matrix product with it. One component takes a single direct M-step, and
 :func:`nll` solves with each covariance's Cholesky factor. Covariances
 are floored so flat color regions cannot produce singular matrices. The
-log-sum-exp over components, in the E-step and in :func:`nll`, is a
-plain numpy reduction that gives the same bits as scipy's on these inputs.
+loop's E-step shifts each column of log terms by its maximum for one
+``exp``; :func:`nll` and the one-component history take scipy's bits.
 """
 
 import math
@@ -83,9 +83,9 @@ def _log_terms(g: Gmm, colors: np.ndarray) -> np.ndarray:
 
 def _logsumexp(terms: np.ndarray) -> np.ndarray:
     """log(sum(exp(terms), axis=0)) for a (K, N) array whose every column
-    has a finite maximum. Takes the steps of scipy.special's log-sum-exp
-    over axis 0 (scipy 1.17), so the bits agree, without its array-API
-    overhead and its second ``exp`` pass.
+    has a finite maximum, for :func:`nll` and the one-component history.
+    Takes the steps of scipy.special's log-sum-exp over axis 0 (scipy
+    1.17), so the bits agree, without its array-API overhead.
 
     Every :class:`Gmm` has a live component and the covariance floor keeps
     its terms finite, so columns of ``_log_terms`` always qualify; dead
@@ -238,17 +238,15 @@ def _moment_m_step(feats, weights, resp):
     """M-step from (K, N) responsibilities, as one product with the
     features: mixing weights, means, and each covariance's floored
     eigenvalues (K, 3) and eigenvectors (K, 3, 3). The scatter is
-    E[xx^T] - mu mu^T; a dead component keeps weight 0, mean 0 and
-    floor * I."""
+    E[xx^T] - mu mu^T. A dead component's row of weighted responsibilities
+    is all zeros, so divided by 1 it keeps weight 0, mean +0.0 and a zero
+    scatter, whose ``eigh`` is (0, I): the floor makes that floor * I."""
     wresp = resp * weights                  # (K, N)
     mass = wresp.sum(axis=1)                # (K,)
-    live = mass > 0.0
-    moments = np.divide(wresp @ feats.T, mass[:, None], where=live[:, None],
-                        out=np.zeros((len(mass), 9)))
+    moments = (wresp @ feats.T) / (mass + (mass == 0.0))[:, None]
     means = moments[:, :3]
     scatter = moments[:, _SECOND] - means[:, :, None] * means[:, None, :]
     vals, vecs = np.linalg.eigh(scatter)
-    vals[~live], vecs[~live] = 0.0, np.eye(3)
     return mass / weights.sum(), means, np.maximum(vals, VARIANCE_FLOOR), vecs
 
 
@@ -256,7 +254,8 @@ def _moment_e_step(feats, weights, mix, means, vals, vecs):
     """(K, N) responsibilities and the weighted NLL, with each log term
     quadratic in the features: one (K, 9) @ (9, N) product plus a
     constant per component, the precision and log-determinant coming
-    from the eigenpairs."""
+    from the eigenpairs. With each column shifted by its maximum, one
+    ``exp`` gives the responsibilities and, through their sums, the NLL."""
     prec = (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)   # (K, 3, 3)
     lin = (prec @ means[:, :, None])[:, :, 0]                      # (K, 3)
     coef = np.concatenate([lin, _QUAD_SCALE * prec[:, _ROWS, _COLS]], 1)
@@ -265,8 +264,12 @@ def _moment_e_step(feats, weights, mix, means, vals, vecs):
     const = logw - 0.5 * (3.0 * _LOG_2PI + np.log(vals).sum(axis=1)
                           + (means * lin).sum(axis=1))
     terms = coef @ feats + const[:, None]
-    norm = _logsumexp(terms)
-    return np.exp(terms - norm), float(-(weights * norm).sum())
+    top = terms.max(axis=0)
+    terms -= top
+    np.exp(terms, out=terms)
+    total = terms.sum(axis=0)
+    terms /= total
+    return terms, float(-(weights * (np.log(total) + top)).sum())
 
 
 def _moment_gmm(mix, means, vals, vecs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from motionseg.core import MotionMask, RgbImage
 from motionseg.errors import EmptyBackground, EmptyForeground, TooFewSamples
@@ -67,6 +67,23 @@ def test_dead_components_keep_zero_weight_and_the_floor():
         assert abs(got - direct) <= 1e-12 * abs(direct)
 
 
+@pytest.mark.parametrize("color", [[0.3, 0.6, 0.9], [-0.0, 0.0, -0.0],
+                                   [-0.5, 0.2, -3.0]])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dead_components_are_positive_zero_and_the_floor_by_bytes(
+        color, weighted):
+    # a dead component's moments come from an all-zero row of weighted
+    # responsibilities, so they must be +0.0 even where the colors carry
+    # a sign bit; np.array_equal cannot tell -0.0 from +0.0, bytes can
+    weights = np.linspace(0.1, 2.0, 40) if weighted else None
+    g = fit_gmm(np.tile(color, (40, 1)), weights, n_components=3)
+    assert g.weights[0] == 1.0
+    assert g.weights[1:].tobytes() == np.zeros(2).tobytes()
+    assert g.means[1:].tobytes() == np.zeros((2, 3)).tobytes()
+    floor = np.tile(VARIANCE_FLOOR * np.eye(3), (2, 1, 1))
+    assert g.covariances[1:].tobytes() == floor.tobytes()
+
+
 def _soft_assignments(rng, trial):
     """Colors (a flat channel on odd trials, so the floor is active),
     weights and (N, K) responsibilities with some components dead."""
@@ -115,6 +132,22 @@ def test_loop_e_step_matches_the_cholesky_nll():
         got = _moment_e_step(_features(probe), probe_w, *params)[1]
         want = float((probe_w * nll(_moment_gmm(*params), probe)).sum())
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_loop_e_step_responsibilities_match_scipy_softmax():
+    # the E-step normalizes each column by its own maximum; on mixtures of
+    # the feature M-step, floor-active and dead components included, its
+    # responsibilities are scipy's softmax of the Cholesky log terms, and
+    # each column sums to 1 within one rounding per component
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        colors, weights, resp = _soft_assignments(rng, trial)
+        feats = _features(colors)
+        params = _moment_m_step(feats, weights, np.ascontiguousarray(resp.T))
+        got = _moment_e_step(feats, weights, *params)[0]
+        want = softmax(_log_terms(_moment_gmm(*params), colors), axis=0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        assert np.abs(got.sum(axis=0) - 1.0).max() <= len(got) * 2.0**-52
 
 
 def test_two_blobs_recover_their_centroids():
@@ -340,10 +373,10 @@ def test_one_component_history_runs_to_the_cap_when_tol_underflows():
     assert g.means.tobytes() == ref.means.tobytes()
 
 
-def _one_component_case(name):
-    """Colors and weights of a pinned one-component fit: 8-bit colors or
-    floats with a flat channel, unweighted or weighted, and weights at
-    the ends of the float range."""
+def _pinned_fit_case(name):
+    """Colors and weights of a pinned fit: 8-bit colors or floats with a
+    flat channel, unweighted or weighted, and weights at the ends of the
+    float range."""
     rng = np.random.default_rng(36)
     lattice = rng.integers(0, 256, (400, 3)) / 255.0
     flat = rng.random((300, 3))
@@ -377,8 +410,37 @@ def _one_component_case(name):
 def test_one_component_fit_bytes_are_pinned(name, digest):
     # sha256 of the weights, means, covariances and history of the
     # one-component fit, whose direct M-step no other test pins
-    colors, weights = _one_component_case(name)
+    colors, weights = _pinned_fit_case(name)
     g, history = fit_gmm(colors, weights, 1, return_history=True)
+    got = hashlib.sha256(b"".join(
+        a.tobytes() for a in (g.weights, g.means, g.covariances,
+                              np.array(history)))).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("name, k, digest", [
+    ("8-bit", 2,
+     "fcce7c86e4fba30d45c82fa5185ec6f8a069c1e284b174a3f1fd8eaa466a68f1"),
+    ("8-bit", 5,
+     "f5fec78a63affc59b4af46b4089a1af300c160f741746bd5aa2e5c35a20d0628"),
+    ("8-bit, weighted", 2,
+     "25dd0f1a7d2cad4f53a1c454f9164b715e08a1bec7a12cdb0a198d1907d569bd"),
+    ("8-bit, weighted", 5,
+     "f39beded7c3638efbcad164b1f8b9a011303065179fdf00fc7abf896fab9d1d9"),
+    ("flat channel", 2,
+     "e51c5808461a13537214bb803eb129813335276e46cdd43ec1ba1926c3e65984"),
+    ("flat channel", 5,
+     "4142711e7aaa5b2d5bad86adec89db90d2a4451ae104c3c7bbd24b3dab6551ef"),
+    ("flat channel, weighted", 2,
+     "4d0a4b2e3526989ff9e9f5417737ee5dac06751a2490b43a4ca05d1b798fc544"),
+    ("flat channel, weighted", 5,
+     "cc508187258d45ba75515945d28810dfb68dafa6b7f49ad78837c73cb925f68c"),
+])
+def test_multi_component_fit_bytes_are_pinned(name, k, digest):
+    # sha256 of the weights, means, covariances and history of EM's loop,
+    # recorded when the E-step first normalized by the column maximum
+    colors, weights = _pinned_fit_case(name)
+    g, history = fit_gmm(colors, weights, k, return_history=True)
     got = hashlib.sha256(b"".join(
         a.tobytes() for a in (g.weights, g.means, g.covariances,
                               np.array(history)))).hexdigest()
